@@ -8,17 +8,26 @@ significant).  Polynomials are dense coefficient tuples, low degree first,
 with no trailing zeros; the zero polynomial is the empty tuple and its
 degree is the NEG_INFINITY sentinel, never -1.
 
+Field arithmetic is table-driven.  A field of order q <= 2^16 builds, on its
+first arithmetic call, a log table, an exp table over a fixed generator g
+(doubled, so a sum of two logs indexes it directly) and a Zech table
+zech[i] = log(1 + g^i); every scalar op is a few lookups in them, and
+``vector_tables`` derives flat q x q numpy add/mul tables from them for the
+census.  The raw routines (digit-by-digit addition, multiplication of
+coordinate vectors modulo the modulus) only build these tables and serve
+fields with q > 2^16.
+
 p = 2 is rejected at construction.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 NEG_INFINITY = float("-inf")
 
-# Largest field order for which multiplication log/exp tables are built.
+# Largest field order for which log/exp/Zech tables are built.
 _TABLE_LIMIT = 1 << 16
 
 # Default ceiling on extension-field size during splitting-field searches.
@@ -117,8 +126,6 @@ def _fp_is_irreducible(f, p):
 
 def _lexleast_modulus(p, k):
     """Monic irreducible of degree k over F_p with least integer encoding."""
-    if k == 1:
-        return (0, 1)
     for m in range(p ** k):
         digits = []
         t = m
@@ -154,12 +161,15 @@ class FiniteField:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if k > 1 and not _fp_is_irreducible(list(modulus), p):
+            if not _fp_is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible over F_p")
         self.modulus = modulus
-        self._log = None
-        self._exp = None
+        self._half = (self.q - 1) // 2  # g^half = -1
         self._embeddings = {}
+        if self.q > _TABLE_LIMIT:
+            # too large to tabulate: the raw routines serve every op
+            self.add_i, self.sub_i, self.neg_i = self._add_raw, self._sub_raw, self._neg_raw
+            self.mul_i, self.inv_i, self.pow_i = self._mul_raw, self._inv_raw, self._pow_raw
 
     # -- identity ----------------------------------------------------------
 
@@ -191,8 +201,6 @@ class FiniteField:
 
     def element_str(self, a):
         """Digit string, most significant coordinate first; plain int for k=1."""
-        if self.k == 1:
-            return str(a)
         digits = self.decode(a)
         return "".join(str(d) for d in reversed(digits))
 
@@ -211,56 +219,141 @@ class FiniteField:
         return self.encode(digits + [0] * (self.k - len(digits)))
 
     # -- arithmetic on encodings --------------------------------------------
+    #
+    # Every op below reads the log/exp/Zech tables, which are built on the
+    # first arithmetic call.  A field too large to tabulate has its ops
+    # rebound to the raw routines in __init__, so no op checks its path.
+
+    @cached_property
+    def exp(self):
+        """exp[i] = g^i for the least generator g, for 0 <= i < 2(q-1)."""
+        g = self._find_generator()
+        powers = [1]
+        for _ in range(self.q - 2):
+            powers.append(self._mul_raw(powers[-1], g))
+        return powers + powers
+
+    @cached_property
+    def log(self):
+        """log[a] = i with g^i = a, for a != 0 (log[0] is never read)."""
+        log = [0] * self.q
+        for i, a in enumerate(self.exp[:self.q - 1]):
+            log[a] = i
+        return log
+
+    @cached_property
+    def zech(self):
+        """zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0; doubled like exp,
+        so that any difference of two logs indexes it directly."""
+        log = self.log
+        zech = []
+        for a in self.exp[:self.q - 1]:
+            s = self._add_raw(1, a)
+            zech.append(log[s] if s else -1)
+        return zech + zech
 
     def add_i(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a and b:
+            log = self.log
+            la = log[a]
+            z = self.zech[log[b] - la]
+            return self.exp[la + z] if z >= 0 else 0
+        return a or b
 
     def sub_i(self, a, b):
+        if not b:
+            return a
+        log = self.log
+        lb = log[b] + self._half  # log of -b
+        if not a:
+            return self.exp[lb]
+        la = log[a]
+        z = self.zech[lb - la]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def neg_i(self, a):
+        return self.exp[self.log[a] + self._half] if a else 0
+
+    def mul_i(self, a, b):
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
+
+    def inv_i(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverting zero in {self}")
+        return self.exp[self.q - 1 - self.log[a]]
+
+    def div_i(self, a, b):
+        return self.mul_i(a, self.inv_i(b))
+
+    def pow_i(self, a, n):
+        if a:
+            return self.exp[self.log[a] * n % (self.q - 1)]
+        if n < 0:
+            raise ZeroDivisionError(f"inverting zero in {self}")
+        return 0 if n else 1
+
+    def pth_root_i(self, a):
+        """Inverse of Frobenius: the unique b with b^p = a."""
+        return self.pow_i(a, self.q // self.p)
+
+    def vector_tables(self):
+        """(add, mul): flat q*q numpy arrays with add[a*q + b] = a + b and
+        mul[a*q + b] = a*b, in the narrowest unsigned dtype that holds q - 1.
+        Built on first use from the scalar tables, then kept."""
+        return self._vector_tables
+
+    @cached_property
+    def _vector_tables(self):
+        import numpy as np
+        q = self.q
+        dtype = np.min_scalar_type(q - 1)
+        exp = np.array(self.exp, dtype=dtype)
+        log = np.array(self.log[1:], dtype=np.int32)  # logs of 1 .. q-1
+        mul = np.zeros((q, q), dtype=dtype)
+        mul[1:, 1:] = exp[np.add.outer(log, log)]
+        # a + b = g^log(b) * (1 + g^(log(a) - log(b))) for a, b != 0
+        z = np.array(self.zech, dtype=np.int32)[np.subtract.outer(log, log)]
+        zero = z < 0
+        z += log
+        add = np.empty((q, q), dtype=dtype)
+        add[1:, 1:] = exp[z]
+        del z
+        add[1:, 1:][zero] = 0
+        add[0] = add[:, 0] = np.arange(q, dtype=dtype)
+        return add.ravel(), mul.ravel()
+
+    # -- raw routines: they build the tables and serve fields with q > 2^16 --
+
+    def _add_raw(self, a, b, sign=1):
+        """Digit-by-digit a + sign * b."""
         p = self.p
-        if self.k == 1:
-            return (a - b) % p
         out, mult = 0, 1
         for _ in range(self.k):
-            out += ((a - b) % p) * mult
+            out += (a + sign * b) % p * mult
             a //= p
             b //= p
             mult *= p
         return out
 
-    def neg_i(self, a):
-        return self.sub_i(0, a)
+    def _sub_raw(self, a, b):
+        return self._add_raw(a, b, -1)
 
-    def _ensure_tables(self):
-        if self._exp is not None or self.q > _TABLE_LIMIT:
-            return self._exp is not None
-        g = self._find_generator()
-        exp = [1] * (self.q - 1)
-        log = [0] * self.q
-        cur = 1
-        for i in range(1, self.q - 1):
-            cur = self._mul_raw(cur, g)
-            exp[i] = cur
-            log[cur] = i
-        log[1] = 0
-        self._exp = exp
-        self._log = log
-        return True
+    def _neg_raw(self, a):
+        return self._add_raw(0, a, -1)
 
     def _mul_raw(self, a, b):
         red = _fp_mulmod(list(self.decode(a)), list(self.decode(b)),
                          list(self.modulus), self.p)
         return self.encode(red + [0] * (self.k - len(red)))
 
+    def _inv_raw(self, a):
+        if not a:
+            raise ZeroDivisionError(f"inverting zero in {self}")
+        return self._pow_raw(a, self.q - 2)
+
     def _pow_raw(self, a, n):
+        if n < 0:
+            a, n = self._inv_raw(a), -n
         result = 1
         while n:
             if n & 1:
@@ -286,44 +379,6 @@ class FiniteField:
                 return g
         raise ArithmeticError("no generator found")  # unreachable
 
-    def mul_i(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self.k == 1:
-            return (a * b) % self.p
-        if self._ensure_tables():
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
-
-    def inv_i(self, a):
-        if a == 0:
-            raise ZeroDivisionError(f"inverting zero in {self}")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._ensure_tables():
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self.pow_i(a, self.q - 2)
-
-    def div_i(self, a, b):
-        return self.mul_i(a, self.inv_i(b))
-
-    def pow_i(self, a, n):
-        if n < 0:
-            return self.pow_i(self.inv_i(a), -n)
-        result = 1
-        while n:
-            if n & 1:
-                result = self.mul_i(result, a)
-            a = self.mul_i(a, a)
-            n >>= 1
-        return result
-
-    def pth_root_i(self, a):
-        """Inverse of Frobenius: the unique b with b^p = a."""
-        if self.k == 1:
-            return a
-        return self.pow_i(a, self.p ** (self.k - 1))
-
     # -- public element interface -------------------------------------------
 
     def element(self, value):
@@ -345,9 +400,6 @@ class FiniteField:
     def elements(self):
         return range(self.q)
 
-    def random_i(self, rng):
-        return rng.randrange(self.q)
-
     # -- extensions and embeddings -------------------------------------------
 
     def extension(self, m):
@@ -367,26 +419,21 @@ class FiniteField:
         else:
             if target.p != self.p or target.k % self.k != 0:
                 raise ValueError(f"{target} does not contain {self}")
-            if self.k == 1:
-                powers = None
-            else:
-                root = None
-                for cand in range(target.q):
-                    acc = 0
-                    # evaluate modulus at cand inside target
-                    for c in reversed(self.modulus):
-                        acc = target.add_i(target.mul_i(acc, cand), c % self.p)
-                    if acc == 0:
-                        root = cand
-                        break
-                if root is None:
-                    raise ArithmeticError("modulus has no root in target field")
-                powers = [1]
-                for _ in range(self.k - 1):
-                    powers.append(target.mul_i(powers[-1], root))
+            root = None
+            for cand in range(target.q):
+                acc = 0
+                # evaluate modulus at cand inside target
+                for c in reversed(self.modulus):
+                    acc = target.add_i(target.mul_i(acc, cand), c % self.p)
+                if acc == 0:
+                    root = cand
+                    break
+            if root is None:
+                raise ArithmeticError("modulus has no root in target field")
+            powers = [1]
+            for _ in range(self.k - 1):
+                powers.append(target.mul_i(powers[-1], root))
             self._embeddings[key] = powers
-        if powers is None:
-            return lambda a: a
         def embed(a, _powers=powers, _t=target, _s=self):
             digits = _s.decode(a)
             acc = 0
@@ -510,10 +557,6 @@ class Poly:
     @classmethod
     def constant(cls, field, c):
         return cls(field, (c % field.q,))
-
-    @classmethod
-    def monomial(cls, field, deg, c=1):
-        return cls(field, (0,) * deg + (c,))
 
     @classmethod
     def from_ints(cls, field, ints):

@@ -59,11 +59,6 @@ class FamilyPoly:
         field = poly.field
         return cls(field, tuple(Poly.constant(field, c) for c in poly.coeffs))
 
-    @classmethod
-    def from_tuples(cls, field, rows):
-        """rows: iterable of iterables of encodings; rows[i] = t-coeffs on x^i."""
-        return cls(field, tuple(Poly(field, row) for row in rows))
-
     @property
     def x_degree(self):
         return len(self.coeffs) - 1 if self.coeffs else -1

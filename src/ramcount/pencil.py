@@ -3,9 +3,11 @@ membership, the three-point linear solver, and brute-force census counts.
 
 A pencil is stored as the reduced row echelon form of its 2 x (d+1)
 coefficient matrix, the unique canonical representative of the subspace.
-The census filters the full enumeration by the vanishing conditions; a
-vectorized engine (numpy, stratum by stratum over echelon shapes) and a
-plain scan engine compute identical results, and the tests compare them.
+The census filters the full enumeration by the vanishing conditions with
+a vectorized engine: numpy, stratum by stratum over echelon shapes, with
+the field's q x q add and mul tables (numpy is imported only there).  The
+tests check it against a plain scan of ``enumerate_pencils`` through
+``schubert_condition``.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -19,8 +21,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import BudgetExceeded, Poly, nullspace, rref
 from .ratmap import Divisor, ProjPoint, RatMap, is_separable, ram_index
@@ -298,7 +298,7 @@ class CensusReport:
         }
 
 
-def count_maps_bruteforce(d, assignments, field, budget=None, engine="vector"):
+def count_maps_bruteforce(d, assignments, field, budget=None):
     """Census of the intersection of the vanishing conditions in G(1, d)(F_q).
 
     assignments: sequence of (ProjPoint, order).  Every surviving pencil is
@@ -322,13 +322,7 @@ def count_maps_bruteforce(d, assignments, field, budget=None, engine="vector"):
     limit = enumeration_budget(budget)
     if total_pencils > limit:
         raise BudgetExceeded(f"{total_pencils} pencils exceed budget {limit}")
-    if engine == "vector":
-        survivors = _vector_survivors(d, assignments, field)
-    elif engine == "scan":
-        survivors = [pencil for pencil in enumerate_pencils(d, field, budget)
-                     if all(schubert_condition(pencil, pt, e) for pt, e in assignments)]
-    else:
-        raise ValueError("engine must be 'vector' or 'scan'")
+    survivors = _vector_survivors(d, assignments, field)
     return _classify_survivors(d, assignments, field, survivors)
 
 
@@ -379,86 +373,31 @@ def _audit_witness(rmap, assignments, d):
 
 # -- vectorized engine --------------------------------------------------------
 
-def _np_tables(field):
-    if field.k == 1:
-        return None
-    field._ensure_tables()
-    log = np.asarray(field._log, dtype=np.int64)
-    exp = np.asarray(field._exp + [0], dtype=np.int64)  # sentinel slot
-    return log, exp
-
-
-def _np_mul_const(field, tables, c, arr):
-    if c == 0:
-        return np.zeros_like(arr)
-    if c == 1:
-        return arr.copy()
-    if field.k == 1:
-        return (arr * c) % field.p
-    log, exp = tables
-    idx = (log[arr] + int(log[c])) % (field.q - 1)
-    out = exp[idx]
-    return np.where(arr == 0, 0, out)
-
-
-def _np_mul(field, tables, a, b):
-    if field.k == 1:
-        return (a * b) % field.p
-    log, exp = tables
-    idx = (log[a] + log[b]) % (field.q - 1)
-    out = exp[idx]
-    return np.where((a == 0) | (b == 0), 0, out)
-
-
-def _np_add(field, a, b):
-    p = field.p
-    if field.k == 1:
-        return (a + b) % p
-    out = np.zeros_like(a)
-    mult = 1
-    aa, bb = a, b
-    for _ in range(field.k):
-        out += ((aa + bb) % p) * mult
-        aa = aa // p
-        bb = bb // p
-        mult *= p
-    return out
-
-
-def _np_sub(field, a, b):
-    p = field.p
-    if field.k == 1:
-        return (a - b) % p
-    out = np.zeros_like(a)
-    mult = 1
-    aa, bb = a, b
-    for _ in range(field.k):
-        out += ((aa - bb) % p) * mult
-        aa = aa // p
-        bb = bb // p
-        mult *= p
-    return out
-
-
-def _np_jet(field, tables, M, cols):
-    """Jets of row vectors: cols is a list of (d+1) arrays of encodings."""
-    jets = []
-    for mrow in M:
-        acc = None
-        for m, col in zip(mrow, cols):
-            if m == 0:
-                continue
-            term = _np_mul_const(field, tables, m, col)
-            acc = term if acc is None else _np_add(field, acc, term)
-        if acc is None:
-            acc = np.zeros_like(cols[0])
-        jets.append(acc)
-    return jets
-
-
 def _vector_survivors(d, assignments, field):
+    import numpy as np
+
     q = field.q
-    tables = _np_tables(field)
+    add, mul = field.vector_tables()
+
+    def pair(table, x, y):
+        """table[x*q + y], elementwise."""
+        flat = x.astype(np.intp)
+        flat *= q
+        flat += y
+        return table[flat]
+
+    def jets(M, cols):
+        """Jets of row vectors: cols is a list of (d+1) arrays of encodings."""
+        out = []
+        for mrow in M:
+            acc = None
+            for m, col in zip(mrow, cols):
+                if m:
+                    term = col if m == 1 else mul[m * q:(m + 1) * q][col]
+                    acc = term if acc is None else pair(add, acc, term)
+            out.append(np.zeros_like(cols[0]) if acc is None else acc)
+        return out
+
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments]
     survivors = []
     for j1, j2 in _strata(d):
@@ -479,16 +418,13 @@ def _vector_survivors(d, assignments, field):
                 bcols[pos] = div % q
                 div = div // q
             for M in mats:
-                ja = _np_jet(field, tables, M, acols)
-                jb = _np_jet(field, tables, M, bcols)
+                ja = jets(M, acols)
+                jb = jets(M, bcols)
                 e = len(M)
                 mask = np.ones(acols[0].shape, dtype=bool)
                 for r in range(e):
                     for s in range(r + 1, e):
-                        minor = _np_sub(field,
-                                        _np_mul(field, tables, ja[r], jb[s]),
-                                        _np_mul(field, tables, ja[s], jb[r]))
-                        mask &= (minor == 0)
+                        mask &= pair(mul, ja[r], jb[s]) == pair(mul, ja[s], jb[r])
                 if not mask.all():
                     acols = [c[mask] for c in acols]
                     bcols = [c[mask] for c in bcols]

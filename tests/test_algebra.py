@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from ramcount import algebra
 from ramcount.algebra import (
     NEG_INFINITY,
     BudgetExceeded,
     FieldElement
     ,
+    FiniteField,
     Poly,
     bezout_inseparable,
     distinct_degree_profile,
@@ -92,6 +94,32 @@ class TestField:
         for field in (F5, F9, F27):
             for a in range(field.q):
                 assert field.element_parse(field.element_str(a)) == a
+
+    @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+    def test_raw_arithmetic_matches_tables(self, monkeypatch, p, k):
+        # a field above the table limit runs on the raw routines alone: they
+        # are the independent check of the log/exp/Zech tables and of the
+        # q x q arrays the census reads
+        table = finite_field(p, k)
+        q = table.q
+        monkeypatch.setattr(algebra, "_TABLE_LIMIT", q - 1)
+        raw = FiniteField(p, k)
+        add, mul = table.vector_tables()
+        assert add.dtype == mul.dtype == "uint8" and add.size == mul.size == q * q
+        for a in range(q):
+            assert raw.neg_i(a) == table.neg_i(a)
+            assert raw.pth_root_i(a) == table.pth_root_i(a)
+            if a:
+                assert raw.inv_i(a) == table.inv_i(a)
+            for b in range(q):
+                s = raw.add_i(a, b)
+                assert s == table.add_i(a, b) == add[a * q + b], (a, b)
+                assert raw.sub_i(a, b) == table.sub_i(a, b), (a, b)
+                m = raw.mul_i(a, b)
+                assert m == table.mul_i(a, b) == mul[a * q + b], (a, b)
+            for n in range(1 - q if a else 0, q):
+                assert raw.pow_i(a, n) == table.pow_i(a, n), (a, n)
+        assert "exp" not in vars(raw)  # the raw field never built tables
 
 
 class TestPolyArithmetic:

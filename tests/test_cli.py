@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramcount
 from ramcount.cli import run_argv as run
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -186,3 +191,17 @@ class TestTable:
         assert len(rows) > 400
         assert all(r["match"] != "false" for r in rows)
         assert any(r["match"] == "true" for r in rows)
+
+
+def test_numpy_loaded_only_by_census():
+    # importing the CLI (and so running count, schubert, table, ...) must
+    # not pay for numpy; the census engine loads it when it runs
+    script = ("import sys, ramcount.cli\n"
+              "print('numpy' in sys.modules)\n"
+              "ramcount.cli.run_argv(['search', '--p', '11', '--orders', '2,2'])\n"
+              "print('numpy' in sys.modules)\n")
+    src = str(Path(ramcount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
