@@ -20,7 +20,7 @@ from .counting import (
     INFINITY,
     UNKNOWN,
     CharClass,
-    n_four_closed,
+    _four_closed,
     n_gen_recursive,
     validate_profile,
 )
@@ -224,6 +224,7 @@ def cmd_table(config):
     ps = config.p if isinstance(config.p, (list, tuple)) else [config.p]
     rows = []
     for orders, d in _table_profiles(config.n_max, config.d):
+        orders_text = " ".join(str(e) for e in orders)
         for p in ps:
             profile = validate_profile(orders, p)
             result = n_gen_recursive(profile)
@@ -233,7 +234,7 @@ def cmd_table(config):
             reason = result.reason
             if len(orders) == 4 and not profile.forced_zero and \
                     profile.char_class is not CharClass.LOW:
-                c4 = n_four_closed(*orders, p)
+                c4 = _four_closed(profile)
                 closed4 = c4.value if not c4.is_unknown else ""
             if p == INFINITY and not profile.forced_zero:
                 schubert = intersection_number(d, orders)
@@ -248,7 +249,7 @@ def cmd_table(config):
                 reason = "wild excluded"
             rows.append({
                 "schema": SCHEMA_VERSION,
-                "orders": " ".join(str(e) for e in orders),
+                "orders": orders_text,
                 "n": len(orders),
                 "d": d,
                 "p": _p_str(p),
@@ -265,10 +266,9 @@ def cmd_table(config):
         return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
                           sort_keys=True, separators=(",", ":")) + "\n"
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=TABLE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TABLE_COLUMNS)
+    writer.writerows([row[col] for col in TABLE_COLUMNS] for row in rows)
     return buffer.getvalue()
 
 

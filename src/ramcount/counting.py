@@ -7,15 +7,18 @@ e = 2d' - 2d + e_{n-1} + e_n - 1, down to the three-point base case which
 is 1 exactly when p > d.  Characteristic 0 is the INFINITY sentinel; the
 recursion then simply drops its p-dependent upper summation bound.
 
-Counts are symmetric in the orders (verified exhaustively in the tests),
-so memoization keys sort them.  The memo table is a plain dict with
-idempotent inserts, safe for concurrent readers.
+The orders are merged in the order given, so after j merges an instance
+is the untouched prefix orders[:n-1-j] plus one merged order e.  A count
+is therefore one pass over the prefixes carrying {e: number of merge
+paths}; no state outlives a call.  Counts are symmetric in the orders,
+which the tests check by permuting them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .algebra import is_prime
 
@@ -132,36 +135,31 @@ def n_three(e1, e2, e3, p):
     return CountResult(_three_point_count(e1, e2, e3, p), profile.char_class)
 
 
-_MEMO = {}
-
-
-def _ngen(orders_sorted, p):
-    """Memoized recursion on validated MID/HIGH data."""
-    key = (orders_sorted, p)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    n = len(orders_sorted)
-    d = 1 + sum(e - 1 for e in orders_sorted) // 2
-    if n <= 3:
-        padded = ((1,) * (3 - n)) + orders_sorted
-        value = _three_point_count(*padded, p)
-    else:
-        en1, en = orders_sorted[-2], orders_sorted[-1]
-        rest = orders_sorted[:-2]
-        value = 0
-        for dp, e in _recursion_steps(d, en1, en, p):
-            sub = tuple(sorted(rest + (e,)))
-            sub_d = 1 + sum(x - 1 for x in sub) // 2
-            assert sub_d == dp
-            if any(x > dp for x in sub):
-                continue  # no valid instance: no contribution to the sum
-            sub_class = _classify(sub, p, dp)
-            assert sub_class is not CharClass.LOW, \
-                "recursion left the mid/high range"
-            value += _ngen(sub, p)
-    _MEMO[key] = value
-    return value
+def _ngen(orders, p):
+    """The recursion on validated MID/HIGH data, merging the last two
+    orders first.  After the merges down to k orders an instance is
+    orders[:k-1] + (e,), so {e: number of merge paths} is the whole state."""
+    excess = [0, *accumulate(x - 1 for x in orders)]  # sum(x - 1) of orders[:i]
+    largest = [0, *accumulate(orders, max)]            # max of orders[:i]
+    states = {orders[-1]: 1}
+    for k in range(len(orders), 3, -1):
+        en1 = orders[k - 2]
+        rest_excess, rest_max = excess[k - 2], largest[k - 2]
+        merged = {}
+        for en, weight in states.items():
+            d = 1 + (excess[k - 1] + en - 1) // 2
+            for dp, e in _recursion_steps(d, en1, en, p):
+                assert 1 + (rest_excess + e - 1) // 2 == dp
+                top = max(rest_max, e)
+                if top > dp:
+                    continue  # no valid instance: no contribution to the sum
+                assert p == INFINITY or p > dp or top < p, \
+                    "recursion left the mid/high range"
+                merged[e] = merged.get(e, 0) + weight
+        states = merged
+    head = ((1, 1) + orders[:min(len(orders), 3) - 1])[-2:]  # padded with 1s
+    return sum(weight * _three_point_count(*head, e, p)
+               for e, weight in states.items())
 
 
 def _recursion_steps(d, en1, en, p):
@@ -183,8 +181,8 @@ def n_gen_recursive(profile):
     if profile.char_class is CharClass.LOW:
         return CountResult(UNKNOWN, CharClass.LOW,
                            reason="low characteristic: formulas do not apply")
-    orders_sorted = tuple(sorted(profile.orders))
-    value = _ngen(orders_sorted, profile.p)
+    value = _ngen(profile.orders, profile.p)
+    orders_sorted = sorted(profile.orders)
     trace = ()
     if len(orders_sorted) >= 4:
         trace = tuple(_recursion_steps(
@@ -200,15 +198,19 @@ def n_gen(orders, p):
 def n_four_closed(e1, e2, e3, e4, p):
     """Closed form for four points:
     max(0, min_i{e_i, d+1-e_i} - max(0, d+1-p))."""
-    orders = (e1, e2, e3, e4)
     try:
-        profile = validate_profile(orders, p)
+        profile = validate_profile((e1, e2, e3, e4), p)
     except ValueError as exc:
         return CountResult(0, CharClass.LOW, reason=str(exc))
+    return _four_closed(profile)
+
+
+def _four_closed(profile):
+    """n_four_closed on a validated four-point profile."""
+    orders, p, d = profile.orders, profile.p, profile.d
     if p != INFINITY and any(e >= p for e in orders):
         return CountResult(UNKNOWN, profile.char_class,
                            reason="closed form requires all e_i < p")
-    d = profile.d
     bound = min(min(orders), min(d + 1 - e for e in orders))
     penalty = 0 if p == INFINITY else max(0, d + 1 - p)
     return CountResult(max(0, bound - penalty), profile.char_class)

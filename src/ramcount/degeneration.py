@@ -314,12 +314,47 @@ class MapFamily:
     @classmethod
     def from_json(cls, payload):
         from .algebra import finite_field
-        field = finite_field(int(payload["p"]), int(payload.get("k", 1)))
+        _check_family_json(payload)
+        field = finite_field(payload["p"], payload.get("k", 1))
         F = FamilyPoly.from_string(field, payload["F"])
         G = FamilyPoly.from_string(field, payload["G"])
         sections = tuple(_section_from_json(item, field)
                          for item in payload.get("sections", ()))
         return cls(F, G, sections)
+
+
+def _check_family_json(payload):
+    """Raise ValueError naming the first field of a family JSON object that
+    is missing or of the wrong type."""
+    def need(obj, key, kind, where="", required=True):
+        if key not in obj:
+            if required:
+                raise ValueError(f"family JSON: {where}missing field {key!r}")
+            return
+        value = obj[key]
+        if kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise ValueError(f"family JSON: {where}field {key!r} must be "
+                             f"{kind.__name__}, got {value!r}")
+
+    if not isinstance(payload, dict):
+        raise ValueError("family JSON must be an object")
+    need(payload, "p", int)
+    need(payload, "k", int, required=False)
+    need(payload, "F", str)
+    need(payload, "G", str)
+    need(payload, "sections", list, required=False)
+    for i, item in enumerate(payload.get("sections", ())):
+        where = f"sections[{i}]: "
+        if not isinstance(item, dict):
+            raise ValueError(f"family JSON: {where}must be an object, got {item!r}")
+        need(item, "order", int, where)
+        if item.get("point") != "inf":
+            need(item, "num", str, where)
+            need(item, "den", str, where, required=False)
 
 
 def _section_json(s, field):
@@ -333,10 +368,10 @@ def _section_json(s, field):
 
 def _section_from_json(item, field):
     if item.get("point") == "inf":
-        return Section(order=int(item["order"]), at_infinity=True)
+        return Section(order=item["order"], at_infinity=True)
     num = Poly.from_string(field, item["num"])
     den = Poly.from_string(field, item["den"]) if "den" in item else None
-    return Section(num=num, den=den, order=int(item["order"]))
+    return Section(num=num, den=den, order=item["order"])
 
 
 def _nonconstant_basis(F, G):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,8 +47,18 @@ class TestCount:
                          "--format", "text"])
         assert code == 0 and "= 1" in out
 
+    def test_deep_simple_orders(self):
+        # 1100 simple points (d = 551) give the Catalan number C_550; the
+        # recursion is a loop over the orders, so no stack depth limits it
+        payload = run_json(["count", "--p", "inf", "--orders", ",".join(["2"] * 1100)])
+        assert payload["count"] == math.comb(1100, 550) // 551
+
 
 class TestSchubert:
+    def test_catalan_at_d_600(self):
+        payload = run_json(["schubert", "--d", "600", "--orders", ",".join(["2"] * 1198)])
+        assert payload["count"] == math.comb(1198, 599) // 600
+
     def test_four_simple(self):
         payload = run_json(["schubert", "--d", "3", "--orders", "2,2,2,2"])
         assert payload["count"] == 2
@@ -148,6 +159,44 @@ class TestFamilyTransform:
     def test_missing_file(self):
         code, _ = run(["transform", "--family", "/nonexistent.json"])
         assert code == 1
+
+    def _transform_payload(self, tmp_path, **changes):
+        payload = {"schema": 1, "p": 3, "k": 1,
+                   "F": "[(0),(0),(0,1),(1)]", "G": "[(2,1),(0,1)]",
+                   "sections": [{"num": "0", "order": 2},
+                                {"point": "inf", "order": 2}]}
+        payload.update(changes)
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(payload))
+        return run(["transform", "--family", str(path), "--analyze"])
+
+    def test_family_polynomial_not_a_string(self, tmp_path):
+        code, out = self._transform_payload(tmp_path, F=5)
+        assert code == 1
+        assert out.startswith("error:") and "'F'" in out
+
+    def test_section_without_order(self, tmp_path):
+        code, out = self._transform_payload(
+            tmp_path, sections=[{"num": "0", "order": 2}, {"num": "1"}])
+        assert code == 1
+        assert out.startswith("error:") and "sections[1]" in out \
+            and "'order'" in out
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"p": "three"}, "'p'"),
+        ({"k": None}, "'k'"),
+        ({"G": None}, "'G'"),
+        ({"sections": {"num": "0"}}, "'sections'"),
+        ({"sections": ["inf"]}, "sections[0]"),
+        ({"sections": [{"order": 2}]}, "'num'"),
+        ({"sections": [{"num": 0, "order": 2}]}, "'num'"),
+        ({"sections": [{"num": "0", "den": 1, "order": 2}]}, "'den'"),
+        ({"sections": [{"point": "inf", "order": "2"}]}, "'order'"),
+    ])
+    def test_family_schema_errors_name_the_field(self, tmp_path, changes, field):
+        code, out = self._transform_payload(tmp_path, **changes)
+        assert code == 1
+        assert out.startswith("error:") and field in out
 
 
 class TestTable:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from ramcount.counting import (
     n_three,
     validate_profile,
 )
+from ramcount.schubert import intersection_number
 
 
 class TestValidate:
@@ -169,6 +171,21 @@ class TestSymmetry:
                         continue
                     seen.add(perm)
                     assert n_gen(perm, p).value == base
+
+    @pytest.mark.parametrize("p", [7, 11, INFINITY])
+    def test_deep_permutation_invariance(self, p):
+        # orders are merged in the order given, so each shuffle walks a
+        # different recursion; the HIGH counts are also Pieri numbers
+        rng = random.Random(5)
+        orders = [2] * 41 + [3, 4]  # 41: sum(e - 1) must be even
+        prof = validate_profile(orders, p)
+        counts = set()
+        for _ in range(5):
+            rng.shuffle(orders)
+            counts.add(n_gen(orders, p).value)
+        assert len(counts) == 1
+        if prof.char_class is CharClass.HIGH:
+            assert counts == {intersection_number(prof.d, orders)}
 
 
 class TestFourClosed:

@@ -6,6 +6,46 @@ import pytest
 from ramcount.schubert import intersection_number, pieri_multiply
 
 
+def _oracle_pieri_multiply(class_sum, e, d):
+    """The Pieri rule term by term over a dict of classes."""
+    if not 1 <= e <= d:
+        raise ValueError(f"order e = {e} outside 1..d")
+    out = {}
+    step = e - 1
+    for (a, b), coeff in class_sum.items():
+        assert d - 1 >= a >= b >= 0
+        target = a + b + step
+        for bp in range(b, a + 1):
+            ap = target - bp
+            if ap < a or ap > d - 1 or ap < bp:
+                continue
+            out[(ap, bp)] = out.get((ap, bp), 0) + coeff
+    return out
+
+
+def _oracle_expansion(d, orders):
+    acc = {(0, 0): 1}
+    for e in orders:
+        acc = _oracle_pieri_multiply(acc, e, d)
+        if not acc:
+            break
+    return acc.get((d - 1, d - 1), 0), acc
+
+
+def _profiles(d_max):
+    """Every multiset of orders 2..d with sum(e - 1) = 2(d - 1), d <= d_max."""
+    for d in range(2, d_max + 1):
+        def parts(total, largest):
+            if total == 0:
+                yield ()
+                return
+            for e in range(min(largest, total + 1), 1, -1):
+                for rest in parts(total - (e - 1), e):
+                    yield (e,) + rest
+        for orders in parts(2 * (d - 1), d):
+            yield d, orders
+
+
 class TestPieri:
     def test_identity_class(self):
         assert pieri_multiply({(0, 0): 1}, 2, 3) == {(1, 0): 1}
@@ -84,3 +124,48 @@ class TestIntersectionNumber:
             number, expansion = intersection_number(d, orders, full=True)
             assert set(expansion) <= {(d - 1, d - 1)}
             assert expansion.get((d - 1, d - 1), 0) == number
+
+
+class TestAgainstOracle:
+    def test_pieri_multiply_mixed_degree_sums(self):
+        rng = random.Random(3)
+        for d in range(1, 9):
+            classes = [(a, b) for a in range(d) for b in range(a + 1)]
+            for _ in range(40):
+                picked = rng.sample(classes, rng.randint(1, len(classes)))
+                class_sum = {cls: rng.randint(1, 9) for cls in picked}
+                e = rng.randint(1, d)
+                assert pieri_multiply(class_sum, e, d) == \
+                    _oracle_pieri_multiply(class_sum, e, d), (class_sum, e, d)
+
+    def test_pieri_multiply_signed_sums_keep_nonzero_terms(self):
+        rng = random.Random(4)
+        for d in range(2, 8):
+            classes = [(a, b) for a in range(d) for b in range(a + 1)]
+            for _ in range(40):
+                class_sum = {cls: rng.randint(-2, 2) for cls in classes}
+                e = rng.randint(1, d)
+                expected = {cls: c for cls, c in
+                            _oracle_pieri_multiply(class_sum, e, d).items() if c}
+                assert pieri_multiply(class_sum, e, d) == expected
+
+    def test_pieri_multiply_rejects_classes_outside_the_box(self):
+        with pytest.raises(ValueError):
+            pieri_multiply({(3, 0): 1}, 2, 3)
+        with pytest.raises(ValueError):
+            pieri_multiply({(0, 1): 1}, 2, 3)
+
+    def test_full_expansion_every_profile_up_to_d8(self):
+        rng = random.Random(6)
+        checked = 0
+        for d, orders in _profiles(8):
+            variants = [orders, orders + (1,)]
+            for _ in range(3):
+                shuffled = list(orders + (1,))
+                rng.shuffle(shuffled)
+                variants.append(tuple(shuffled))
+            for variant in variants:
+                assert intersection_number(d, variant, full=True) == \
+                    _oracle_expansion(d, variant), variant
+                checked += 1
+        assert checked > 1000
