@@ -4,7 +4,6 @@ small finite fields."""
 
 from .algebra import (
     BudgetExceeded,
-    FieldElement,
     FiniteField,
     Poly,
     bezout_inseparable,

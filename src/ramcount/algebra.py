@@ -145,7 +145,7 @@ def _lexleast_modulus(p, k):
 class FiniteField:
     """F_{p^k} = F_p[y]/(modulus), elements encoded as integers in [0, q)."""
 
-    def __init__(self, p, k=1, modulus=None):
+    def __init__(self, p, k=1):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if p == 2:
@@ -155,15 +155,7 @@ class FiniteField:
         self.p = p
         self.k = k
         self.q = p ** k
-        if modulus is None:
-            modulus = _lexleast_modulus(p, k)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not _fp_is_irreducible(list(modulus), p):
-                raise ValueError("modulus is reducible over F_p")
-        self.modulus = modulus
+        self.modulus = _lexleast_modulus(p, k)
         self._half = (self.q - 1) // 2  # g^half = -1
         self._embeddings = {}
         if self.q > _TABLE_LIMIT:
@@ -379,27 +371,6 @@ class FiniteField:
                 return g
         raise ArithmeticError("no generator found")  # unreachable
 
-    # -- public element interface -------------------------------------------
-
-    def element(self, value):
-        """Coerce: ints are prime-subfield values (reduced mod p)."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("field mismatch")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.p)
-        raise TypeError(f"cannot coerce {value!r} into {self}")
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return range(self.q)
-
     # -- extensions and embeddings -------------------------------------------
 
     def extension(self, m):
@@ -448,77 +419,6 @@ class FiniteField:
 def finite_field(p, k=1):
     """Canonical (cached) field instance with the deterministic modulus."""
     return FiniteField(p, k)
-
-
-class FieldElement:
-    """Element of a FiniteField; thin wrapper over the integer encoding."""
-
-    __slots__ = ("field", "i")
-
-    def __init__(self, field, i):
-        self.field = field
-        self.i = i % field.q
-
-    @property
-    def vector(self):
-        return self.field.decode(self.i)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.i
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.add_i(self.i, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_i(self.i, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.sub_i(o, self.i))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.mul_i(self.i, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.div_i(self.i, o))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg_i(self.i))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow_i(self.i, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv_i(self.i))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.i == other % self.field.p
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.i == other.i)
-
-    def __hash__(self):
-        return hash((self.field, self.i))
-
-    def __bool__(self):
-        return self.i != 0
-
-    def __repr__(self):
-        return self.field.element_str(self.i)
 
 
 # ---------------------------------------------------------------------------

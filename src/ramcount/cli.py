@@ -1,8 +1,12 @@
 """Command-line interface: exact counts, censuses, solvers, and tables.
 
-Every command prints exact integers only; identical configuration and seed
-give byte-identical output.  Exit codes: 0 success, 1 invalid input,
+Every command prints exact integers only; identical arguments and seed give
+byte-identical output.  Exit codes: 0 success, 1 invalid input,
 2 enumeration budget exceeded.
+
+``build_parser`` is the only declaration of the command line: each
+subcommand names its handler there, and the handler reads the parsed
+arguments directly.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import BudgetExceeded, Poly, finite_field
 from .counting import (
@@ -31,39 +35,8 @@ from .schubert import intersection_number
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("count", "schubert", "solve3", "search", "family", "transform", "table")
-
 TABLE_COLUMNS = ["schema", "orders", "n", "d", "p", "class", "count",
                  "closed4", "schubert", "match", "reason"]
-
-
-@dataclass
-class RunConfig:
-    """A validated invocation; seed defaults to a fixed constant so that
-    repeated runs are byte-identical."""
-
-    command: str
-    p: object = None            # prime int, INFINITY, or None
-    k: int = 1
-    d: object = None
-    orders: tuple = ()
-    points: object = None       # comma string or None (sampled)
-    seed: int = 0
-    format: str = "json"
-    budget: object = None
-    family: object = None       # path for `transform`
-    expansion: bool = False
-    analyze: bool = False
-    numerator: str = ""
-    denominator: str = "1"
-    out: object = None
-    n_max: int = 4
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in ("json", "text", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _parse_p(text):
@@ -83,10 +56,10 @@ def _parse_orders(text):
         raise ValueError(f"bad orders list: {text!r}")
 
 
-def _require_finite_p(config):
-    if config.p is None or config.p == INFINITY:
-        raise ValueError(f"{config.command} needs a finite prime --p")
-    return config.p
+def _require_finite_p(args):
+    if args.p == INFINITY:
+        raise ValueError(f"{args.command} needs a finite prime --p")
+    return args.p
 
 
 def _emit(payload, fmt, text_lines=None):
@@ -103,76 +76,71 @@ def _emit(payload, fmt, text_lines=None):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_count(config):
-    profile = validate_profile(config.orders, config.p)
+def cmd_count(args):
+    profile = validate_profile(args.orders, args.p)
     result = n_gen_recursive(profile)
     payload = result.to_json(profile)
-    lines = [f"N_gen{tuple(profile.orders)} at p={_p_str(config.p)} "
+    lines = [f"N_gen{tuple(profile.orders)} at p={_p_str(args.p)} "
              f"[{result.char_class.value}] = {result.value}"]
-    return _emit(payload, config.format, lines)
+    return _emit(payload, args.format, lines)
 
 
-def cmd_schubert(config):
-    if config.d is None:
-        raise ValueError("schubert needs --d")
-    number, expansion = intersection_number(config.d, config.orders, full=True)
-    payload = {"schema": SCHEMA_VERSION, "d": config.d,
-               "orders": list(config.orders), "count": number}
-    if config.expansion:
+def cmd_schubert(args):
+    number, expansion = intersection_number(args.d, args.orders, full=True)
+    payload = {"schema": SCHEMA_VERSION, "d": args.d,
+               "orders": list(args.orders), "count": number}
+    if args.expansion:
         payload["expansion"] = {f"{a},{b}": c
                                 for (a, b), c in sorted(expansion.items())}
-    return _emit(payload, config.format, [str(number)])
+    return _emit(payload, args.format, [str(number)])
 
 
-def cmd_solve3(config):
-    p = _require_finite_p(config)
-    if len(config.orders) != 3:
+def cmd_solve3(args):
+    p = _require_finite_p(args)
+    if len(args.orders) != 3:
         raise ValueError("solve3 needs exactly three orders")
-    profile = validate_profile(config.orders, p)
-    field = finite_field(p, config.k)
-    sol = solve_three_point(profile.d, *config.orders, field)
+    profile = validate_profile(args.orders, p)
+    field = finite_field(p, args.k)
+    sol = solve_three_point(profile.d, *args.orders, field)
     payload = sol.to_json()
-    payload.update({"schema": SCHEMA_VERSION, "p": p, "k": config.k,
-                    "d": profile.d, "orders": list(config.orders)})
+    payload.update({"schema": SCHEMA_VERSION, "p": p, "k": args.k,
+                    "d": profile.d, "orders": list(args.orders)})
     lines = [f"m = {sol.m}",
              f"separable = {sol.separable}",
              f"count = {sol.count}"]
-    return _emit(payload, config.format, lines)
+    return _emit(payload, args.format, lines)
 
 
-def cmd_search(config):
-    p = _require_finite_p(config)
-    field = finite_field(p, config.k)
-    orders = config.orders
-    if config.d is not None:
-        d = config.d
-    else:
-        d = validate_profile(orders, p).d
-    if config.points:
+def cmd_search(args):
+    p = _require_finite_p(args)
+    field = finite_field(p, args.k)
+    orders = args.orders
+    d = validate_profile(orders, p).d
+    if args.points:
         points = tuple(ProjPoint.parse(field, tok)
-                       for tok in config.points.split(","))
+                       for tok in args.points.split(","))
     else:
-        points = sample_general_points(len(orders), field, config.seed)
+        points = sample_general_points(len(orders), field, args.seed)
     if len(points) != len(orders):
         raise ValueError("points and orders must have the same length")
     report = count_maps_bruteforce(d, list(zip(points, orders)), field,
-                                   budget=config.budget)
+                                   budget=args.budget)
     payload = report.to_json()
-    payload["seed"] = config.seed
+    payload["seed"] = args.seed
     payload["p"] = p
-    payload["k"] = config.k
+    payload["k"] = args.k
     lines = [f"total = {report.total}",
              f"separable = {report.separable}",
              f"inseparable = {report.inseparable}",
              f"with_base_points = {report.with_base_points}"]
-    return _emit(payload, config.format, lines)
+    return _emit(payload, args.format, lines)
 
 
-def cmd_family(config):
-    p = _require_finite_p(config)
-    field = finite_field(p, config.k)
-    F = Poly.from_string(field, config.numerator)
-    G = Poly.from_string(field, config.denominator or "1")
+def cmd_family(args):
+    p = _require_finite_p(args)
+    field = finite_field(p, args.k)
+    F = Poly.from_string(field, args.numerator)
+    G = Poly.from_string(field, args.denominator or "1")
     fam = pathology_family(F, G)
     profile = ramification_profile(fam.member(0))
     pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
@@ -181,28 +149,28 @@ def cmd_family(config):
     payload["distinct_pencils"] = len(pencils)
     payload["ramification"] = {repr(pt): e for pt, e in sorted(
         profile.items(), key=lambda kv: (kv[0].i is None, kv[0].i or 0))}
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(fam.to_json(), handle, sort_keys=True, indent=2)
             handle.write("\n")
     lines = [f"members = {field.q}", f"distinct_pencils = {len(pencils)}"]
-    return _emit(payload, config.format, lines)
+    return _emit(payload, args.format, lines)
 
 
-def cmd_transform(config):
-    if not config.family:
+def cmd_transform(args):
+    if not args.family:
         raise ValueError("transform needs --family <path>")
-    with open(config.family, "r", encoding="utf-8") as handle:
+    with open(args.family, "r", encoding="utf-8") as handle:
         fam = MapFamily.from_json(json.load(handle))
-    if config.analyze:
+    if args.analyze:
         report = analyze_limit(fam)
         payload = report.to_json()
         lines = [f"iterations = {report.iterations}",
                  f"m = {report.m}",
                  f"e_infinity = {report.e_infinity}"]
-        return _emit(payload, config.format, lines)
+        return _emit(payload, args.format, lines)
     out = insep_limit_transform(fam)
-    return _emit(out.to_json(), config.format)
+    return _emit(out.to_json(), args.format)
 
 
 def _table_profiles(n_max, d_max):
@@ -218,14 +186,11 @@ def _table_profiles(n_max, d_max):
             yield orders, d
 
 
-def cmd_table(config):
-    if config.d is None:
-        raise ValueError("table needs --d (maximum degree)")
-    ps = config.p if isinstance(config.p, (list, tuple)) else [config.p]
+def cmd_table(args):
     rows = []
-    for orders, d in _table_profiles(config.n_max, config.d):
+    for orders, d in _table_profiles(args.n_max, args.d):
         orders_text = " ".join(str(e) for e in orders)
-        for p in ps:
+        for p in args.p:
             profile = validate_profile(orders, p)
             result = n_gen_recursive(profile)
             count = UNKNOWN if result.is_unknown else result.value
@@ -262,7 +227,7 @@ def cmd_table(config):
             })
     rows.sort(key=lambda r: (r["n"], r["orders"], r["p"] == "inf",
                              0 if r["p"] == "inf" else int(r["p"])))
-    if config.format == "json":
+    if args.format == "json":
         return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
                           sort_keys=True, separators=(",", ":")) + "\n"
     buffer = io.StringIO()
@@ -272,32 +237,14 @@ def cmd_table(config):
     return buffer.getvalue()
 
 
-_HANDLERS = {
-    "count": cmd_count,
-    "schubert": cmd_schubert,
-    "solve3": cmd_solve3,
-    "search": cmd_search,
-    "family": cmd_family,
-    "transform": cmd_transform,
-    "table": cmd_table,
-}
-
-
-def run(config):
-    """Dispatch a RunConfig; returns (exit_code, serialized report)."""
-    try:
-        return 0, _HANDLERS[config.command](config)
-    except BudgetExceeded as exc:
-        return 2, f"error: {exc}\n"
-    except (ValueError, OSError, KeyError) as exc:
-        return 1, f"error: {exc}\n"
-
-
 # ---------------------------------------------------------------------------
 # argv parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command line, built once per process: building it is most of the
+    time of a small command, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ramcount",
         description="Exact counts of separable self-maps of P^1 with "
@@ -309,11 +256,13 @@ def build_parser():
                         choices=("json", "text", "csv"))
 
     sp = sub.add_parser("count", help="evaluate the counting recursion")
+    sp.set_defaults(handler=cmd_count)
     sp.add_argument("--p", required=True, help="prime >= 3, or 'inf'")
     sp.add_argument("--orders", required=True, help="comma list of e_i")
     add_format(sp)
 
     sp = sub.add_parser("schubert", help="Pieri intersection number on G(1,d)")
+    sp.set_defaults(handler=cmd_schubert)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--orders", required=True)
     sp.add_argument("--expansion", action="store_true",
@@ -321,15 +270,16 @@ def build_parser():
     add_format(sp)
 
     sp = sub.add_parser("solve3", help="three-point linear solver at (0, inf, 1)")
+    sp.set_defaults(handler=cmd_solve3)
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--orders", required=True, help="e1,e2,e3")
     add_format(sp)
 
     sp = sub.add_parser("search", help="brute-force census of a Schubert problem")
+    sp.set_defaults(handler=cmd_search)
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--orders", required=True)
     sp.add_argument("--points", default=None,
                     help="comma list of points ('inf' allowed); sampled if omitted")
@@ -338,6 +288,7 @@ def build_parser():
     add_format(sp)
 
     sp = sub.add_parser("family", help="build the tame pathology family f - t x^p")
+    sp.set_defaults(handler=cmd_family)
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--f", required=True, dest="numerator",
@@ -348,12 +299,14 @@ def build_parser():
     add_format(sp)
 
     sp = sub.add_parser("transform", help="inseparable-limit transformation")
+    sp.set_defaults(handler=cmd_transform)
     sp.add_argument("--family", required=True, help="path to a family JSON file")
     sp.add_argument("--analyze", action="store_true",
                     help="iterate to a separable limit and report the limit data")
     add_format(sp)
 
     sp = sub.add_parser("table", help="bulk table of counts with cross-checks")
+    sp.set_defaults(handler=cmd_table)
     sp.add_argument("--p", required=True, help="comma list of primes and/or 'inf'")
     sp.add_argument("--d", type=int, required=True, help="maximum degree")
     sp.add_argument("--n-max", type=int, default=4)
@@ -362,34 +315,26 @@ def build_parser():
     return parser
 
 
-def config_from_argv(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    kwargs = {"command": args.command, "format": args.format}
-    if hasattr(args, "p"):
-        if args.command == "table":
-            kwargs["p"] = [_parse_p(tok) for tok in args.p.split(",")]
-        else:
-            kwargs["p"] = _parse_p(args.p)
-    for name in ("k", "d", "points", "seed", "budget", "family",
-                 "expansion", "analyze", "numerator", "denominator", "out",
-                 "n_max"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "orders"):
-        kwargs["orders"] = _parse_orders(args.orders)
-    return RunConfig(**kwargs)
-
-
 def run_argv(argv=None):
     """Parse argv and dispatch; returns (exit_code, output_text)."""
     try:
-        config = config_from_argv(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (1 if exc.code else 0), ""
-    except ValueError as exc:
+    try:
+        # converted here, not by argparse, so that a bad value is an
+        # `error:` line with exit 1 rather than a usage message
+        if args.command == "table":
+            args.p = [_parse_p(tok) for tok in args.p.split(",")]
+        elif hasattr(args, "p"):
+            args.p = _parse_p(args.p)
+        if hasattr(args, "orders"):
+            args.orders = _parse_orders(args.orders)
+        return 0, args.handler(args)
+    except BudgetExceeded as exc:
+        return 2, f"error: {exc}\n"
+    except (ValueError, OSError, KeyError) as exc:
         return 1, f"error: {exc}\n"
-    return run(config)
 
 
 def main(argv=None):

@@ -226,7 +226,7 @@ class MapFamily:
 
     __slots__ = ("field", "F", "G", "sections")
 
-    def __init__(self, F, G, sections=(), check_coprime=True):
+    def __init__(self, F, G, sections=()):
         if F.field != G.field:
             raise ValueError("family members over different fields")
         if F.is_zero or G.is_zero:
@@ -240,7 +240,7 @@ class MapFamily:
         self.sections = tuple(sections)
         if max(F.x_degree, G.x_degree) < 1:
             raise ValueError("generic fiber is constant")
-        if check_coprime and not self._generically_coprime():
+        if not self._generically_coprime():
             raise ValueError("family members share a factor over k(t)")
 
     @property
@@ -377,16 +377,17 @@ def _section_from_json(item, field):
 def _nonconstant_basis(F, G):
     """Replace F by nu(F - cG) until the reduced special pair is nonconstant.
 
+    A member that vanishes at t = 0 is first divided by its own power of t
+    (the c = 0 case of the same move), so neither special member is zero.
     Returns (F, G, g, Fb, Gb): the adjusted basis, the common factor of the
     special pair, and the reduced special pair.
     """
     field = F.field
+    F, G = F.shift_t_down(F.t_valuation()), G.shift_t_down(G.t_valuation())
     guard = 0
     limit = 2 * (F.max_t_degree() + G.max_t_degree() + 2)
     while True:
         F0, G0 = F.at_zero(), G.at_zero()
-        if F0.is_zero or G0.is_zero:
-            raise ArithmeticError("family not normalized: zero special member")
         g = poly_gcd(F0, G0)
         Fb = F0 // g if g.degree else F0
         Gb = G0 // g if g.degree else G0
@@ -454,13 +455,10 @@ def family_domain_mobius(fam, M):
 # the tame pathology family f - t x^p
 # ---------------------------------------------------------------------------
 
-def pathology_family(F, G, root_budget=None):
+def pathology_family(F, G):
     """The family F/G - t x^p, for maps with a tame pole of order e1 > p at
     infinity and all finite orders < p.  Every member has the same
     ramification divisor while the pencils are pairwise distinct."""
-    from .algebra import DEFAULT_ROOT_BUDGET
-    if root_budget is None:
-        root_budget = DEFAULT_ROOT_BUDGET
     base_map, base = RatMap.new(F, G)
     if base.total:
         raise ValueError("input pair must be coprime")
@@ -473,7 +471,7 @@ def pathology_family(F, G, root_budget=None):
         raise ValueError(f"order at infinity must exceed p: got {e1} <= {p}")
     if e1 % p == 0:
         raise ValueError("order at infinity must be prime to p")
-    profile = ramification_profile(base_map, root_budget)
+    profile = ramification_profile(base_map)
     sections = [Section(order=e1, at_infinity=True)]
     for pt, e in profile.items():
         if pt.is_infinity:
@@ -628,7 +626,7 @@ def _check_hypotheses(fam):
     return ok, warnings, collision
 
 
-def analyze_limit(fam, max_iterations=None):
+def analyze_limit(fam):
     """Iterate the transform to a separable limit, tame-reduce at infinity,
     remove base points at the collision point, and report the limit data:
     m = d - deg(G0), e_infinity, b, and the measured epsilon."""
@@ -642,8 +640,8 @@ def analyze_limit(fam, max_iterations=None):
 
     w = fam.wronskian()
     initial_val = w.t_valuation()
-    if max_iterations is None:
-        max_iterations = (initial_val or 0) + 1
+    # each step lowers the t-valuation of the Wronskian, so this bound holds
+    max_iterations = (initial_val or 0) + 1
     iterations = 0
     separable_limit = fam.special_fiber_separable()
     current = fam

@@ -441,24 +441,21 @@ def _vector_survivors(d, assignments, field):
 # general-position sampling
 # ---------------------------------------------------------------------------
 
-def sample_general_points(n, field, seed, forbidden_predicates=(), min_ratio=4,
-                          max_tries=2000, include_infinity=False):
-    """n distinct seeded-random points avoiding the degeneracy predicates.
+def sample_general_points(n, field, seed, forbidden_predicates=()):
+    """n distinct seeded-random finite points avoiding the degeneracy
+    predicates.
 
     Deterministic for a given (n, field, seed).  The field must satisfy
-    q >= min_ratio * n so that rejection sampling has room.
+    q >= 4n so that rejection sampling has room; after 2000 rejected draws
+    it gives up.
     """
-    if field.q < min_ratio * n:
+    if field.q < 4 * n:
         raise ValueError(
             f"field of size {field.q} too small for {n} general points "
-            f"(need q >= {min_ratio * n})")
+            f"(need q >= {4 * n})")
     rng = random.Random(seed)
-    pool_size = field.q + (1 if include_infinity else 0)
-    for _ in range(max_tries):
-        picks = rng.sample(range(pool_size), n)
-        points = tuple(
-            ProjPoint.infinity(field) if x == field.q else ProjPoint(field, x)
-            for x in picks)
+    for _ in range(2000):
+        points = tuple(ProjPoint(field, x) for x in rng.sample(range(field.q), n))
         if any(pred(points) for pred in forbidden_predicates):
             continue
         return points

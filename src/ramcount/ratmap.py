@@ -47,14 +47,6 @@ class ProjPoint:
         self.i = i  # encoding, or None for infinity
 
     @classmethod
-    def finite(cls, field, value):
-        if hasattr(value, "i") and hasattr(value, "field"):
-            if value.field != field:
-                raise ValueError("field mismatch")
-            return cls(field, value.i)
-        return cls(field, int(value) % field.q)
-
-    @classmethod
     def infinity(cls, field):
         return cls(field, None)
 
@@ -153,7 +145,7 @@ class RatMap:
         self.G = G.scale(scale)
 
     @classmethod
-    def new(cls, F, G, root_budget=DEFAULT_ROOT_BUDGET):
+    def new(cls, F, G):
         """Cancel common factors; returns (map, cancelled base divisor)."""
         if F.field != G.field:
             raise ValueError("numerator and denominator over different fields")
@@ -163,7 +155,7 @@ class RatMap:
         g = poly_gcd(F, G)
         if g.degree > 0:
             F, G = F // g, G // g
-            ext, embed, roots = splitting_field_roots(g, root_budget)
+            ext, embed, roots = splitting_field_roots(g)
             base = Divisor({ProjPoint(ext, r): m for r, m in roots})
         return cls(F, G), base
 
@@ -275,7 +267,7 @@ def _ram_index_finite(F, G, a, field):
     return poly_valuation(F - G.scale(v), a)
 
 
-def ramification_profile(f, root_budget=DEFAULT_ROOT_BUDGET):
+def ramification_profile(f):
     """Divisor of ramification indices (only points with e_P >= 2),
     computed over the splitting field of the Wronskian."""
     w = wronskian(f)
@@ -284,7 +276,7 @@ def ramification_profile(f, root_budget=DEFAULT_ROOT_BUDGET):
     d = f.degree
     ext, roots = f.field, []
     if w.degree > 0:
-        ext, _, roots = splitting_field_roots(w, root_budget)
+        ext, _, roots = splitting_field_roots(w)
     lifted = f.lift(ext)
     out = {}
     for r, _ in roots:

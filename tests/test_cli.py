@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ramcount
 from ramcount.cli import run_argv as run
@@ -160,6 +162,16 @@ class TestFamilyTransform:
         code, _ = run(["transform", "--family", "/nonexistent.json"])
         assert code == 1
 
+    def test_one_member_vanishing_at_t0(self, tmp_path):
+        # the family x/t: only G vanishes at t = 0, and the limit pencil is
+        # <x, 1>, already separable
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"p": 3, "F": "[(0),(1)]", "G": "[(0,1)]"}))
+        payload = run_json(["transform", "--family", str(path), "--analyze"])
+        assert payload["iterations"] == 0 and payload["separable_limit"]
+        code, out = run(["transform", "--family", str(path)])
+        assert (code, out) == (1, "error: special fiber is already separable\n")
+
     def _transform_payload(self, tmp_path, **changes):
         payload = {"schema": 1, "p": 3, "k": 1,
                    "F": "[(0),(0),(0,1),(1)]", "G": "[(2,1),(0,1)]",
@@ -254,3 +266,117 @@ def test_numpy_loaded_only_by_census():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+# ---------------------------------------------------------------------------
+# exit-code totality on fuzzed argv: every run ends in 0, 1 or 2, and a
+# failing run says why on an `error:` line (argparse's own usage errors
+# print to stderr and return no text)
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=40,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+def _even_profile(orders):
+    # pad with a simple point so that sum(e_i - 1) is even
+    return orders + [2] * (sum(e - 1 for e in orders) % 2)
+
+
+# valid values are drawn often enough to reach the solvers and the census;
+# the rest probe the input checks
+_PRIME = st.sampled_from(["3", "5", "7"])
+_P = st.one_of(_PRIME, st.sampled_from([str(n) for n in range(8)] + ["inf"]))
+_K = st.one_of(st.sampled_from(["1", "2"]), st.integers(0, 2).map(str))
+_ORDERS = st.one_of(
+    st.lists(st.integers(1, 9), min_size=3, max_size=6).map(_even_profile),
+    st.lists(st.integers(0, 9), min_size=1, max_size=6)).map(_csv)
+_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "text"],
+                           ["--format", "csv"]])
+
+
+def _poly(p, max_size=6):
+    return st.lists(st.integers(0, p - 1), min_size=1, max_size=max_size).map(_csv)
+
+
+def _family_poly(p):
+    return st.lists(_poly(p, 3).map(lambda c: f"({c})"), min_size=1,
+                    max_size=6).map(lambda rows: "[" + ",".join(rows) + "]")
+
+
+def _section(p):
+    return st.one_of(
+        st.builds(lambda e: {"point": "inf", "order": e}, st.integers(1, 9)),
+        st.builds(lambda num, e: {"num": num, "order": e}, _poly(p, 2),
+                  st.integers(1, 9)))
+
+
+def _assert_exit_contract(argv):
+    code, out = run(argv)
+    assert code in (0, 1, 2), (argv, code, out)
+    if code and out:
+        assert out.startswith("error:"), (argv, out)
+
+
+class TestExitCodeFuzz:
+    @FUZZ
+    @given(_P, _ORDERS, _FORMAT)
+    def test_count(self, p, orders, fmt):
+        _assert_exit_contract(["count", "--p", p, "--orders", orders] + fmt)
+
+    @FUZZ
+    @given(st.integers(-1, 6), _ORDERS, st.booleans(), _FORMAT)
+    def test_schubert(self, d, orders, expansion, fmt):
+        _assert_exit_contract(["schubert", "--d", str(d), "--orders", orders]
+                              + ["--expansion"] * expansion + fmt)
+
+    @FUZZ
+    @given(_P, _K, st.one_of(
+        st.lists(st.integers(1, 9), min_size=3, max_size=3).map(_csv), _ORDERS),
+        _FORMAT)
+    def test_solve3(self, p, k, orders, fmt):
+        _assert_exit_contract(["solve3", "--p", p, "--k", k, "--orders", orders]
+                              + fmt)
+
+    @FUZZ
+    @given(_P, _K, _ORDERS, st.integers(0, 10 ** 5),
+           st.one_of(st.none(), st.lists(st.sampled_from(
+               ["0", "1", "2", "6", "inf", "01", "10", "22", "x"]),
+               min_size=1, max_size=5).map(_csv)),
+           st.integers(0, 9), _FORMAT)
+    def test_search(self, p, k, orders, budget, points, seed, fmt):
+        argv = ["search", "--p", p, "--k", k, "--orders", orders,
+                "--budget", str(budget), "--seed", str(seed)]
+        if points is not None:
+            argv += ["--points", points]
+        _assert_exit_contract(argv + fmt)
+
+    @FUZZ
+    @given(st.sampled_from([3, 5]).flatmap(
+        lambda p: st.tuples(st.just(str(p)), _poly(p), _poly(p))), _K, _FORMAT)
+    def test_family(self, pfg, k, fmt):
+        p, f, g = pfg
+        _assert_exit_contract(["family", "--p", p, "--k", k, "--f", f, "--g", g]
+                              + fmt)
+
+    @FUZZ
+    @given(st.sampled_from([3, 5]).flatmap(lambda p: st.fixed_dictionaries({
+        "p": st.just(p), "k": st.sampled_from([1, 1, 2, 0]),
+        "F": _family_poly(p), "G": _family_poly(p),
+        "sections": st.lists(_section(p), max_size=4)})), st.booleans(), _FORMAT)
+    def test_transform(self, tmp_path, family, analyze, fmt):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(family))
+        _assert_exit_contract(["transform", "--family", str(path)]
+                              + ["--analyze"] * analyze + fmt)
+
+    @FUZZ
+    @given(st.lists(_P, min_size=1, max_size=3).map(_csv), st.integers(-1, 6),
+           st.integers(-1, 4), _FORMAT)
+    def test_table(self, ps, d, n_max, fmt):
+        _assert_exit_contract(["table", "--p", ps, "--d", str(d),
+                               "--n-max", str(n_max)] + fmt)

@@ -199,6 +199,17 @@ class TestAnalyzeLimit:
         report = analyze_limit(MapFamily(F, G))
         assert report.separable_limit and report.iterations == 0
 
+    def test_one_member_vanishing_at_t0(self):
+        # x/t: MapFamily divides out no power of t, since F = x does not
+        # vanish at t = 0; the limit pencil is <x, 1>
+        F = FamilyPoly.from_string(F3, "[(0),(1)]")
+        G = FamilyPoly.from_string(F3, "[(0,1)]")
+        fam = MapFamily(F, G)
+        assert fam.special_fiber_separable()
+        report = analyze_limit(fam)
+        assert report.separable_limit and report.iterations == 0
+        assert (report.m, report.e_infinity, report.degrees) == (1, 1, (1, 0))
+
     def test_frobenius_toy_reaches_limit_law_values(self):
         fam = self.toy_family()
         sections_at_zero = [s.value_at(F9, 0) for s in fam.sections]
