@@ -166,8 +166,11 @@ class FiniteField:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteField)
-                and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
+        # finite_field hands out one cached instance per field, so identity
+        # settles almost every comparison
+        return self is other or (
+            isinstance(other, FiniteField)
+            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
@@ -415,9 +418,14 @@ class FiniteField:
         return embed
 
 
-@lru_cache(maxsize=None)
 def finite_field(p, k=1):
-    """Canonical (cached) field instance with the deterministic modulus."""
+    """Canonical (cached) field instance with the deterministic modulus:
+    one per (p, k), however the arguments are spelled."""
+    return _canonical_field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _canonical_field(p, k):
     return FiniteField(p, k)
 
 
@@ -506,7 +514,7 @@ class Poly:
         return f"Poly[{self.to_string() or '0'}]"
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("polynomials over different fields")
 
     # -- ring operations -------------------------------------------------------

@@ -65,11 +65,9 @@ def _require_finite_p(args):
 def _emit(payload, fmt, text_lines=None):
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if fmt == "text":
-        if text_lines is None:
-            text_lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
-        return "\n".join(text_lines) + "\n"
-    raise ValueError(f"unsupported format {fmt!r} for this command")
+    if text_lines is None:
+        text_lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
+    return "\n".join(text_lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +249,8 @@ def build_parser():
                     "prescribed ramification in characteristic p.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(sp, default="json"):
-        sp.add_argument("--format", default=default,
-                        choices=("json", "text", "csv"))
+    def add_format(sp):
+        sp.add_argument("--format", default="json", choices=("json", "text"))
 
     sp = sub.add_parser("count", help="evaluate the counting recursion")
     sp.set_defaults(handler=cmd_count)
@@ -310,7 +307,7 @@ def build_parser():
     sp.add_argument("--p", required=True, help="comma list of primes and/or 'inf'")
     sp.add_argument("--d", type=int, required=True, help="maximum degree")
     sp.add_argument("--n-max", type=int, default=4)
-    add_format(sp, default="csv")
+    sp.add_argument("--format", default="csv", choices=("json", "text", "csv"))
 
     return parser
 

@@ -3,11 +3,12 @@ membership, the three-point linear solver, and brute-force census counts.
 
 A pencil is stored as the reduced row echelon form of its 2 x (d+1)
 coefficient matrix, the unique canonical representative of the subspace.
-The census filters the full enumeration by the vanishing conditions with
-a vectorized engine: numpy, stratum by stratum over echelon shapes, with
-the field's q x q add and mul tables (numpy is imported only there).  The
-tests check it against a plain scan of ``enumerate_pencils`` through
-``schubert_condition``.
+The census does not screen pencils one by one: in each echelon stratum it
+reduces the choices of each row to jet classes and joins the two sides
+(see the census engine below), O(q^(d-1)) rows per stratum instead of
+O(q^(2d-2)) pencils.  It runs in numpy with the field's q x q add and mul
+tables (numpy is imported only there).  The tests check it against a plain
+scan of ``enumerate_pencils`` through ``schubert_condition``.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -27,7 +28,7 @@ from .ratmap import Divisor, ProjPoint, RatMap, is_separable, ram_index
 
 DEFAULT_BUDGET = 10 ** 7
 
-_CHUNK = 1 << 20
+_INT64_MAX = (1 << 63) - 1
 
 
 def enumeration_budget(budget=None):
@@ -322,7 +323,7 @@ def count_maps_bruteforce(d, assignments, field, budget=None):
     limit = enumeration_budget(budget)
     if total_pencils > limit:
         raise BudgetExceeded(f"{total_pencils} pencils exceed budget {limit}")
-    survivors = _vector_survivors(d, assignments, field)
+    survivors = _census_survivors(d, assignments, field)
     return _classify_survivors(d, assignments, field, survivors)
 
 
@@ -371,70 +372,133 @@ def _audit_witness(rmap, assignments, d):
         raise ArithmeticError("witness orders do not exhaust the different")
 
 
-# -- vectorized engine --------------------------------------------------------
+# -- census engine: a per-stratum join of jet classes -------------------------
+#
+# In the echelon stratum (j1, j2) the rows A (pivot j1) and B (pivot j2)
+# range independently, and the condition at (P, e) -- rank [jet_P(A);
+# jet_P(B)] <= 1 -- holds iff one jet is zero or the two are proportional.
+# So each side's q^|free| rows are reduced once to jet classes (the jet
+# scaled so that its first nonzero entry is 1), and the pencils are the
+# pairs whose classes agree at every condition where neither jet is zero.
+# Order-1 conditions are vacuous and skipped.
 
-def _vector_survivors(d, assignments, field):
-    import numpy as np
-
-    q = field.q
-    add, mul = field.vector_tables()
-
-    def pair(table, x, y):
-        """table[x*q + y], elementwise."""
-        flat = x.astype(np.intp)
-        flat *= q
-        flat += y
-        return table[flat]
-
-    def jets(M, cols):
-        """Jets of row vectors: cols is a list of (d+1) arrays of encodings."""
-        out = []
-        for mrow in M:
-            acc = None
-            for m, col in zip(mrow, cols):
-                if m:
-                    term = col if m == 1 else mul[m * q:(m + 1) * q][col]
-                    acc = term if acc is None else pair(add, acc, term)
-            out.append(np.zeros_like(cols[0]) if acc is None else acc)
-        return out
-
-    mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments]
+def _census_survivors(d, assignments, field):
+    """Every pencil meeting the assigned conditions, as canonical echelon
+    forms."""
+    mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
     survivors = []
     for j1, j2 in _strata(d):
         free_a, free_b = _stratum_frees(d, j1, j2)
-        n_total = q ** (len(free_a) + len(free_b))
-        for start in range(0, n_total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, n_total), dtype=np.int64)
-            zeros = np.zeros(idx.size, dtype=np.int64)
-            acols = [zeros] * (d + 1)
-            bcols = [zeros] * (d + 1)
-            acols[j1] = np.ones(idx.size, dtype=np.int64)
-            bcols[j2] = acols[j1]
-            div = idx
-            for pos in free_a:
-                acols[pos] = div % q
-                div = div // q
-            for pos in free_b:
-                bcols[pos] = div % q
-                div = div // q
-            for M in mats:
-                ja = jets(M, acols)
-                jb = jets(M, bcols)
-                e = len(M)
-                mask = np.ones(acols[0].shape, dtype=bool)
-                for r in range(e):
-                    for s in range(r + 1, e):
-                        mask &= pair(mul, ja[r], jb[s]) == pair(mul, ja[s], jb[r])
-                if not mask.all():
-                    acols = [c[mask] for c in acols]
-                    bcols = [c[mask] for c in bcols]
-                if acols[0].size == 0:
-                    break
-            for t in range(acols[0].size):
-                row_a = tuple(int(acols[j][t]) for j in range(d + 1))
-                row_b = tuple(int(bcols[j][t]) for j in range(d + 1))
-                survivors.append(Pencil(field, d, (row_a, row_b), canonical=True))
+        rows_a = _echelon_rows(d, field.q, j1, free_a)
+        rows_b = _echelon_rows(d, field.q, j2, free_b)
+        ia, ib = _join(field.q, _jet_classes(field, mats, rows_a),
+                       _jet_classes(field, mats, rows_b))
+        for row_a, row_b in zip(rows_a[:, ia].T.tolist(), rows_b[:, ib].T.tolist()):
+            survivors.append(Pencil(field, d, (tuple(row_a), tuple(row_b)), canonical=True))
     return survivors
+
+
+def _echelon_rows(d, q, pivot, free):
+    """The q^len(free) rows with 1 at the pivot, every value at the free
+    positions and 0 elsewhere, as a (d+1) x q^len(free) array of columns."""
+    import numpy as np
+
+    rows = np.zeros((d + 1, q ** len(free)), dtype=np.intp)
+    rows[pivot] = 1
+    if free:
+        rows[free] = np.indices((q,) * len(free)).reshape(len(free), -1)
+    return rows
+
+
+def _jet_classes(field, mats, rows):
+    """(zero, classes) for the rows: bit c of zero[t] is set iff row t's
+    jet at condition c vanishes, and classes[c] (e x n) holds the jets
+    scaled by the inverse of their first nonzero entry (0 for a zero jet)."""
+    import numpy as np
+
+    n = rows.shape[1]
+    zero = np.zeros(n, dtype=np.int64)
+    classes = []
+    if not mats:
+        return zero, classes
+    q = field.q
+    add, mul = field.vector_tables()
+    inv = (mul.reshape(q, q) == 1).argmax(axis=1)  # inv[0] = 0
+    nonzero_cols = [j for j in range(rows.shape[0]) if rows[j].any()]
+    for c, M in enumerate(mats):
+        jet = np.zeros((len(M), n), dtype=np.intp)
+        for r, mrow in enumerate(M):
+            for j in nonzero_cols:
+                if mrow[j]:
+                    jet[r] = add[jet[r] * q + mul[mrow[j] * q + rows[j]]]
+        lead = jet[(jet != 0).argmax(axis=0), np.arange(n)]
+        zero |= (lead == 0).astype(np.int64) << c
+        classes.append(mul[inv[lead] * q + jet])
+    return zero, classes
+
+
+def _join(q, side_a, side_b):
+    """Index pairs (ia, ib) of A and B rows whose classes agree at every
+    condition where neither jet is zero.  Rows are grouped by their zero
+    pattern; each pair of patterns is joined on the conditions live on both
+    sides (with none live, every pair matches)."""
+    import numpy as np
+
+    zero_a, classes_a = side_a
+    zero_b, classes_b = side_b
+    groups_b = _zero_groups(zero_b)
+    pairs_a, pairs_b = [], []
+    for pa, sel_a in _zero_groups(zero_a):
+        for pb, sel_b in groups_b:
+            live = [np.concatenate([classes_a[c][:, sel_a], classes_b[c][:, sel_b]], axis=1)
+                    for c in range(len(classes_a)) if not (pa | pb) >> c & 1]
+            keys = _class_keys(live, sel_a.size + sel_b.size, q)
+            ia, ib = _equal_pairs(keys[:sel_a.size], keys[sel_a.size:])
+            pairs_a.append(sel_a[ia])
+            pairs_b.append(sel_b[ib])
+    return np.concatenate(pairs_a), np.concatenate(pairs_b)
+
+
+def _zero_groups(zero):
+    """(pattern, indices of the rows with that zero pattern), for each
+    distinct pattern."""
+    import numpy as np
+
+    order = np.argsort(zero, kind="stable")
+    patterns, starts = np.unique(zero[order], return_index=True)
+    return list(zip(patterns.tolist(), np.split(order, starts[1:])))
+
+
+def _class_keys(classes, n, base):
+    """One int64 key for each of the n columns of the stacked class arrays
+    (entries in [0, base)), equal iff the columns are equal.  Entries are
+    packed in base `base`; before the next entry could overflow int64, the
+    key is replaced by its dense rank, which is below n."""
+    import numpy as np
+
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for block in classes:
+        for entry in block:
+            if bound * base > _INT64_MAX:
+                key = np.unique(key, return_inverse=True)[1].reshape(-1).astype(np.int64)
+                bound = n
+            key = key * base + entry
+            bound *= base
+    return key
+
+
+def _equal_pairs(keys_a, keys_b):
+    """Every index pair (i, j) with keys_a[i] == keys_b[j]."""
+    import numpy as np
+
+    order = np.argsort(keys_b, kind="stable")
+    sorted_b = keys_b[order]
+    lo = np.searchsorted(sorted_b, keys_a, "left")
+    counts = np.searchsorted(sorted_b, keys_a, "right") - lo
+    ia = np.repeat(np.arange(keys_a.size), counts)
+    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return ia, order[starts + np.arange(ia.size)]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,20 @@ class TestField:
         assert F27.modulus == (1, 2, 0, 1)   # y^3 + 2y + 1
         assert finite_field(5, 2).modulus == (2, 0, 1)  # y^2 + 2
 
+    def test_one_instance_per_field(self):
+        assert finite_field(3) is finite_field(3, 1) is finite_field(p=3, k=1)
+        assert finite_field(3, 2) is F9
+
+    def test_equality_beyond_the_cached_instance(self):
+        # a field built directly is a second instance of the same field
+        fresh = FiniteField(3, 2)
+        assert fresh is not F9 and fresh == F9 and hash(fresh) == hash(F9)
+        assert fresh != F3 and fresh != finite_field(3, 3) and fresh != "GF(3^2)"
+        product = Poly(fresh, (1, 1)) * Poly(F9, (2, 1))
+        assert product == Poly(F9, (1, 1)) * Poly(F9, (2, 1))
+        with pytest.raises(ValueError):
+            Poly(fresh, (1, 1)) + Poly(F27, (1, 1))
+
     @pytest.mark.parametrize("field", [F3, F5, F9, F27, finite_field(7, 2)])
     def test_inverses(self, field):
         for a in range(1, field.q):

@@ -49,6 +49,13 @@ class TestCount:
                          "--format", "text"])
         assert code == 0 and "= 1" in out
 
+    def test_csv_format_is_a_usage_error(self, capsys):
+        # only table writes CSV; argparse refuses the choice elsewhere
+        code, out = run(["count", "--p", "3", "--orders", "2,2,2,2",
+                         "--format", "csv"])
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_deep_simple_orders(self):
         # 1100 simple points (d = 551) give the Catalan number C_550; the
         # recursion is a loop over the orders, so no stack depth limits it

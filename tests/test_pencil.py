@@ -117,6 +117,20 @@ def _four_simple_points(field, lam):
     ]
 
 
+def _assert_engines_agree(d, assigns, field):
+    vec = count_maps_bruteforce(d, assigns, field)
+    scan = _scan_census(d, assigns, field)
+    assert (vec.total, vec.separable, vec.inseparable, vec.with_base_points) == \
+           (scan.total, scan.separable, scan.inseparable, scan.with_base_points)
+    assert [p.rows for p, _ in vec.witnesses] == [p.rows for p, _ in scan.witnesses]
+    return vec
+
+
+def _assigns(field, points, orders):
+    return [(ProjPoint.infinity(field) if x is None else ProjPoint(field, x), e)
+            for x, e in zip(points, orders)]
+
+
 class TestCensus:
     def test_engines_agree_small(self):
         cases = [
@@ -128,11 +142,7 @@ class TestCensus:
                      (ProjPoint(F9, 3), 3)]),
         ]
         for d, field, assigns in cases:
-            vec = count_maps_bruteforce(d, assigns, field)
-            scan = _scan_census(d, assigns, field)
-            assert (vec.total, vec.separable, vec.inseparable, vec.with_base_points) == \
-                   (scan.total, scan.separable, scan.inseparable, scan.with_base_points)
-            assert [p.rows for p, _ in vec.witnesses] == [p.rows for p, _ in scan.witnesses]
+            _assert_engines_agree(d, assigns, field)
 
     def test_engines_agree_fuzzed(self):
         import random as _random
@@ -152,6 +162,49 @@ class TestCensus:
                             vec.with_base_points) == \
                            (scan.total, scan.separable, scan.inseparable,
                             scan.with_base_points), (field.q, d, orders)
+
+    # each case names the join branch it reaches; `least` bounds the
+    # (total, with_base_points) it must show so that it keeps reaching it
+    @pytest.mark.parametrize("d, p, k, points, orders, least", [
+        # a point at infinity, general finite points, d = 3 over F_7 ... F_13
+        (3, 7, 1, (0, None, 1, 3), (2, 2, 2, 2), (1, 0)),
+        (3, 3, 2, (0, None, 1, 4), (2, 2, 2, 2), (2, 0)),
+        (3, 11, 1, (0, None, 5), (3, 2, 2), (1, 0)),
+        # order-1 conditions are vacuous
+        (3, 13, 1, (2, None, 7, 1), (1, 2, 3, 2), (1, 0)),
+        (3, 11, 1, (4, None, 9), (3, 3, 1), (1, 0)),
+        (4, 5, 1, (0, None, 1), (4, 4, 1), (1, 0)),
+        # span{1, x^3}: each row's jet vanishes at one of the two points
+        (3, 13, 1, (0, None), (3, 3), (1, 0)),
+        # survivors with a base point at an assigned point: one jet is zero
+        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), (4, 4)),
+        (4, 3, 1, (None, 0, 1), (4, 3, 2), (1, 1)),
+        # every point of P^1(F_5), far from general: five maps
+        (4, 5, 1, (0, None, 4, 3, 2, 1), (2, 2, 2, 2, 2, 2), (5, 0)),
+    ])
+    def test_join_branches_agree_with_scan(self, d, p, k, points, orders, least):
+        field = finite_field(p, k)
+        report = _assert_engines_agree(d, _assigns(field, points, orders), field)
+        assert report.total >= least[0] and report.with_base_points >= least[1]
+
+    def test_class_keys_past_int64(self):
+        # 70 binary entries would need 2^70 > 2^63 as packed keys, and keys
+        # wrapped modulo 2^64 would lose the first entry: the columns below
+        # differ only there
+        import numpy as np
+
+        from ramcount.pencil import _class_keys
+
+        rng = np.random.default_rng(3)
+        distinct = rng.integers(0, 2, size=(70, 6))
+        distinct[0] = [0, 1, 0, 1, 0, 1]
+        distinct[1:, 1] = distinct[1:, 0]
+        cols = distinct[:, [0, 1, 2, 3, 4, 5, 0, 3, 3]]
+        blocks = [cols[:30], cols[30:45], cols[45:]]
+        keys = _class_keys(blocks, cols.shape[1], 2)
+        for i in range(cols.shape[1]):
+            for j in range(cols.shape[1]):
+                assert (keys[i] == keys[j]) == (cols[:, i] == cols[:, j]).all()
 
     def test_four_simple_points_char3(self):
         lam = 3  # y, outside the prime field
