@@ -1,7 +1,10 @@
 """Exact arithmetic in F_{p^k} and dense univariate polynomials over it.
 
 Fields are represented as F_p[y]/(modulus) with a deterministically chosen
-modulus, so results are bit-identical across runs.  Elements are encoded as
+modulus, so results are bit-identical across runs: the monic irreducible
+polynomial of degree k with the least encoding.  The search tests each
+candidate as a Poly over finite_field(p), whose own modulus is y, so a
+prime field needs no search.  Elements are encoded as
 integers in [0, q): the base-p digits of the encoding are the coordinates
 with respect to the basis 1, y, ..., y^{k-1} (constant digit least
 significant).  Polynomials are dense coefficient tuples, low degree first,
@@ -13,9 +16,11 @@ first arithmetic call, a log table, an exp table over a fixed generator g
 (doubled, so a sum of two logs indexes it directly) and a Zech table
 zech[i] = log(1 + g^i); every scalar op is a few lookups in them, and
 ``vector_tables`` derives flat q x q numpy add/mul tables from them for the
-census.  The raw routines (digit-by-digit addition, multiplication of
-coordinate vectors modulo the modulus) only build these tables and serve
-fields with q > 2^16.
+census.  The raw routines (digit-by-digit addition, and a schoolbook
+product of coordinate vectors reduced by the modulus) only build these
+tables and serve fields with q > 2^16.  Apart from that raw product, which
+stays on digit lists because the tables are built from it and a Poly
+product over F_p is ~3x slower, Poly is the only polynomial arithmetic here.
 
 p = 2 is rejected at construction.
 """
@@ -53,88 +58,25 @@ def is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# bootstrap helpers: polynomials over F_p as plain int lists (coeffs low->high)
-# ---------------------------------------------------------------------------
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mulmod(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_mod(prod, mod, p)
-
-
-def _fp_mod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _fp_mod(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _fp_powmod_x(exp, mod, p):
-    """x^exp reduced mod the F_p polynomial `mod`."""
-    result = [1]
-    base = _fp_mod([0, 1], mod, p)
-    while exp:
-        if exp & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
-        exp >>= 1
-    return result
-
-
-def _fp_is_irreducible(f, p):
-    """Degree-k poly over F_p: no factor of degree j for 1 <= j <= k//2."""
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    for j in range(1, k // 2 + 1):
-        frob = _fp_powmod_x(p ** j, f, p)  # x^{p^j} mod f
-        frob = list(frob)
-        while len(frob) < 2:
-            frob.append(0)
-        frob[1] = (frob[1] - 1) % p  # x^{p^j} - x
-        if len(_fp_gcd(f, _fp_trim(frob), p)) - 1 != 0:
-            return False
-    return True
-
-
 def _lexleast_modulus(p, k):
-    """Monic irreducible of degree k over F_p with least integer encoding."""
+    """Monic irreducible of degree k over F_p with least integer encoding.
+
+    A candidate f of degree k is irreducible iff gcd(x^{p^j} - x, f) = 1 for
+    1 <= j <= k/2.  k = 1 gives x, which is what lets the search run on
+    Poly over finite_field(p) without recursing."""
+    if k == 1:
+        return (0, 1)
+    fp = finite_field(p)
+    x = Poly.x(fp)
     for m in range(p ** k):
-        digits = []
-        t = m
-        for _ in range(k):
-            t, r = divmod(t, p)
-            digits.append(r)
-        cand = digits + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
+        f = Poly(fp, [m // p ** i % p for i in range(k)] + [1])
+        frob = x
+        for _ in range(k // 2):
+            frob = poly_powmod(frob, p, f)  # x^{p^j} mod f
+            if poly_gcd(frob - x, f).degree > 0:
+                break
+        else:
+            return f.coeffs
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 
 
@@ -337,9 +279,21 @@ class FiniteField:
         return self._add_raw(0, a, -1)
 
     def _mul_raw(self, a, b):
-        red = _fp_mulmod(list(self.decode(a)), list(self.decode(b)),
-                         list(self.modulus), self.p)
-        return self.encode(red + [0] * (self.k - len(red)))
+        """Schoolbook product of the coordinate vectors, reduced from the
+        top by the monic modulus; encode takes each digit mod p."""
+        p, k, mod = self.p, self.k, self.modulus
+        prod = [0] * (2 * k - 1)
+        db = self.decode(b)
+        for i, x in enumerate(self.decode(a)):
+            if x:
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j in range(k):
+                    prod[i - k + j] -= c * mod[j]
+        return self.encode(prod[:k])
 
     def _inv_raw(self, a):
         if not a:
@@ -393,17 +347,10 @@ class FiniteField:
         else:
             if target.p != self.p or target.k % self.k != 0:
                 raise ValueError(f"{target} does not contain {self}")
-            root = None
-            for cand in range(target.q):
-                acc = 0
-                # evaluate modulus at cand inside target
-                for c in reversed(self.modulus):
-                    acc = target.add_i(target.mul_i(acc, cand), c % self.p)
-                if acc == 0:
-                    root = cand
-                    break
-            if root is None:
-                raise ArithmeticError("modulus has no root in target field")
+            # the modulus has F_p coefficients, and an element of F_p has
+            # the same encoding in every extension
+            modulus = Poly(target, self.modulus)
+            root = next(a for a in range(target.q) if modulus(a) == 0)
             powers = [1]
             for _ in range(self.k - 1):
                 powers.append(target.mul_i(powers[-1], root))
@@ -846,13 +793,15 @@ def distinct_degree_profile(fpoly):
     field = fpoly.field
     work = fpoly.monic()[0]
     degs = set()
-    x = Poly.x(field)
+    x = frob = Poly.x(field)
     j = 0
     while work.degree > 0:
         j += 1
         if j > fpoly.degree:
             raise ArithmeticError("distinct-degree factorization did not terminate")
-        frob = poly_powmod(x, field.q ** j, work)
+        # x^{q^j} mod work: work only loses factors, so the previous power
+        # reduced mod the new work is still right
+        frob = poly_powmod(frob, field.q, work)
         g = poly_gcd(frob - x, work)
         if g.degree > 0:
             degs.add(j)
@@ -865,13 +814,13 @@ def distinct_degree_profile(fpoly):
 
 
 def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
-    """(ext_field, embed_fn, [(root, mult)]) over the smallest F_{q^K} where
-    fpoly splits into linear factors; roots found by exhaustive scan."""
+    """(ext_field, [(root, mult)]) over the smallest F_{q^K} where fpoly
+    splits into linear factors; roots found by exhaustive scan."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
     if fpoly.degree == 0:
-        return field, (lambda a: a), []
+        return field, []
     degs = distinct_degree_profile(fpoly)
     ext_deg = 1
     for dj in degs:
@@ -886,4 +835,4 @@ def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
     total = sum(m for _, m in roots)
     if total != fpoly.degree:
         raise ArithmeticError("polynomial failed to split over computed field")
-    return ext, embed, roots
+    return ext, roots

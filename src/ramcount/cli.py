@@ -330,6 +330,10 @@ def run_argv(argv=None):
         return 0, args.handler(args)
     except BudgetExceeded as exc:
         return 2, f"error: {exc}\n"
+    except MemoryError as exc:
+        # the census budget counts pencils, not the arrays built for them,
+        # so a request within budget can still exhaust memory
+        return 2, f"error: out of memory: {str(exc) or 'allocation failed'}\n"
     except (ValueError, OSError, KeyError) as exc:
         return 1, f"error: {exc}\n"
 

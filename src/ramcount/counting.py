@@ -55,6 +55,15 @@ class RamProfile:
 
 @dataclass(frozen=True)
 class CountResult:
+    """A count with its characteristic class.
+
+    ``trace`` holds the (d', e) summation range of the recursion's first
+    step for the *sorted* profile's two largest orders (empty below four
+    orders).  ``_ngen`` merges the orders in the given order, so for an
+    unsorted profile the trace is not the step that ran; the count does not
+    depend on the order.
+    """
+
     value: object  # non-negative int, or UNKNOWN
     char_class: CharClass
     trace: tuple = ()

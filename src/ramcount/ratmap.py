@@ -155,7 +155,7 @@ class RatMap:
         g = poly_gcd(F, G)
         if g.degree > 0:
             F, G = F // g, G // g
-            ext, embed, roots = splitting_field_roots(g)
+            ext, roots = splitting_field_roots(g)
             base = Divisor({ProjPoint(ext, r): m for r, m in roots})
         return cls(F, G), base
 
@@ -269,26 +269,15 @@ def _ram_index_finite(F, G, a, field):
 
 def ramification_profile(f):
     """Divisor of ramification indices (only points with e_P >= 2),
-    computed over the splitting field of the Wronskian."""
-    w = wronskian(f)
-    if w.is_zero:
-        raise InseparableMapError("inseparable map has no ramification profile")
-    d = f.degree
-    ext, roots = f.field, []
-    if w.degree > 0:
-        ext, _, roots = splitting_field_roots(w)
-    lifted = f.lift(ext)
-    out = {}
-    for r, _ in roots:
-        pt = ProjPoint(ext, r)
-        e = ram_index(lifted, pt)
-        if e > 1:
-            out[pt] = e
-    if w.degree < 2 * d - 2:
-        e = ram_index(lifted, ProjPoint.infinity(ext))
-        if e > 1:
-            out[ProjPoint.infinity(ext)] = e
-    return Divisor(out)
+    computed over the splitting field of the Wronskian: a point with
+    e_P >= 2 is a zero of the Wronskian."""
+    try:
+        div = wronskian_divisor(f)
+    except InseparableMapError:
+        raise InseparableMapError("inseparable map has no ramification profile") from None
+    lifted = _lift_to_points(f, div)
+    indices = {pt: ram_index(lifted, pt) for pt in div.points()}
+    return Divisor({pt: e for pt, e in indices.items() if e > 1})
 
 
 def wronskian_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
@@ -298,16 +287,11 @@ def wronskian_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
     if w.is_zero:
         raise InseparableMapError("wronskian divisor of an inseparable map")
     d = f.degree
-    data = {}
+    ext, roots = splitting_field_roots(w, root_budget)
+    data = {ProjPoint(ext, r): m for r, m in roots}
     inf_mult = (2 * d - 2) - w.degree
-    if w.degree > 0:
-        ext, _, roots = splitting_field_roots(w, root_budget)
-        for r, m in roots:
-            data[ProjPoint(ext, r)] = m
-        if inf_mult > 0:
-            data[ProjPoint.infinity(ext)] = inf_mult
-    elif inf_mult > 0:
-        data[ProjPoint.infinity(f.field)] = inf_mult
+    if inf_mult > 0:
+        data[ProjPoint.infinity(ext)] = inf_mult
     div = Divisor(data)
     if div.total != 2 * d - 2:
         raise ArithmeticError("wronskian accounting failed to reach 2d-2")
@@ -325,8 +309,8 @@ def different_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
     """
     div = wronskian_divisor(f, root_budget)
     p = f.field.p
+    lifted = _lift_to_points(f, div)
     for pt, mult in div.items():
-        lifted = f if pt.field == f.field else f.lift(pt.field)
         e = ram_index(lifted, pt)
         if e % p == 0:
             raise WildRamificationError(pt, e, mult)
@@ -334,6 +318,14 @@ def different_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
             raise ArithmeticError(
                 f"tame accounting violated at {pt}: index {e}, valuation {mult}")
     return div
+
+
+def _lift_to_points(f, div):
+    """f over the field of div's points (they share one: the splitting field
+    of the Wronskian)."""
+    for pt in div.points():
+        return f.lift(pt.field)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,53 @@ class TestField:
             for a in range(field.q):
                 assert field.element_parse(field.element_str(a)) == a
 
+    def test_moduli_are_least_irreducibles(self):
+        # the smallest-encoded monic polynomial of degree k that is not a
+        # product of two monic polynomials of lower degree, by brute force
+        for p, k in [(p, k) for p in (3, 5, 7, 11, 13, 17, 19, 23)
+                     for k in range(2, 6) if p ** k <= 625]:
+            fp = finite_field(p)
+
+            def monics(deg):
+                return [Poly(fp, [m // p ** i % p for i in range(deg)] + [1])
+                        for m in range(p ** deg)]
+
+            reducible = {(a * b).coeffs for i in range(1, k // 2 + 1)
+                         for a in monics(i) for b in monics(k - i)}
+            least = next(f.coeffs for f in monics(k) if f.coeffs not in reducible)
+            assert finite_field(p, k).modulus == least, (p, k)
+
+    @staticmethod
+    def _assert_mul_matches_poly(field, pairs):
+        # the product of coordinate vectors as Poly over F_p, reduced by the
+        # modulus, is an independent oracle for mul_i
+        fp = finite_field(field.p)
+        modulus = Poly(fp, field.modulus)
+        for a, b in pairs:
+            prod = (Poly(fp, field.decode(a)) * Poly(fp, field.decode(b))) % modulus
+            assert field.mul_i(a, b) == field.encode(prod.coeffs), (a, b)
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3), (5, 3)])
+    def test_mul_matches_poly_oracle(self, p, k):
+        field = finite_field(p, k)
+        self._assert_mul_matches_poly(
+            field, [(a, b) for a in range(field.q) for b in range(field.q)])
+
+    def test_raw_mul_matches_poly_oracle(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 3 ** 7 - 1)
+        raw = FiniteField(3, 7)
+        rng = random.Random(23)
+        self._assert_mul_matches_poly(
+            raw, [(rng.randrange(raw.q), rng.randrange(raw.q)) for _ in range(2000)])
+        assert "exp" not in vars(raw)  # the raw field never built tables
+
     @pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
     def test_raw_arithmetic_matches_tables(self, monkeypatch, p, k):
-        # a field above the table limit runs on the raw routines alone: they
-        # are the independent check of the log/exp/Zech tables and of the
-        # q x q arrays the census reads
+        # a field above the table limit runs on the raw routines alone.  The
+        # tables are built from the same _mul_raw, so this checks the table
+        # lookups (and the q x q arrays the census reads) against the
+        # routines they came from, not multiplication itself: the Poly
+        # oracle tests above do that
         table = finite_field(p, k)
         q = table.q
         monkeypatch.setattr(algebra, "_TABLE_LIMIT", q - 1)
@@ -327,14 +369,14 @@ class TestLinearAlgebra:
 class TestSplitting:
     def test_rational_split(self):
         f = P(F5, 0, 4, 2, 4)  # 4x(x-1)^2
-        ext, _, roots = splitting_field_roots(f)
+        ext, roots = splitting_field_roots(f)
         assert ext == F5
         assert sorted(roots) == [(0, 1), (1, 2)]
 
     def test_extension_split(self):
         f = P(F3, 1, 0, 0, 0, 2)  # 2x^4 + 1 = 2(x^4 - 1): splits over F9
         assert distinct_degree_profile(f) == [1, 2]
-        ext, _, roots = splitting_field_roots(f)
+        ext, roots = splitting_field_roots(f)
         assert ext == F9
         assert len(roots) == 4
         assert all(m == 1 for _, m in roots)
@@ -344,7 +386,7 @@ class TestSplitting:
         q = P(F3, 1, 0, 1)
         f = q * q * q * P(F3, -1, 1)
         assert distinct_degree_profile(f) == [1, 2]
-        ext, _, roots = splitting_field_roots(f)
+        ext, roots = splitting_field_roots(f)
         assert ext == F9
         assert sorted(m for _, m in roots) == [1, 3, 3]
 

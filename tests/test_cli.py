@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,26 @@ def test_numpy_loaded_only_by_census():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_out_of_memory_is_exit_2():
+    # a budget large enough to admit a d = 5 census over F_81 lets the
+    # census allocate past an address-space limit of 1500 MiB; the run must
+    # end in exit 2 with an `error:` line, not a traceback
+    limit = 1500 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(ramcount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "ramcount.cli", "search", "--p", "3", "--k", "4",
+         "--orders", "2,2,2,2,2,2,2,2", "--budget", str(10 ** 20)],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------------------
