@@ -84,12 +84,9 @@ def cmd_count(args):
 
 
 def cmd_schubert(args):
-    number, expansion = intersection_number(args.d, args.orders, full=True)
+    number = intersection_number(args.d, args.orders)
     payload = {"schema": SCHEMA_VERSION, "d": args.d,
                "orders": list(args.orders), "count": number}
-    if args.expansion:
-        payload["expansion"] = {f"{a},{b}": c
-                                for (a, b), c in sorted(expansion.items())}
     return _emit(payload, args.format, [str(number)])
 
 
@@ -262,8 +259,6 @@ def build_parser():
     sp.set_defaults(handler=cmd_schubert)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--orders", required=True)
-    sp.add_argument("--expansion", action="store_true",
-                    help="include the full class expansion")
     add_format(sp)
 
     sp = sub.add_parser("solve3", help="three-point linear solver at (0, inf, 1)")

@@ -132,16 +132,7 @@ def n_three(e1, e2, e3, p):
         profile = validate_profile((e1, e2, e3), p)
     except ValueError as exc:
         return CountResult(0, CharClass.LOW, reason=str(exc))
-    if profile.wild:
-        return CountResult(0, profile.char_class,
-                           reason="wild excluded: some e_i divisible by p")
-    if profile.oversized:
-        return CountResult(0, profile.char_class,
-                           reason="invalid instance: some e_i exceeds d")
-    if profile.char_class is CharClass.LOW:
-        return CountResult(UNKNOWN, CharClass.LOW,
-                           reason="low characteristic: closed form not applicable")
-    return CountResult(_three_point_count(e1, e2, e3, p), profile.char_class)
+    return n_gen_recursive(profile)
 
 
 def _ngen(orders, p):

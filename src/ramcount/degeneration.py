@@ -2,15 +2,23 @@
 the inseparable-limit transformation, and limit analysis.
 
 A family is a pair of polynomials in x whose coefficients are polynomials
-in t (exact, never power series).  The transformation composes with a
-fractional linear transformation with inseparable coefficients built from
-Bezout data of the special fiber; its determinant is 1, so the Wronskian
-of the new pair is the old one with a positive power of t removed, which
-is asserted at every step and forces termination.
+in t (exact, never power series).  ``FamilyPoly`` has the ring operations
+and ``derivative`` of ``Poly``, so the pair primitives of ``ratmap`` apply
+to families unchanged: ``pair_wronskian`` is the one Wronskian, and
+``family_domain_mobius`` lifts ``mobius_domain_basis``.  The family text
+format is parsed strictly; anything else is a ValueError.
+
+The transformation composes with a fractional linear transformation with
+inseparable coefficients built from Bezout data of the special fiber; its
+determinant is 1, so the Wronskian of the new pair is the old one with a
+positive power of t removed, which is asserted at every step and forces
+termination.  ``analyze_limit`` normalizes the basis once per step
+(``_nonconstant_basis``) and keeps the last normalization for the limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .algebra import (
@@ -23,7 +31,10 @@ from .ratmap import (
     InseparableMapError,
     ProjPoint,
     RatMap,
+    _check_matrix,
     is_separable,
+    mobius_domain_basis,
+    pair_wronskian,
     ram_index,
     ramification_profile,
 )
@@ -31,6 +42,12 @@ from .ratmap import (
 
 class SeparableSpecialFiberError(ValueError):
     """The transform needs an inseparable special fiber."""
+
+
+# one (t-coefficients) group, and the whole text: [group, group, ...]
+_FAMILY_GROUP = re.compile(r"\(([^()]*)\)")
+_FAMILY_TEXT = re.compile(r"\s*\[\s*(?:{g}\s*(?:,\s*{g}\s*)*)?\]\s*".format(
+    g=_FAMILY_GROUP.pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +119,8 @@ class FamilyPoly:
     def scale_t(self, tpoly):
         return FamilyPoly(self.field, tuple(c * tpoly for c in self.coeffs))
 
-    def deriv_x(self):
+    def derivative(self):
+        """d/dx."""
         field = self.field
         out = []
         for i in range(1, len(self.coeffs)):
@@ -140,52 +158,20 @@ class FamilyPoly:
 
     def to_string(self):
         """Nested exchange format: [(t-coeffs of x^0),(x^1),...], low first."""
-        parts = []
-        for c in self.coeffs:
-            inner = ",".join(self.field.element_str(v) for v in c.coeffs) or "0"
-            parts.append(f"({inner})")
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(f"({c.to_string() or '0'})" for c in self.coeffs) + "]"
 
     @classmethod
     def from_string(cls, field, text):
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise ValueError("family polynomial must be bracketed")
-        body = text[1:-1].strip()
-        if not body:
-            return cls.zero(field)
-        rows = []
-        depth = 0
-        token = ""
-        groups = []
-        for ch in body:
-            if ch == "(":
-                depth += 1
-                if depth == 1:
-                    token = ""
-                    continue
-            if ch == ")":
-                depth -= 1
-                if depth == 0:
-                    groups.append(token)
-                    continue
-            if depth >= 1:
-                token += ch
-        for g in groups:
-            g = g.strip()
-            if not g:
-                rows.append(Poly.zero(field))
-            else:
-                rows.append(Poly(field, tuple(field.element_parse(tok)
-                                              for tok in g.split(","))))
-        return cls(field, rows)
+        """Parse the nested exchange format; anything but a bracketed,
+        comma-separated list of parenthesized groups is a ValueError."""
+        if not _FAMILY_TEXT.fullmatch(text):
+            raise ValueError(f"malformed family polynomial {text!r}: expected "
+                             "[(t-coeffs of x^0),(t-coeffs of x^1),...]")
+        return cls(field, [Poly.from_string(field, group)
+                           for group in _FAMILY_GROUP.findall(text)])
 
     def __repr__(self):
         return f"FamilyPoly{self.to_string()}"
-
-
-def family_wronskian(F, G):
-    return F.deriv_x() * G - F * G.deriv_x()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,7 @@ class MapFamily:
         return self.F.at_zero(), self.G.at_zero()
 
     def wronskian(self):
-        return family_wronskian(self.F, self.G)
+        return pair_wronskian(self.F, self.G)
 
     def generic_separable(self):
         return not self.wronskian().is_zero
@@ -299,7 +285,7 @@ class MapFamily:
         """Separability of the reduced limit map at t = 0 (after choosing a
         basis whose specialization is nonconstant)."""
         _, _, _, Fb, Gb = _nonconstant_basis(self.F, self.G)
-        return not (Fb.derivative() * Gb - Fb * Gb.derivative()).is_zero
+        return not pair_wronskian(Fb, Gb).is_zero
 
     def to_json(self):
         return {
@@ -413,25 +399,15 @@ def family_domain_mobius(fam, M):
     limit-law hypotheses hold.
     """
     field = fam.field
-    (a, b), (c, e) = ((x % field.q for x in row) for row in M)
-    a, b, c, e = int(a), int(b), int(c), int(e)
-    det = field.sub_i(field.mul_i(a, e), field.mul_i(b, c))
-    if det == 0:
-        raise ValueError("matrix is singular")
-    d = fam.degree
-    lin1 = FamilyPoly.lift(Poly(field, (b, a)))
-    lin2 = FamilyPoly.lift(Poly(field, (e, c)))
-    one = FamilyPoly.lift(Poly.one(field))
-    pow1, pow2 = [one], [one]
-    for _ in range(d):
-        pow1.append(pow1[-1] * lin1)
-        pow2.append(pow2[-1] * lin2)
+    a, b, c, e = _check_matrix(field, M)
+    basis = [FamilyPoly.lift(term)
+             for term in mobius_domain_basis(field, (a, b, c, e), fam.degree)]
 
     def subst(fp):
         acc = FamilyPoly.zero(field)
-        for i, coeff in enumerate(fp.coeffs):
+        for coeff, term in zip(fp.coeffs, basis):
             if not coeff.is_zero:
-                acc = acc + (pow1[i] * pow2[d - i]).scale_t(coeff)
+                acc = acc + term.scale_t(coeff)
         return acc
 
     new_sections = []
@@ -497,10 +473,10 @@ def insep_limit_transform(fam):
     both facts are asserted."""
     field = fam.field
     F, G, g, Fb, Gb = _nonconstant_basis(fam.F, fam.G)
-    if not (Fb.derivative() * Gb - Fb * Gb.derivative()).is_zero:
+    if not pair_wronskian(Fb, Gb).is_zero:
         raise SeparableSpecialFiberError("special fiber is already separable")
     h1, h2 = bezout_inseparable(Fb, Gb)
-    w_before = family_wronskian(F, G)
+    w_before = pair_wronskian(F, G)
     raw = F * FamilyPoly.lift(Gb) - G * FamilyPoly.lift(Fb)
     if raw.is_zero:
         raise ArithmeticError("transform collapsed the family")
@@ -511,7 +487,7 @@ def insep_limit_transform(fam):
     Gnew = F * FamilyPoly.lift(h2) - G * FamilyPoly.lift(h1)
     # determinant of the transformation is Fb*h2 - Gb*h1 = 1, so the
     # Wronskian is divided by exactly t^v
-    w_after = family_wronskian(Fnew, Gnew)
+    w_after = pair_wronskian(Fnew, Gnew)
     if not w_before.is_zero:
         t_pow = FamilyPoly(field, (Poly(field, (0,) * v + (1,)),))
         if w_after * t_pow != w_before:
@@ -534,7 +510,7 @@ def tame_at_infinity_reduce(F0, G0):
     if not is_separable(rmap):
         raise InseparableMapError("tame reduction needs a separable map")
     F0, G0 = rmap.F, rmap.G
-    w_in = (F0.derivative() * G0 - F0 * G0.derivative()).monic()[0]
+    w_in = pair_wronskian(F0, G0).monic()[0]
     guard = 0
     while True:
         guard += 1
@@ -542,8 +518,7 @@ def tame_at_infinity_reduce(F0, G0):
             raise ArithmeticError("tame reduction did not terminate")
         e_inf = ram_index(RatMap(F0, G0), ProjPoint.infinity(field))
         if e_inf % p:
-            w_out = (F0.derivative() * G0 - F0 * G0.derivative()).monic()[0]
-            if w_out != w_in:
+            if pair_wronskian(F0, G0).monic()[0] != w_in:
                 raise ArithmeticError("tame reduction changed the affine different")
             return F0, G0
         if F0.degree < G0.degree:
@@ -597,9 +572,6 @@ def _check_hypotheses(fam):
     warnings = []
     field = fam.field
     p = field.p
-    if not fam.generic_separable():
-        warnings.append("generic fiber is inseparable")
-        return False, warnings, None
     if not fam.sections:
         warnings.append("no marked sections: hypothesis checks are partial")
     collision = None
@@ -633,30 +605,29 @@ def analyze_limit(fam):
     field = fam.field
     p = field.p
     d = fam.degree
-    if not fam.generic_separable():
+    w = fam.wronskian()
+    if w.is_zero:
         raise InseparableMapError("generic fiber must be separable")
     hypotheses_ok, warnings, collision = _check_hypotheses(fam)
-    warnings = list(warnings)
 
-    w = fam.wronskian()
-    initial_val = w.t_valuation()
+    last_val = w.t_valuation()
     # each step lowers the t-valuation of the Wronskian, so this bound holds
-    max_iterations = (initial_val or 0) + 1
+    max_iterations = last_val + 1
     iterations = 0
-    separable_limit = fam.special_fiber_separable()
     current = fam
-    last_val = initial_val
-    while not current.special_fiber_separable():
+    while True:
+        _, _, g, F0r, G0r = _nonconstant_basis(current.F, current.G)
+        if not pair_wronskian(F0r, G0r).is_zero:
+            break
         if iterations >= max_iterations:
             raise ArithmeticError("limit transform exceeded its iteration bound")
         current = insep_limit_transform(current)
         iterations += 1
         new_val = current.wronskian().t_valuation()
-        if new_val is not None and last_val is not None and not new_val < last_val:
+        if new_val is not None and not new_val < last_val:
             raise ArithmeticError("t-valuation of the Wronskian did not drop")
         last_val = new_val
 
-    _, _, g, F0r, G0r = _nonconstant_basis(current.F, current.G)
     F0t, G0t = tame_at_infinity_reduce(F0r, G0r)
     d_tilde = max(F0t.degree, G0t.degree)
     d0 = G0t.degree if not G0t.is_zero else 0
@@ -672,7 +643,7 @@ def analyze_limit(fam):
         warnings.append("base points appeared away from the collision point")
 
     epsilon = None
-    if iterations and not separable_limit:
+    if iterations:
         # measured degree after base removal, minus the expected d + m - 1 - b
         epsilon = (d_tilde - b) - (d + m - 1 - b)
         checks = []
@@ -687,7 +658,7 @@ def analyze_limit(fam):
                 raise ArithmeticError("; ".join(checks))
             warnings.extend(checks)
     return LimitReport(
-        separable_limit=separable_limit,
+        separable_limit=iterations == 0,
         iterations=iterations,
         m=m,
         b=b,

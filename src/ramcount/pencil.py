@@ -256,12 +256,10 @@ def solve_three_point(d, e1, e2, e3, field):
     rmap, base = pencil.to_map()
     sep = is_separable(rmap)
     count = 1 if (sep and base.total == 0) else 0
-    if sep and base.total == 0:
-        for pt, e in ((ProjPoint(field, 0), e1),
-                      (ProjPoint.infinity(field), e2),
-                      (ProjPoint(field, 1), e3)):
-            if e > 1 and ram_index(rmap, pt) != e:
-                raise ArithmeticError("three-point witness failed its ramification audit")
+    if count:
+        _audit_witness(rmap, ((ProjPoint(field, 0), e1),
+                              (ProjPoint.infinity(field), e2),
+                              (one, e3)), d)
     return ThreePointSolution(m=0, pencil=pencil, separable=sep,
                               base_divisor=base, count=count)
 
@@ -505,22 +503,15 @@ def _equal_pairs(keys_a, keys_b):
 # general-position sampling
 # ---------------------------------------------------------------------------
 
-def sample_general_points(n, field, seed, forbidden_predicates=()):
-    """n distinct seeded-random finite points avoiding the degeneracy
-    predicates.
+def sample_general_points(n, field, seed):
+    """n distinct seeded-random finite points.
 
     Deterministic for a given (n, field, seed).  The field must satisfy
-    q >= 4n so that rejection sampling has room; after 2000 rejected draws
-    it gives up.
+    q >= 4n, so that the points have room to be general.
     """
     if field.q < 4 * n:
         raise ValueError(
             f"field of size {field.q} too small for {n} general points "
             f"(need q >= {4 * n})")
     rng = random.Random(seed)
-    for _ in range(2000):
-        points = tuple(ProjPoint(field, x) for x in rng.sample(range(field.q), n))
-        if any(pred(points) for pred in forbidden_predicates):
-            continue
-        return points
-    raise ValueError("rejection budget exhausted while sampling general points")
+    return tuple(ProjPoint(field, x) for x in rng.sample(range(field.q), n))

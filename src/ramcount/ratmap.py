@@ -236,9 +236,15 @@ class RatMap:
 # ramification queries
 # ---------------------------------------------------------------------------
 
+def pair_wronskian(F, G):
+    """F'G - FG' for any pair with derivative(): polynomials in x, or in x
+    over k[t]."""
+    return F.derivative() * G - F * G.derivative()
+
+
 def wronskian(f):
     """F'G - FG'; zero exactly when the map is inseparable."""
-    return f.F.derivative() * f.G - f.F * f.G.derivative()
+    return pair_wronskian(f.F, f.G)
 
 
 def is_separable(f):
@@ -360,6 +366,21 @@ def mobius_inverse(field, M):
     return ((e, field.neg_i(b)), (field.neg_i(c), a))
 
 
+def mobius_domain_basis(field, entries, d):
+    """[(ax+b)^i (cx+e)^(d-i) for i = 0..d]: the images of x^i under the
+    substitution x -> (ax+b)/(cx+e), cleared to degree d.  entries is
+    (a, b, c, e) as returned by _check_matrix."""
+    a, b, c, e = entries
+    lin1 = Poly(field, (b, a))  # ax + b
+    lin2 = Poly(field, (e, c))  # cx + e
+    pow1 = [Poly.one(field)]
+    pow2 = [Poly.one(field)]
+    for _ in range(d):
+        pow1.append(pow1[-1] * lin1)
+        pow2.append(pow2[-1] * lin2)
+    return [pow1[i] * pow2[d - i] for i in range(d + 1)]
+
+
 def mobius_act(f, M, side):
     """Act on the map by an invertible 2x2 matrix.
 
@@ -374,19 +395,12 @@ def mobius_act(f, M, side):
         G2 = f.F.scale(c) + f.G.scale(e)
         return RatMap(F2, G2)
     if side == "domain":
-        d = f.degree
-        lin1 = Poly(field, (b, a))  # ax + b
-        lin2 = Poly(field, (e, c))  # cx + e
-        pow1 = [Poly.one(field)]
-        pow2 = [Poly.one(field)]
-        for _ in range(d):
-            pow1.append(pow1[-1] * lin1)
-            pow2.append(pow2[-1] * lin2)
+        basis = mobius_domain_basis(field, (a, b, c, e), f.degree)
         def subst(poly):
             acc = Poly.zero(field)
-            for i, coeff in enumerate(poly.coeffs):
+            for coeff, term in zip(poly.coeffs, basis):
                 if coeff:
-                    acc = acc + (pow1[i] * pow2[d - i]).scale(coeff)
+                    acc = acc + term.scale(coeff)
             return acc
         return RatMap(subst(f.F), subst(f.G))
     raise ValueError("side must be 'image' or 'domain'")

@@ -67,12 +67,11 @@ def pieri_multiply(class_sum, e, d):
     return out
 
 
-def intersection_number(d, orders, full=False):
+def intersection_number(d, orders):
     """Coefficient of the point class (d-1, d-1) in the product of the
     special classes (e_i - 1, 0), starting from the identity class.
 
     Requires complementary total codimension: sum (e_i - 1) = 2(d - 1).
-    With full=True, returns (number, final expansion).
     """
     orders = tuple(int(e) for e in orders)
     if any(e < 1 for e in orders):
@@ -88,7 +87,4 @@ def intersection_number(d, orders, full=False):
         _check_order(e, d)
         coeffs = _pieri_step(coeffs, s, e, d)
         s += e - 1
-    number = coeffs[d - 1]
-    if full:
-        return number, {(d - 1, d - 1): number}
-    return number
+    return coeffs[d - 1]

@@ -73,11 +73,6 @@ class TestSchubert:
         payload = run_json(["schubert", "--d", "3", "--orders", "2,2,2,2"])
         assert payload["count"] == 2
 
-    def test_expansion(self):
-        payload = run_json(["schubert", "--d", "3", "--orders", "2,2,2,2",
-                            "--expansion"])
-        assert payload["expansion"] == {"2,2": 2}
-
     def test_codim_mismatch(self):
         code, _ = run(["schubert", "--d", "3", "--orders", "2,2"])
         assert code == 1
@@ -189,6 +184,14 @@ class TestFamilyTransform:
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(payload))
         return run(["transform", "--family", str(path), "--analyze"])
+
+    @pytest.mark.parametrize("F", [
+        "[(0),(0),(0,1),(1),x]", "[junk(0),(0),(0,1),(1)]",
+        "[(0),(0),,(0,1),(1)]", "[(0),(0),(0,1),(1))]"])
+    def test_malformed_family_text(self, tmp_path, F):
+        code, out = self._transform_payload(tmp_path, F=F)
+        assert code == 1
+        assert out.startswith("error:") and "family polynomial" in out
 
     def test_family_polynomial_not_a_string(self, tmp_path):
         code, out = self._transform_payload(tmp_path, F=5)
@@ -357,10 +360,9 @@ class TestExitCodeFuzz:
         _assert_exit_contract(["count", "--p", p, "--orders", orders] + fmt)
 
     @FUZZ
-    @given(st.integers(-1, 6), _ORDERS, st.booleans(), _FORMAT)
-    def test_schubert(self, d, orders, expansion, fmt):
-        _assert_exit_contract(["schubert", "--d", str(d), "--orders", orders]
-                              + ["--expansion"] * expansion + fmt)
+    @given(st.integers(-1, 6), _ORDERS, _FORMAT)
+    def test_schubert(self, d, orders, fmt):
+        _assert_exit_contract(["schubert", "--d", str(d), "--orders", orders] + fmt)
 
     @FUZZ
     @given(_P, _K, st.one_of(

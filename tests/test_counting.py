@@ -79,6 +79,18 @@ class TestThreePoint:
     def test_wild_zero(self):
         assert n_three(3, 3, 1, 3).value == 0
 
+    @pytest.mark.parametrize("p", [3, 5, 7, INFINITY])
+    def test_agrees_with_n_gen(self, p):
+        checked = 0
+        for orders in itertools.product(range(1, 9), repeat=3):
+            if sum(e - 1 for e in orders) % 2:
+                continue
+            got, want = n_three(*orders, p), n_gen(orders, p)
+            assert (got.value, got.char_class, got.reason) == \
+                (want.value, want.char_class, want.reason), orders
+            checked += 1
+        assert checked == 256
+
 
 class TestRecursion:
     @pytest.mark.parametrize("p,expected", [(3, 1), (5, 2), (INFINITY, 2)])

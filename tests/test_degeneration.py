@@ -15,10 +15,12 @@ from ramcount.degeneration import (
     tame_at_infinity_reduce,
 )
 from ramcount.ratmap import (
+    InseparableMapError,
     ProjPoint,
     RatMap,
     WildRamificationError,
     different_divisor,
+    mobius_act,
     ram_index,
     ramification_profile,
     wronskian_divisor,
@@ -61,6 +63,17 @@ class TestFamilyPoly:
         assert fp.coeff(1) == Poly.from_ints(F3, (0, 1))
         assert fp.coeff(2) == Poly.one(F3)
         assert fp.to_string() == "[(0),(0,1),(1)]"
+
+    def test_whitespace_and_empty_groups(self):
+        assert FamilyPoly.from_string(F3, " [ (0) , ( ) ,(1, 2) ] ").to_string() \
+            == "[(0),(0),(1,2)]"
+        assert FamilyPoly.from_string(F3, "[]").is_zero
+
+    @pytest.mark.parametrize("text", ["[(1),x]", "[junk(1)]", "[(1),,(2)]",
+                                      "[(1),(2))]", "(1)", "[(1)(2)]"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            FamilyPoly.from_string(F3, text)
 
     def test_arithmetic(self):
         a = FamilyPoly.from_string(F3, "[(0),(0,1)]")  # t x
@@ -199,6 +212,12 @@ class TestAnalyzeLimit:
         report = analyze_limit(MapFamily(F, G))
         assert report.separable_limit and report.iterations == 0
 
+    def test_inseparable_generic_fiber_rejected(self):
+        F = FamilyPoly.from_string(F3, "[(0,1),(0),(0),(1)]")  # x^3 + t
+        G = FamilyPoly.from_string(F3, "[(1)]")
+        with pytest.raises(InseparableMapError, match="generic fiber"):
+            analyze_limit(MapFamily(F, G))
+
     def test_one_member_vanishing_at_t0(self):
         # x/t: MapFamily divides out no power of t, since F = x does not
         # vanish at t = 0; the limit pencil is <x, 1>
@@ -261,6 +280,21 @@ class TestFamilySerialization:
         assert len(again.sections) == 4
         rep = analyze_limit(again)
         assert rep.iterations >= 1
+
+
+class TestFamilyDomainMobius:
+    @pytest.mark.parametrize("M", [((1, 0), (3, 1)), ((0, 1), (1, 0)),
+                                   ((2, 5), (1, 6))])
+    def test_members_match_mobius_act(self, M):
+        fam = quartet_family(F9)
+        moved = family_domain_mobius(fam, M)
+        for c in (3, 4, 7):  # t = c puts lambda(t) = t - 1 off {0, 1, -1}
+            assert moved.member(c) == mobius_act(fam.member(c), M, "domain")
+
+    def test_singular_matrix(self):
+        # 2*7 - 5*1 is 0 in F_9 (encodings are not residues mod 9)
+        with pytest.raises(ValueError, match="matrix is singular"):
+            family_domain_mobius(quartet_family(F9), ((2, 5), (1, 7)))
 
 
 class TestWildDifferentBound:

@@ -317,10 +317,3 @@ class TestSamplePoints:
     def test_too_small(self):
         with pytest.raises(ValueError):
             sample_general_points(4, F3, seed=1)
-
-    def test_predicates(self):
-        banned = ProjPoint(F25, 0)
-        pts = sample_general_points(
-            4, F25, seed=3,
-            forbidden_predicates=[lambda ps: banned in ps])
-        assert banned not in pts
