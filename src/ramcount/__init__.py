@@ -42,10 +42,8 @@ from .pencil import (
     CensusReport,
     Pencil,
     count_maps_bruteforce,
-    enumerate_pencils,
     gaussian_binomial_pencils,
     sample_general_points,
-    schubert_condition,
     solve_three_point,
 )
 from .ratmap import (

@@ -28,9 +28,9 @@ from .counting import (
     n_gen_recursive,
     validate_profile,
 )
-from .degeneration import MapFamily, analyze_limit, insep_limit_transform, pathology_family
+from .degeneration import MapFamily, _pathology_family, analyze_limit, insep_limit_transform
 from .pencil import count_maps_bruteforce, sample_general_points, solve_three_point
-from .ratmap import ProjPoint, ramification_profile
+from .ratmap import ProjPoint
 from .schubert import intersection_number
 
 SCHEMA_VERSION = 1
@@ -136,8 +136,7 @@ def cmd_family(args):
     field = finite_field(p, args.k)
     F = Poly.from_string(field, args.numerator)
     G = Poly.from_string(field, args.denominator or "1")
-    fam = pathology_family(F, G)
-    profile = ramification_profile(fam.member(0))
+    fam, profile = _pathology_family(F, G)  # member 0 is F/G
     pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
     payload = fam.to_json()
     payload["members"] = field.q

@@ -12,8 +12,9 @@ The transformation composes with a fractional linear transformation with
 inseparable coefficients built from Bezout data of the special fiber; its
 determinant is 1, so the Wronskian of the new pair is the old one with a
 positive power of t removed, which is asserted at every step and forces
-termination.  ``analyze_limit`` normalizes the basis once per step
-(``_nonconstant_basis``) and keeps the last normalization for the limit.
+termination.  A family normalizes its basis (``_nonconstant_basis``) at most
+once: ``special_fiber_separable``, ``insep_limit_transform`` and each step of
+``analyze_limit`` share it, and the last one gives the limit.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class MapFamily:
     members; the generic fiber must be nonconstant and coprime over k(t).
     """
 
-    __slots__ = ("field", "F", "G", "sections")
+    __slots__ = ("field", "F", "G", "sections", "_basis")
 
     def __init__(self, F, G, sections=()):
         if F.field != G.field:
@@ -224,6 +225,7 @@ class MapFamily:
         self.F = F
         self.G = G
         self.sections = tuple(sections)
+        self._basis = None
         if max(F.x_degree, G.x_degree) < 1:
             raise ValueError("generic fiber is constant")
         if not self._generically_coprime():
@@ -284,8 +286,14 @@ class MapFamily:
     def special_fiber_separable(self):
         """Separability of the reduced limit map at t = 0 (after choosing a
         basis whose specialization is nonconstant)."""
-        _, _, _, Fb, Gb = _nonconstant_basis(self.F, self.G)
+        _, _, _, Fb, Gb = self._normalized()
         return not pair_wronskian(Fb, Gb).is_zero
+
+    def _normalized(self):
+        """``_nonconstant_basis`` of the pair, computed once per family."""
+        if self._basis is None:
+            self._basis = _nonconstant_basis(self.F, self.G)
+        return self._basis
 
     def to_json(self):
         return {
@@ -435,6 +443,12 @@ def pathology_family(F, G):
     """The family F/G - t x^p, for maps with a tame pole of order e1 > p at
     infinity and all finite orders < p.  Every member has the same
     ramification divisor while the pencils are pairwise distinct."""
+    return _pathology_family(F, G)[0]
+
+
+def _pathology_family(F, G):
+    """(pathology_family(F, G), ramification profile of F/G): the checks
+    need the profile, and ``family`` reports it."""
     base_map, base = RatMap.new(F, G)
     if base.total:
         raise ValueError("input pair must be coprime")
@@ -459,7 +473,7 @@ def pathology_family(F, G):
     t_xp = FamilyPoly(field, tuple([Poly.zero(field)] * p + [Poly.x(field)]))
     Ffam = FamilyPoly.lift(base_map.F) - FamilyPoly.lift(base_map.G) * t_xp
     Gfam = FamilyPoly.lift(base_map.G)
-    return MapFamily(Ffam, Gfam, tuple(sections))
+    return MapFamily(Ffam, Gfam, tuple(sections)), profile
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +486,7 @@ def insep_limit_transform(fam):
     new numerator.  The Wronskian loses exactly that (positive) power of t;
     both facts are asserted."""
     field = fam.field
-    F, G, g, Fb, Gb = _nonconstant_basis(fam.F, fam.G)
+    F, G, g, Fb, Gb = fam._normalized()
     if not pair_wronskian(Fb, Gb).is_zero:
         raise SeparableSpecialFiberError("special fiber is already separable")
     h1, h2 = bezout_inseparable(Fb, Gb)
@@ -616,7 +630,7 @@ def analyze_limit(fam):
     iterations = 0
     current = fam
     while True:
-        _, _, g, F0r, G0r = _nonconstant_basis(current.F, current.G)
+        _, _, g, F0r, G0r = current._normalized()
         if not pair_wronskian(F0r, G0r).is_zero:
             break
         if iterations >= max_iterations:

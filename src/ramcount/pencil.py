@@ -1,14 +1,15 @@
-"""Pencils of polynomials: enumeration of G(1, d)(F_q), Schubert-condition
-membership, the three-point linear solver, and brute-force census counts.
+"""Pencils of polynomials: the three-point linear solver and the
+brute-force census of Schubert problems over F_q.
 
 A pencil is stored as the reduced row echelon form of its 2 x (d+1)
-coefficient matrix, the unique canonical representative of the subspace.
-The census does not screen pencils one by one: in each echelon stratum it
-reduces the choices of each row to jet classes and joins the two sides
-(see the census engine below), O(q^(d-1)) rows per stratum instead of
-O(q^(2d-2)) pencils.  It runs in numpy with the field's q x q add and mul
-tables (numpy is imported only there).  The tests check it against a plain
-scan of ``enumerate_pencils`` through ``schubert_condition``.
+coefficient matrix, the unique canonical representative of the subspace;
+``Pencil`` always reduces its rows.  The census does not screen pencils one
+by one: in each echelon stratum it reduces the choices of each row to jet
+classes and joins the two sides (see the census engine below), O(q^(d-1))
+rows per stratum instead of O(q^(2d-2)) pencils.  It runs in numpy with the
+field's q x q add and mul tables (numpy is imported only there).  The tests
+check it against a small oracle, ``tests/test_pencil.py::_scan_census``,
+which scans every pencil and tests each condition by its 2x2 minors.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -50,13 +51,12 @@ class Pencil:
 
     __slots__ = ("field", "d", "rows")
 
-    def __init__(self, field, d, rows, canonical=False):
+    def __init__(self, field, d, rows):
         if len(rows) != 2 or any(len(r) != d + 1 for r in rows):
             raise ValueError("pencil needs two rows of length d+1")
-        if not canonical:
-            rows, pivots = rref(rows, field)
-            if len(pivots) != 2:
-                raise ValueError("rows do not span a 2-dimensional space")
+        rows, pivots = rref(rows, field)
+        if len(pivots) != 2:
+            raise ValueError("rows do not span a 2-dimensional space")
         self.field = field
         self.d = d
         self.rows = (tuple(rows[0]), tuple(rows[1]))
@@ -103,42 +103,6 @@ class Pencil:
 
 
 # ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
-def _strata(d):
-    return [(j1, j2) for j1 in range(d + 1) for j2 in range(j1 + 1, d + 1)]
-
-
-def _stratum_frees(d, j1, j2):
-    free_a = [j for j in range(j1 + 1, d + 1) if j != j2]
-    free_b = list(range(j2 + 1, d + 1))
-    return free_a, free_b
-
-
-def enumerate_pencils(d, field, budget=None):
-    """Every pencil exactly once, as canonical echelon forms."""
-    total = gaussian_binomial_pencils(d, field.q)
-    limit = enumeration_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"{total} pencils exceed budget {limit}")
-    q = field.q
-    for j1, j2 in _strata(d):
-        free_a, free_b = _stratum_frees(d, j1, j2)
-        na = len(free_a)
-        for vals in itertools.product(range(q), repeat=na + len(free_b)):
-            row_a = [0] * (d + 1)
-            row_b = [0] * (d + 1)
-            row_a[j1] = 1
-            row_b[j2] = 1
-            for pos, v in zip(free_a, vals[:na]):
-                row_a[pos] = v
-            for pos, v in zip(free_b, vals[na:]):
-                row_b[pos] = v
-            yield Pencil(field, d, (tuple(row_a), tuple(row_b)), canonical=True)
-
-
-# ---------------------------------------------------------------------------
 # Schubert conditions via jets
 # ---------------------------------------------------------------------------
 
@@ -166,35 +130,6 @@ def vanishing_jet_matrix(field, d, point, e):
     return rows
 
 
-def schubert_condition(pencil, point, e):
-    """True iff the pencil contains a nonzero member vanishing to order >= e
-    at the point (valuation at infinity being d - degree)."""
-    if not isinstance(point, ProjPoint):
-        point = ProjPoint(pencil.field, int(point) % pencil.field.q)
-    if not 1 <= e <= pencil.d:
-        raise ValueError(f"order e = {e} outside 1..d")
-    field = pencil.field
-    M = vanishing_jet_matrix(field, pencil.d, point, e)
-    jets = []
-    for row in pencil.rows:
-        jet = []
-        for mrow in M:
-            acc = 0
-            for m, a in zip(mrow, row):
-                if m and a:
-                    acc = field.add_i(acc, field.mul_i(m, a))
-            jet.append(acc)
-        jets.append(jet)
-    ja, jb = jets
-    for r in range(e):
-        for s in range(r + 1, e):
-            minor = field.sub_i(field.mul_i(ja[r], jb[s]),
-                                field.mul_i(ja[s], jb[r]))
-            if minor != 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # three-point solver (points normalized to 0, infinity, 1)
 # ---------------------------------------------------------------------------
@@ -204,7 +139,6 @@ class ThreePointSolution:
     m: int                      # projective dimension of the solution space
     pencil: object              # Pencil when m == 0, else None
     separable: object           # bool when m == 0, else None
-    base_divisor: object        # Divisor when m == 0
     count: object               # 1 iff the unique pencil is a separable map
 
     def to_json(self):
@@ -243,7 +177,7 @@ def solve_three_point(d, e1, e2, e3, field):
     m = len(kernel) - 1
     if m != 0:
         return ThreePointSolution(m=m, pencil=None, separable=None,
-                                  base_divisor=None, count=0 if m > 0 else None)
+                                  count=0 if m > 0 else None)
     vec = kernel[0]
     fc = [0] * (d + 1)
     gc = [0] * (d + 1)
@@ -260,8 +194,7 @@ def solve_three_point(d, e1, e2, e3, field):
         _audit_witness(rmap, ((ProjPoint(field, 0), e1),
                               (ProjPoint.infinity(field), e2),
                               (one, e3)), d)
-    return ThreePointSolution(m=0, pencil=pencil, separable=sep,
-                              base_divisor=base, count=count)
+    return ThreePointSolution(m=0, pencil=pencil, separable=sep, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +318,14 @@ def _census_survivors(d, assignments, field):
     forms."""
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
     survivors = []
-    for j1, j2 in _strata(d):
-        free_a, free_b = _stratum_frees(d, j1, j2)
+    for j1, j2 in itertools.combinations(range(d + 1), 2):
+        free_a = [j for j in range(j1 + 1, d + 1) if j != j2]
         rows_a = _echelon_rows(d, field.q, j1, free_a)
-        rows_b = _echelon_rows(d, field.q, j2, free_b)
+        rows_b = _echelon_rows(d, field.q, j2, list(range(j2 + 1, d + 1)))
         ia, ib = _join(field.q, _jet_classes(field, mats, rows_a),
                        _jet_classes(field, mats, rows_b))
         for row_a, row_b in zip(rows_a[:, ia].T.tolist(), rows_b[:, ib].T.tolist()):
-            survivors.append(Pencil(field, d, (tuple(row_a), tuple(row_b)), canonical=True))
+            survivors.append(Pencil(field, d, (row_a, row_b)))
     return survivors
 
 

@@ -187,14 +187,8 @@ class RatMap:
     def pencil_rows(self):
         """Canonical RREF of the 2 x (d+1) coefficient matrix: the map modulo
         automorphism of the image (a point of G(1, d))."""
-        from .algebra import rref
-        d = self.degree
-        rows = []
-        for poly in (self.F, self.G):
-            padded = list(poly.coeffs) + [0] * (d + 1 - len(poly.coeffs))
-            rows.append(padded)
-        reduced, _ = rref(rows, self.field)
-        return tuple(reduced)
+        from .pencil import Pencil  # pencil imports this module
+        return Pencil.from_polys(self.F, self.G, self.degree).rows
 
     def aut_equivalent(self, other):
         """Equal modulo automorphism of the image P^1."""

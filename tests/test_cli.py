@@ -143,6 +143,25 @@ class TestFamilyTransform:
         code, out = run(["transform", "--family", str(out_path)])
         assert code == 1
 
+    def test_family_profiles_the_map_once(self, monkeypatch):
+        # member 0 of f - t x^p is f itself, which the family builder has
+        # already profiled: the splitting field is scanned once
+        import ramcount.cli
+        import ramcount.degeneration
+
+        calls = []
+        profile = ramcount.degeneration.ramification_profile
+
+        def counted(rmap):
+            calls.append(rmap)
+            return profile(rmap)
+
+        for module in (ramcount.degeneration, ramcount.cli):
+            monkeypatch.setattr(module, "ramification_profile", counted, raising=False)
+        payload = run_json(["family", "--p", "3", "--k", "2", "--f", "0,1,0,0,0,1"])
+        assert payload["ramification"]["inf"] == 5
+        assert len(calls) == 1
+
     def test_transform_analyze(self, tmp_path):
         fam_payload = {
             "schema": 1, "p": 3, "k": 1,

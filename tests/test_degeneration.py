@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ramcount.degeneration as degeneration
 from ramcount.algebra import Poly, finite_field
 from ramcount.degeneration import (
     FamilyPoly,
@@ -244,6 +245,21 @@ class TestAnalyzeLimit:
         d_tilde, d0 = report.degrees
         assert d0 == 0 and d_tilde == 5
         assert 2 * d_tilde - 2 == 2 * 3 - 2 + report.e_infinity - 1
+
+    def test_one_normalization_per_family(self, monkeypatch):
+        # the loop and the transform share each family's normalized basis:
+        # a one-step analysis normalizes the input and its transform only
+        calls = []
+        normalize = degeneration._nonconstant_basis
+
+        def counted(F, G):
+            calls.append((F, G))
+            return normalize(F, G)
+
+        monkeypatch.setattr(degeneration, "_nonconstant_basis", counted)
+        report = analyze_limit(quartet_family(F3))
+        assert report.iterations == 1
+        assert len(calls) == 2
 
     def test_raw_quartet_family_runs_with_warnings(self):
         report = analyze_limit(quartet_family(F3))
