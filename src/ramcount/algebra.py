@@ -22,6 +22,14 @@ tables and serve fields with q > 2^16.  Apart from that raw product, which
 stays on digit lists because the tables are built from it and a Poly
 product over F_p is ~3x slower, Poly is the only polynomial arithmetic here.
 
+Roots are split out, never scanned for.  The roots of f in its own field
+F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
+into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
+with shifts a that leave every proper subfield at once: O(deg^2 log q)
+field operations, where a scan takes O(q deg).  splitting_field_roots
+splits each distinct-degree part of f over F_{q^K} on its own, and
+FiniteField.embedding takes the least root of a modulus the same way.
+
 p = 2 is rejected at construction.
 """
 
@@ -338,19 +346,19 @@ class FiniteField:
 
     def embedding(self, target):
         """Map of encodings F_{p^k} -> F_{p^{k*m}}: sends y to the first root
-        of this field's modulus in the target (first in encoding order)."""
-        if target == self:
+        of this field's modulus in the target (first in encoding order).  An
+        element of F_p has the same encoding in every extension, so a prime
+        field embeds as the identity."""
+        if target.p != self.p or target.k % self.k != 0:
+            raise ValueError(f"{target} does not contain {self}")
+        if target == self or self.k == 1:
             return lambda a: a
         key = (target.p, target.k, target.modulus)
         if key in self._embeddings:
             powers = self._embeddings[key]
         else:
-            if target.p != self.p or target.k % self.k != 0:
-                raise ValueError(f"{target} does not contain {self}")
-            # the modulus has F_p coefficients, and an element of F_p has
-            # the same encoding in every extension
-            modulus = Poly(target, self.modulus)
-            root = next(a for a in range(target.q) if modulus(a) == 0)
+            # the modulus has F_p coefficients, which keep their encodings
+            root = roots_with_multiplicity(Poly(target, self.modulus))[0][0]
             powers = [1]
             for _ in range(self.k - 1):
                 powers.append(target.mul_i(powers[-1], root))
@@ -487,12 +495,13 @@ class Poly:
         f = self.field
         if not self.coeffs or not other.coeffs:
             return Poly.zero(f)
+        add, mul = f.add_i, f.mul_i
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.coeffs, i):
                     if b:
-                        out[i + j] = f.add_i(out[i + j], f.mul_i(a, b))
+                        out[j] = add(out[j], mul(a, b))
         return Poly(f, out)
 
     def scale(self, c):
@@ -527,17 +536,18 @@ class Poly:
         rem = list(self.coeffs)
         dv = other.coeffs
         dd = len(dv) - 1
-        inv_lead = f.inv_i(dv[-1])
+        inv_lead = 1 if dv[-1] == 1 else f.inv_i(dv[-1])
         if len(rem) - 1 < dd:
             return Poly.zero(f), self
+        sub, mul = f.sub_i, f.mul_i
         quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
-                c = f.mul_i(c, inv_lead)
+                c = mul(c, inv_lead)
                 quot[i - dd] = c
-                for j, m in enumerate(dv):
-                    rem[i - dd + j] = f.sub_i(rem[i - dd + j], f.mul_i(c, m))
+                for j, m in enumerate(dv, i - dd):
+                    rem[j] = sub(rem[j], mul(c, m))
         return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other):
@@ -620,15 +630,22 @@ def poly_valuation(fpoly, a):
         while m < len(fpoly.coeffs) and fpoly.coeffs[m] == 0:
             m += 1
         return m
-    lin = Poly(field, (field.neg_i(a), 1))
+    add, mul = field.add_i, field.mul_i
+    cs = fpoly.coeffs
     m = 0
-    cur = fpoly
-    while True:
-        q, r = cur.divrem(lin)
-        if not r.is_zero:
+    while len(cs) > 1:
+        # synthetic division by x - a: one Horner pass yields the quotient's
+        # coefficients, top first, and then the remainder fpoly(a)
+        acc = 0
+        quot = []
+        for c in reversed(cs):
+            acc = add(mul(acc, a), c)
+            quot.append(acc)
+        if acc:
             return m
         m += 1
-        cur = q
+        cs = quot[-2::-1]
+    return m
 
 
 def poly_is_inseparable(fpoly):
@@ -750,41 +767,78 @@ def nullspace(rows, field, ncols=None):
 # ---------------------------------------------------------------------------
 
 def poly_powmod(base, exp, mod):
-    result = Poly.one(base.field)
+    """base^exp mod mod, by left-to-right square-and-multiply: a set bit
+    multiplies by the reduced base, which costs O(deg mod) when the base is
+    short, like x or x + a.  The monic modulus leaves the same remainders
+    and spares divrem an inverse."""
+    if not exp:
+        return Poly.one(base.field)
+    mod = mod.monic()[0]
     base = base % mod
-    while exp:
-        if exp & 1:
+    result = base
+    for bit in bin(exp)[3:]:
+        result = (result * result) % mod
+        if bit == "1":
             result = (result * base) % mod
-        base = (base * base) % mod
-        exp >>= 1
     return result
 
 
 def roots_with_multiplicity(fpoly):
-    """All roots of fpoly in its own field, with multiplicities, by scan."""
+    """All roots of fpoly in its own field F_q, in encoding order, each with
+    its multiplicity.  The distinct roots are those of the squarefree
+    g = gcd(x^q - x, fpoly), which _split_linear separates."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("roots of the zero polynomial")
-    out = []
-    cur = fpoly
-    for a in range(field.q):
-        if cur.is_zero or cur.degree == 0:
-            break
-        if cur(a) == 0:
-            lin = Poly(field, (field.neg_i(a), 1))
-            m = 0
-            while True:
-                qt, r = cur.divrem(lin)
-                if not r.is_zero:
-                    break
-                cur = qt
-                m += 1
-            out.append((a, m))
-    return out
+    if fpoly.degree == 0:
+        return []
+    x = Poly.x(field)
+    g = poly_gcd(poly_powmod(x, field.q, fpoly) - x, fpoly)
+    return [(r, poly_valuation(fpoly, r)) for r in sorted(_split_linear(g))]
 
 
-def distinct_degree_profile(fpoly):
-    """Sorted degrees of the irreducible factors (multiplicities ignored).
+def _split_linear(g):
+    """Roots of a monic squarefree g that is a product of linear factors
+    over its field F_q (q odd), by Cantor-Zassenhaus equal-degree splitting
+    (Math. Comp. 36, 1981): for a shift a, gcd((x + a)^{(q-1)/2} - 1, g)
+    collects the roots r with r + a a nonzero square.
+
+    The shifts a = i * step, from i = 1 on, run over every encoding, since
+    step is coprime to q.  For k > 1 the step is p + 1, the element y + 1,
+    so the first shifts, its multiples by F_p, lie in no proper subfield: a
+    shift a in a subfield F_s gives chi(r^s + a) = chi(r + a) and so never
+    separates roots conjugate over F_s, as the roots of a lifted polynomial
+    are.  Two distinct roots r, t stay together only when (r + a)(t + a) is
+    a nonzero square or zero, and as sum_a chi((a + r)(a + t)) = -1, at
+    least (q - 1)/2 of the q shifts separate them.  So q failed tries on
+    one factor mean that g was not a squarefree product of linear factors."""
+    field = g.field
+    q = field.q
+    step = field.p + 1 if field.k > 1 else 1
+    one = Poly.one(field)
+    roots = []
+    todo = [(g, 1)] if g.degree > 0 else []
+    while todo:
+        g, start = todo.pop()
+        if g.degree == 1:
+            roots.append(field.neg_i(g.coeffs[0]))
+            continue
+        for i in range(start, start + q):
+            shift = Poly(field, (i * step % q, 1))
+            h = poly_gcd(poly_powmod(shift, (q - 1) // 2, g) - one, g)
+            if 0 < h.degree < g.degree:
+                # this shift cannot split either part again: go on from the next
+                todo += [(h, i + 1), (g // h, i + 1)]
+                break
+        else:
+            raise ArithmeticError(f"{q} shifts failed to split a polynomial over {field}")
+    return roots
+
+
+def _distinct_degree_parts(fpoly):
+    """[(j, g_j)] for each degree j of an irreducible factor, ascending:
+    g_j is the product of the distinct monic irreducible factors of degree
+    j, so it is squarefree.
 
     Works directly on non-squarefree input: gcd with x^{q^j} - x picks up
     every degree-j factor once, and repeated gcd-division strips that degree
@@ -792,7 +846,7 @@ def distinct_degree_profile(fpoly):
     """
     field = fpoly.field
     work = fpoly.monic()[0]
-    degs = set()
+    parts = []
     x = frob = Poly.x(field)
     j = 0
     while work.degree > 0:
@@ -804,34 +858,53 @@ def distinct_degree_profile(fpoly):
         frob = poly_powmod(frob, field.q, work)
         g = poly_gcd(frob - x, work)
         if g.degree > 0:
-            degs.add(j)
+            parts.append((j, g))
             while True:
                 h = poly_gcd(work, g)
                 if h.degree == 0:
                     break
                 work = work // h
-    return sorted(degs) or [1]
+    return parts
+
+
+def distinct_degree_profile(fpoly):
+    """Sorted degrees of the irreducible factors (multiplicities ignored)."""
+    return [j for j, _ in _distinct_degree_parts(fpoly)] or [1]
 
 
 def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
     """(ext_field, [(root, mult)]) over the smallest F_{q^K} where fpoly
-    splits into linear factors; roots found by exhaustive scan."""
+    splits into linear factors, roots in encoding order.  Each squarefree
+    distinct-degree part is lifted and split on its own; the multiplicities
+    are read off the lifted fpoly."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
     if fpoly.degree == 0:
         return field, []
-    degs = distinct_degree_profile(fpoly)
+    parts = _distinct_degree_parts(fpoly)
     ext_deg = 1
-    for dj in degs:
+    for dj, _ in parts:
         ext_deg = ext_deg * dj // math.gcd(ext_deg, dj)
     if field.q ** ext_deg > budget:
         raise BudgetExceeded(
             f"splitting field F_{{{field.p}^{field.k * ext_deg}}} exceeds budget {budget}")
     ext = field.extension(ext_deg)
     embed = field.embedding(ext)
-    lifted = Poly(ext, tuple(embed(c) for c in fpoly.coeffs))
-    roots = roots_with_multiplicity(lifted)
+
+    def lift(f):
+        return Poly(ext, tuple(embed(c) for c in f.coeffs))
+
+    lifted = lift(fpoly)
+    found = []
+    for j, g in parts:
+        if j == 1:
+            # the roots lie in the base field: find them there, then embed
+            found += [embed(r) for r, _ in roots_with_multiplicity(g)]
+        else:
+            found += [r for r, _ in roots_with_multiplicity(lift(g))]
+    found.sort()
+    roots = [(r, poly_valuation(lifted, r)) for r in found]
     total = sum(m for _, m in roots)
     if total != fpoly.degree:
         raise ArithmeticError("polynomial failed to split over computed field")

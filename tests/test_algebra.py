@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from ramcount.algebra import (
     nullspace,
     poly_gcd,
     poly_is_inseparable,
+    poly_powmod,
     poly_pth_root,
     poly_valuation,
     poly_xgcd,
+    roots_with_multiplicity,
     rref,
     splitting_field_roots,
 )
@@ -394,3 +397,195 @@ class TestSplitting:
         f = P(F7, 3, 1, 0, 0, 0, 1)
         with pytest.raises(BudgetExceeded):
             splitting_field_roots(f, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# root finding against a scan of the field
+# ---------------------------------------------------------------------------
+
+def _scan_roots(fpoly):
+    """Oracle for roots_with_multiplicity: every element of the field in
+    encoding order, each root with its multiplicity by repeated division."""
+    field = fpoly.field
+    out = []
+    for a in range(field.q):
+        if fpoly(a):
+            continue
+        lin = Poly(field, (field.neg_i(a), 1))
+        cur, m = fpoly, 0
+        while True:
+            quot, rem = cur.divrem(lin)
+            if rem:
+                break
+            cur, m = quot, m + 1
+        out.append((a, m))
+    return out
+
+
+def _scan_embedding(source, target):
+    """Oracle for FiniteField.embedding: the images of all encodings of
+    source, with y sent to the least root of source's modulus in target."""
+    modulus = Poly(target, source.modulus)
+    root = next(a for a in range(target.q) if modulus(a) == 0)
+    powers = [1]
+    for _ in range(source.k - 1):
+        powers.append(target.mul_i(powers[-1], root))
+    images = []
+    for a in range(source.q):
+        acc = 0
+        for d, power in zip(source.decode(a), powers):
+            acc = target.add_i(acc, target.mul_i(d, power))
+        images.append(acc)
+    return images
+
+
+def _scan_splitting(fpoly, max_q):
+    """Oracle for splitting_field_roots: scan F_{q^m} for m = 1, 2, ...
+    until the roots account for the whole degree; None past max_q."""
+    field = fpoly.field
+    m = 1
+    while field.q ** m <= max_q:
+        ext = field.extension(m)
+        images = _scan_embedding(field, ext) if m > 1 else range(field.q)
+        roots = _scan_roots(Poly(ext, [images[c] for c in fpoly.coeffs]))
+        if sum(mult for _, mult in roots) == fpoly.degree:
+            return ext, roots
+        m += 1
+    return None
+
+
+def _irreducibles(p, j, rng, count):
+    """The modulus of F_{p^j} and further random monic irreducibles of
+    degree j over F_p (a degree-j polynomial whose factors all have degree j
+    is irreducible)."""
+    fp = finite_field(p)
+    out = [Poly(fp, finite_field(p, j).modulus)]
+    while len(out) < count:
+        f = Poly(fp, [rng.randrange(p) for _ in range(j)] + [1])
+        if distinct_degree_profile(f) == [j] and f not in out:
+            out.append(f)
+    return out
+
+
+def _lift(fpoly, target):
+    embed = fpoly.field.embedding(target)
+    return Poly(target, [embed(c) for c in fpoly.coeffs])
+
+
+def _assert_roots_match(fpoly):
+    assert roots_with_multiplicity(fpoly) == _scan_roots(fpoly), fpoly
+
+
+def _assert_splitting_matches(fpoly, max_q=3 ** 7):
+    expected = _scan_splitting(fpoly, max_q)
+    if expected is None:
+        with pytest.raises(BudgetExceeded):
+            splitting_field_roots(fpoly, budget=max_q)
+    else:
+        ext, roots = splitting_field_roots(fpoly, budget=max_q)
+        assert (ext, roots) == expected, fpoly
+
+
+def _random_poly(field, rng, max_degree):
+    return Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(1, max_degree + 1))])
+
+
+class TestRootsAgainstScan:
+    @pytest.mark.parametrize("p, j", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2),
+                                      (5, 3), (7, 2), (7, 3), (11, 2)])
+    def test_lifted_irreducibles(self, p, j):
+        # the roots of a lifted F_p-irreducible are Frobenius conjugates,
+        # which no shift from F_p separates
+        rng = random.Random(100 * p + j)
+        for f in _irreducibles(p, j, rng, 3):
+            for m in (j, 2 * j):
+                if p ** m <= 3 ** 8:
+                    ext = finite_field(p, m)
+                    _assert_roots_match(_lift(f, ext))
+                    _assert_roots_match(_lift(f * f * P(f.field, 1, 1), ext))
+            _assert_splitting_matches(f)
+
+    @pytest.mark.parametrize("field", [F3, F5, F9, finite_field(5, 2)])
+    def test_multiplicity_at_least_p(self, field):
+        p = field.p
+        rng = random.Random(field.q)
+        for _ in range(12):
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            lin_a = Poly(field, (field.neg_i(a), 1))
+            lin_b = Poly(field, (field.neg_i(b), 1))
+            inseparable = frobenius_power(_random_poly(field, rng, 3))  # in k[x^p]
+            for f in (lin_a ** p, lin_a ** (p + 1) * lin_b, inseparable,
+                      inseparable * lin_b ** 2):
+                if f.is_zero:
+                    continue
+                _assert_roots_match(f)
+                _assert_splitting_matches(f)
+
+    @pytest.mark.parametrize("field", [F3, F7, F9, F27])
+    def test_root_zero_linear_and_constant(self, field):
+        x = Poly.x(field)
+        cases = [Poly.one(field), Poly.constant(field, field.q - 1), x, x ** 4,
+                 x ** 2 * P(field, 1, 1), x * P(field, 1, 0, 1)]
+        cases += [Poly(field, (a, b)) for a in range(field.q) for b in (1, field.q - 1)]
+        for f in cases:
+            _assert_roots_match(f)
+            _assert_splitting_matches(f)
+        with pytest.raises(ValueError):
+            roots_with_multiplicity(Poly.zero(field))
+
+    @pytest.mark.parametrize("field, count", [(F3, 60), (F5, 60), (F7, 40), (F9, 40),
+                                              (finite_field(5, 2), 25)])
+    def test_seeded_polynomials(self, field, count):
+        # over F_9 and F_25 the coefficients use the whole base field
+        rng = random.Random(field.q + 1)
+        for _ in range(count):
+            f = _random_poly(field, rng, 6)
+            if f.is_zero:
+                continue
+            if rng.random() < 0.3:
+                f = f * Poly(field, (rng.randrange(field.q), 1)) ** 2
+            _assert_roots_match(f)
+            _assert_splitting_matches(f)
+
+    def test_raw_fields(self, monkeypatch):
+        # every field built in this test runs on the raw routines
+        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 1)
+        monkeypatch.setattr(algebra, "_canonical_field",
+                            functools.lru_cache(maxsize=None)(FiniteField))
+        rng = random.Random(29)
+        for p, k in [(3, 1), (5, 1), (3, 2), (3, 3)]:
+            field = finite_field(p, k)
+            for _ in range(12):
+                f = _random_poly(field, rng, 4)
+                if f.is_zero:
+                    continue
+                _assert_roots_match(f)
+                _assert_splitting_matches(f, max_q=3 ** 6)
+            assert "exp" not in vars(field)
+        f = _irreducibles(3, 4, rng, 1)[0]
+        _assert_roots_match(_lift(f, finite_field(3, 4)))
+
+    def test_embeddings(self):
+        # every proper subfield of every field with q <= 6561
+        for p in (n for n in range(3, 82) if algebra.is_prime(n)):
+            for m in range(2, 9):
+                if p ** m > 6561:
+                    break
+                target = finite_field(p, m)
+                for k in range(1, m):
+                    if m % k == 0:
+                        source = finite_field(p, k)
+                        embed = source.embedding(target)
+                        assert [embed(a) for a in range(source.q)] == \
+                            _scan_embedding(source, target), (source, target)
+
+    def test_powmod_matches_repeated_product(self):
+        rng = random.Random(31)
+        for field in (F5, F9):
+            for _ in range(40):
+                base, mod = _random_poly(field, rng, 5), _random_poly(field, rng, 4)
+                if mod.is_zero:
+                    continue
+                assert poly_powmod(base, 0, mod) == Poly.one(field)
+                for e in (1, 2, 5, 12):
+                    assert poly_powmod(base, e, mod) == (base ** e) % mod

@@ -162,6 +162,19 @@ class TestFamilyTransform:
         assert payload["ramification"]["inf"] == 5
         assert len(calls) == 1
 
+    def test_family_stdout_over_a_large_splitting_field(self):
+        # the Wronskian's roots lie in F_{7^6}, of 117,649 elements; the
+        # stdout was recorded when the roots were found by scanning it
+        code, out = run(["family", "--p", "7", "--f", "0,1,0,0,0,0,0,0,1,0,0,0,1"])
+        assert code == 0
+        assert out == (
+            '{"F":"[(0),(1),(0),(0),(0),(0),(0),(0,6),(1),(0),(0),(0),(1)]",'
+            '"G":"[(1)]","distinct_pencils":7,"k":1,"members":7,"p":7,'
+            '"ramification":{"000001":2,"000005":2,"000101":2,"000201":2,'
+            '"000401":2,"135252":2,"255462":2,"362142":2,"465132":2,"552412":2,'
+            '"632222":2,"inf":12},"schema":1,'
+            '"sections":[{"order":12,"point":"inf"}]}\n')
+
     def test_transform_analyze(self, tmp_path):
         fam_payload = {
             "schema": 1, "p": 3, "k": 1,
