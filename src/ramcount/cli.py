@@ -254,7 +254,7 @@ def build_parser():
     sp.add_argument("--orders", required=True, help="comma list of e_i")
     add_format(sp)
 
-    sp = sub.add_parser("schubert", help="Pieri intersection number on G(1,d)")
+    sp = sub.add_parser("schubert", help="intersection number on G(1,d)")
     sp.set_defaults(handler=cmd_schubert)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--orders", required=True)

@@ -89,31 +89,34 @@ class CountResult:
         return out
 
 
-def _classify(orders, p, d):
+def _classify(top, p, d):
+    """The class of a profile of degree d whose largest order is top."""
     if p == INFINITY or p > d:
         return CharClass.HIGH
-    if all(e < p for e in orders):
+    if top < p:
         return CharClass.MID
     return CharClass.LOW
 
 
 def validate_profile(orders, p):
     """Build a RamProfile; raises on structurally invalid input."""
-    orders = tuple(int(e) for e in orders)
+    orders = tuple(map(int, orders))
     if not orders:
         raise ValueError("orders must be nonempty")
-    if any(e < 1 for e in orders):
+    if min(orders) < 1:
         raise ValueError("every ramification order must be >= 1")
     if p != INFINITY and (not isinstance(p, int) or not is_prime(p) or p < 3):
         raise ValueError(f"p must be a prime >= 3 or INFINITY, got {p!r}")
-    total = sum(e - 1 for e in orders)
+    total = sum(orders) - len(orders)
     if total % 2 != 0:
         raise ValueError(f"sum of (e_i - 1) = {total} is odd; no integer degree")
     d = 1 + total // 2
-    wild = tuple(e for e in orders if p != INFINITY and e % p == 0)
-    oversized = tuple(e for e in orders if e > d)
+    top = max(orders)
+    # an order divisible by p is at least p (never, for p = INFINITY)
+    wild = tuple(e for e in orders if e % p == 0) if top >= p else ()
+    oversized = tuple(e for e in orders if e > d) if top > d else ()
     return RamProfile(p=p, orders=orders, d=d,
-                      char_class=_classify(orders, p, d),
+                      char_class=_classify(top, p, d),
                       wild=wild, oversized=oversized)
 
 

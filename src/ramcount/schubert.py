@@ -1,17 +1,37 @@
-"""Pieri-rule intersection numbers on the Grassmannian of pencils G(1, d).
+"""Intersection numbers of special Schubert classes on the Grassmannian of
+pencils G(1, d) = G(2, d + 1).
 
 Classes are two-row partitions (a, b) with d-1 >= a >= b >= 0; a
 ramification condition of order e is the special class (e-1, 0).  These
 are characteristic-zero intersection numbers: coefficients are exact
 integers with no modular reduction.
 
-Multiplying by a special class raises a + b by a fixed amount, so a
-product of special classes lives in one degree s = a + b at a time and is
-a list of coefficients indexed by b (with a = s - b).
+H*(G(2, d + 1)) is Lambda_2, the symmetric polynomials in two variables,
+modulo the Schur polynomials s_(a,b) with a > d - 1, and the special class
+(k, 0) is the complete symmetric polynomial h_k (Fulton, *Young Tableaux*,
+1997, Section 9.4).  Those s_(a,b) span an ideal, so the coefficient of the
+point class s_(d-1,d-1) can be read in Lambda_2 itself, where it is the
+coefficient of x^d y^(d-1) in (x - y) prod_i h_(e_i - 1)(x, y).  Setting
+y = 1 and t = x, and using that the product is palindromic, gives
+
+    I(d; e) = [t^(d-1)] (1 - t) prod_i (1 + t + ... + t^(e_i - 1))
+            = [t^(d-1)] (1 - t)^(1 - n') prod_(e_i >= 2) (1 - t^(e_i)),
+
+with n' the number of orders e_i >= 2; order-1 entries are the identity
+class and drop out.  For 2d - 2 simple points this is the Catalan number
+C(2m, m) - C(2m, m - 1), m = d - 1.  ``intersection_number`` extracts that
+one coefficient.
+
+``pieri_multiply`` is the Pieri rule on class sums: multiplying by a
+special class raises a + b by a fixed amount, so a product of special
+classes lives in one degree s = a + b at a time and is a list of
+coefficients indexed by b (with a = s - b).  The tests cross-check the
+formula against it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 
 
@@ -72,6 +92,9 @@ def intersection_number(d, orders):
     special classes (e_i - 1, 0), starting from the identity class.
 
     Requires complementary total codimension: sum (e_i - 1) = 2(d - 1).
+    The number is the coefficient of t^(d-1) in
+    (1 - t)^(1 - n') prod_(e_i >= 2) (1 - t^(e_i)), n' the number of
+    orders e_i >= 2 (see the module docstring).
     """
     orders = tuple(int(e) for e in orders)
     if any(e < 1 for e in orders):
@@ -80,11 +103,28 @@ def intersection_number(d, orders):
     if codim != 2 * (d - 1):
         raise ValueError(
             f"codimension mismatch: sum(e_i - 1) = {codim} != 2(d-1) = {2 * (d - 1)}")
-    # A partial product of codimension <= 2(d - 1) is never zero, so the
-    # loop ends at s = 2(d - 1), where (d - 1, d - 1) is the only class.
-    s, coeffs = 0, [1]
     for e in orders:
         _check_order(e, d)
-        coeffs = _pieri_step(coeffs, s, e, d)
-        s += e - 1
-    return coeffs[d - 1]
+    m = d - 1
+    multiplicity = Counter(e for e in orders if e >= 2)
+    # prod (1 - t^e)^k as a sparse {degree: coefficient}, truncated at t^m
+    series = {0: 1}
+    for e, k in multiplicity.items():
+        factor, binom = [], 1  # (e j, (-1)^j C(k, j))
+        for j in range(min(k, m // e) + 1):
+            factor.append((e * j, binom))
+            binom = -binom * (k - j) // (j + 1)
+        product = {}
+        for deg, coeff in series.items():
+            for shift, f in factor:
+                if deg + shift > m:
+                    break
+                product[deg + shift] = product.get(deg + shift, 0) + coeff * f
+        series = product
+    # (1 - t)^(-r) = sum_j c_j t^j with c_(j+1) = c_j (r + j) / (j + 1),
+    # exact for every integer r (for r <= 0 the series is a polynomial)
+    r = sum(multiplicity.values()) - 1
+    coeffs = [1]
+    for j in range(m):
+        coeffs.append(coeffs[j] * (r + j) // (j + 1))
+    return sum(coeff * coeffs[m - deg] for deg, coeff in series.items())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -68,6 +69,18 @@ class TestSchubert:
     def test_catalan_at_d_600(self):
         payload = run_json(["schubert", "--d", "600", "--orders", ",".join(["2"] * 1198)])
         assert payload["count"] == math.comb(1198, 599) // 600
+
+    def test_catalan_at_d_3000(self):
+        payload = run_json(["schubert", "--d", "3000", "--orders", ",".join(["2"] * 5998)])
+        assert payload["count"] == math.comb(5998, 2999) // 3000
+
+    def test_stdout_pinned_at_d_450(self):
+        # the benchmark's largest schubert op; the digest of its stdout was
+        # recorded from the Pieri-step implementation of intersection_number
+        code, out = run(["schubert", "--d", "450", "--orders", ",".join(["2"] * 898)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "173199cfdb264dc08a13aa6a4d3387c174fee681332857ad3ca3c82281fd2825"
 
     def test_four_simple(self):
         payload = run_json(["schubert", "--d", "3", "--orders", "2,2,2,2"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -99,8 +100,7 @@ class TestIntersectionNumber:
     def test_all_simple_points_are_catalan(self):
         # 2d-2 simple conditions compute the Pluecker degree of the
         # Grassmannian of pencils, which is the Catalan number C_{d-1}
-        import math
-        for d in range(2, 8):
+        for d in [*range(2, 8), 450, 3000]:
             catalan = math.comb(2 * (d - 1), d - 1) // d
             assert intersection_number(d, (2,) * (2 * d - 2)) == catalan
 
@@ -164,3 +164,22 @@ class TestAgainstOracle:
                     {(d - 1, d - 1): intersection_number(d, variant)}, variant
                 checked += 1
         assert checked > 1000
+
+    def test_random_profiles_up_to_d80(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            d = rng.randint(2, 80)
+            orders, left = [], 2 * (d - 1)
+            while left:
+                # three draws in four are 2 or 3, so small orders repeat
+                e = rng.randint(2, min(d, rng.choice((3, 3, 3, d)), left + 1))
+                orders.append(e)
+                left -= e - 1
+            orders += [1] * rng.randint(0, 3)
+            rng.shuffle(orders)
+            expected, _ = _oracle_expansion(d, orders)
+            product = {(0, 0): 1}
+            for e in orders:
+                product = pieri_multiply(product, e, d)
+            assert product == {(d - 1, d - 1): expected}, (d, orders)
+            assert intersection_number(d, orders) == expected, (d, orders)
