@@ -61,6 +61,6 @@ from .ratmap import (
     wronskian,
     wronskian_divisor,
 )
-from .schubert import intersection_number, pieri_multiply
+from .schubert import intersection_number
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .algebra import BudgetExceeded, Poly, finite_field
@@ -62,6 +63,21 @@ def _require_finite_p(args):
     return args.p
 
 
+@contextmanager
+def _exact_ints():
+    """Lift Python's 4300-digit cap on int <-> str while a count is written
+    out; input is parsed under the cap, which guards against slow inputs."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(payload, fmt, text_lines=None):
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -78,16 +94,18 @@ def cmd_count(args):
     profile = validate_profile(args.orders, args.p)
     result = n_gen_recursive(profile)
     payload = result.to_json(profile)
-    lines = [f"N_gen{tuple(profile.orders)} at p={_p_str(args.p)} "
-             f"[{result.char_class.value}] = {result.value}"]
-    return _emit(payload, args.format, lines)
+    with _exact_ints():
+        lines = [f"N_gen{tuple(profile.orders)} at p={_p_str(args.p)} "
+                 f"[{result.char_class.value}] = {result.value}"]
+        return _emit(payload, args.format, lines)
 
 
 def cmd_schubert(args):
     number = intersection_number(args.d, args.orders)
     payload = {"schema": SCHEMA_VERSION, "d": args.d,
                "orders": list(args.orders), "count": number}
-    return _emit(payload, args.format, [str(number)])
+    with _exact_ints():
+        return _emit(payload, args.format, [str(number)])
 
 
 def cmd_solve3(args):

@@ -20,13 +20,13 @@ y = 1 and t = x, and using that the product is palindromic, gives
 with n' the number of orders e_i >= 2; order-1 entries are the identity
 class and drop out.  For 2d - 2 simple points this is the Catalan number
 C(2m, m) - C(2m, m - 1), m = d - 1.  ``intersection_number`` extracts that
-one coefficient.
+one coefficient; ``counting`` reads the same series folded modulo p.
 
 ``pieri_multiply`` is the Pieri rule on class sums: multiplying by a
 special class raises a + b by a fixed amount, so a product of special
 classes lives in one degree s = a + b at a time and is a list of
-coefficients indexed by b (with a = s - b).  The tests cross-check the
-formula against it.
+coefficients indexed by b (with a = s - b).  No count uses it; it stays
+because ``perfbench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -92,9 +92,6 @@ def intersection_number(d, orders):
     special classes (e_i - 1, 0), starting from the identity class.
 
     Requires complementary total codimension: sum (e_i - 1) = 2(d - 1).
-    The number is the coefficient of t^(d-1) in
-    (1 - t)^(1 - n') prod_(e_i >= 2) (1 - t^(e_i)), n' the number of
-    orders e_i >= 2 (see the module docstring).
     """
     orders = tuple(int(e) for e in orders)
     if any(e < 1 for e in orders):
@@ -105,6 +102,16 @@ def intersection_number(d, orders):
             f"codimension mismatch: sum(e_i - 1) = {codim} != 2(d-1) = {2 * (d - 1)}")
     for e in orders:
         _check_order(e, d)
+    return _series_coefficient(d, orders)
+
+
+def _series_coefficient(d, orders, p=None):
+    """[t^(d-1)] R for R = (1 - t)^(1 - n') prod_(e_i >= 2) (1 - t^(e_i)),
+    or, given a period p, the folded sum over k in Z of [t^(d-1+kp)] R.
+
+    R has degree 2d - 1 and R[j] = -R[2d - 1 - j], so every coefficient the
+    fold reads has index at most d - 1, inside the truncated series.
+    """
     m = d - 1
     multiplicity = Counter(e for e in orders if e >= 2)
     # prod (1 - t^e)^k as a sparse {degree: coefficient}, truncated at t^m
@@ -127,4 +134,13 @@ def intersection_number(d, orders):
     coeffs = [1]
     for j in range(m):
         coeffs.append(coeffs[j] * (r + j) // (j + 1))
-    return sum(coeff * coeffs[m - deg] for deg, coeff in series.items())
+    # with C_j = c_j + c_(j-p) + ..., the terms at d-1-kp (k >= 0) add up to
+    # C_(m-deg), and those at d-1+kp (k >= 1) to minus C_(m+1-p-deg)
+    reflected = -1  # unfolded: no reflected terms
+    if p is not None:
+        reflected = m + 1 - p
+        for j in range(p, m + 1):
+            coeffs[j] += coeffs[j - p]
+    return sum(coeff * (coeffs[m - deg]
+                        - (coeffs[reflected - deg] if deg <= reflected else 0))
+               for deg, coeff in series.items())

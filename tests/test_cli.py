@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -60,7 +61,7 @@ class TestCount:
 
     def test_deep_simple_orders(self):
         # 1100 simple points (d = 551) give the Catalan number C_550; the
-        # recursion is a loop over the orders, so no stack depth limits it
+        # count is one series coefficient, so no stack depth limits it
         payload = run_json(["count", "--p", "inf", "--orders", ",".join(["2"] * 1100)])
         assert payload["count"] == math.comb(1100, 550) // 551
 
@@ -81,6 +82,28 @@ class TestSchubert:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "173199cfdb264dc08a13aa6a4d3387c174fee681332857ad3ca3c82281fd2825"
+
+    def test_catalan_beyond_4300_digits(self):
+        # C_7199 has 4329 digits, more than Python converts to str by
+        # default; Decimal parses it without that cap
+        limit = sys.get_int_max_str_digits()
+        code, out = run(["schubert", "--d", "7200", "--format", "text",
+                         "--orders", ",".join(["2"] * 14398)])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0 and len(out.strip()) == 4329
+        assert decimal.Decimal(out) == math.comb(14398, 7199) // 7200
+
+    @pytest.mark.parametrize("argv", [
+        ["schubert", "--d", "9" * 5000, "--orders", "2,2"],
+        ["count", "--p", "inf", "--orders", "9" * 5000 + ",2"],
+    ])
+    def test_5000_digit_argument_is_refused(self, argv, capsys):
+        # argv is parsed under the 4300-digit cap
+        limit = sys.get_int_max_str_digits()
+        code, out = run(argv)
+        assert sys.get_int_max_str_digits() == limit
+        assert code in (1, 2)
+        assert "error:" in out + capsys.readouterr().err
 
     def test_four_simple(self):
         payload = run_json(["schubert", "--d", "3", "--orders", "2,2,2,2"])

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -7,6 +9,7 @@ from ramcount.counting import (
     INFINITY,
     UNKNOWN,
     CharClass,
+    _recursion_steps,
     involution_reduce,
     n_four_closed,
     n_gen,
@@ -15,6 +18,48 @@ from ramcount.counting import (
     validate_profile,
 )
 from ramcount.schubert import intersection_number
+
+
+def _oracle_three_point(e1, e2, e3, p):
+    """Closed form for a structurally valid MID/HIGH triple: 1 iff p > d."""
+    d = (e1 + e2 + e3 - 1) // 2
+    return 1 if (p == INFINITY or p > d) else 0
+
+
+def _oracle_ngen(orders, p):
+    """The paper's degeneration recursion on validated MID/HIGH data,
+    merging the last two orders first.  After the merges down to k orders
+    an instance is orders[:k-1] + (e,), so {e: number of merge paths} is the
+    whole state.  Each shuffle of the orders walks a different recursion."""
+    excess = [0, *accumulate(x - 1 for x in orders)]  # sum(x - 1) of orders[:i]
+    largest = [0, *accumulate(orders, max)]            # max of orders[:i]
+    states = {orders[-1]: 1}
+    for k in range(len(orders), 3, -1):
+        en1 = orders[k - 2]
+        rest_excess, rest_max = excess[k - 2], largest[k - 2]
+        merged = {}
+        for en, weight in states.items():
+            d = 1 + (excess[k - 1] + en - 1) // 2
+            for dp, e in _recursion_steps(d, en1, en, p):
+                assert 1 + (rest_excess + e - 1) // 2 == dp
+                top = max(rest_max, e)
+                if top > dp:
+                    continue  # no valid instance: no contribution to the sum
+                assert p == INFINITY or p > dp or top < p, \
+                    "recursion left the mid/high range"
+                merged[e] = merged.get(e, 0) + weight
+        states = merged
+    head = ((1, 1) + orders[:min(len(orders), 3) - 1])[-2:]  # padded with 1s
+    return sum(weight * _oracle_three_point(*head, e, p)
+               for e, weight in states.items())
+
+
+def _random_profile(rng, p, n):
+    """n orders in 1..p-1 with sum(e - 1) even (the last one is bumped)."""
+    orders = [rng.randint(1, p - 1) for _ in range(n)]
+    if sum(e - 1 for e in orders) % 2:
+        orders[-1] += 1 if orders[-1] < p - 1 else -1
+    return orders
 
 
 class TestValidate:
@@ -88,6 +133,9 @@ class TestThreePoint:
             got, want = n_three(*orders, p), n_gen(orders, p)
             assert (got.value, got.char_class, got.reason) == \
                 (want.value, want.char_class, want.reason), orders
+            profile = validate_profile(orders, p)
+            if not profile.forced_zero and profile.char_class is not CharClass.LOW:
+                assert got.value == _oracle_three_point(*orders, p), orders
             checked += 1
         assert checked == 256
 
@@ -128,7 +176,6 @@ class TestRecursion:
             assert n_gen((2,) * (2 * d - 2), INFINITY).value == catalan
 
     def test_recursion_matches_pieri_up_to_eight_points(self):
-        from ramcount.schubert import intersection_number
         for n in (7, 8):
             for orders in itertools.combinations_with_replacement(range(1, 7), n):
                 total = sum(e - 1 for e in orders)
@@ -137,7 +184,7 @@ class TestRecursion:
                 d = 1 + total // 2
                 if d > 6 or any(e > d for e in orders):
                     continue
-                assert n_gen(orders, INFINITY).value == \
+                assert _oracle_ngen(orders, INFINITY) == \
                     intersection_number(d, orders), orders
 
     def test_five_point_mid_via_involution_chain(self):
@@ -150,10 +197,10 @@ class TestRecursion:
     def test_high_range_p_independent(self):
         for orders in [(2, 2, 2, 2), (2, 2, 3, 3), (2, 3, 3, 4), (2, 2, 2, 2, 3)]:
             d = 1 + sum(e - 1 for e in orders) // 2
-            vals = {n_gen(orders, p).value
+            vals = {_oracle_ngen(orders, p)
                     for p in [q for q in (5, 7, 11, 13, 17, 19, 23) if q > d]}
-            vals.add(n_gen(orders, INFINITY).value)
-            assert len(vals) == 1
+            vals.add(_oracle_ngen(orders, INFINITY))
+            assert vals == {n_gen(orders, INFINITY).value}
 
 
 def _sorted_profiles(n, d_max):
@@ -171,6 +218,8 @@ def _sorted_profiles(n, d_max):
 
 class TestSymmetry:
     def test_permutation_invariance(self):
+        # the count reads the orders as a multiset; the recursion merges them
+        # in the order given, so every permutation is a different recursion
         for orders in _sorted_profiles(4, 8) + _sorted_profiles(5, 6):
             for p in (3, 5, 7, 13, INFINITY):
                 prof = validate_profile(orders, p)
@@ -182,7 +231,7 @@ class TestSymmetry:
                     if perm in seen:
                         continue
                     seen.add(perm)
-                    assert n_gen(perm, p).value == base
+                    assert _oracle_ngen(perm, p) == base, (perm, p)
 
     @pytest.mark.parametrize("p", [7, 11, INFINITY])
     def test_deep_permutation_invariance(self, p):
@@ -191,13 +240,55 @@ class TestSymmetry:
         rng = random.Random(5)
         orders = [2] * 41 + [3, 4]  # 41: sum(e - 1) must be even
         prof = validate_profile(orders, p)
-        counts = set()
+        counts = {n_gen(orders, p).value}
         for _ in range(5):
             rng.shuffle(orders)
-            counts.add(n_gen(orders, p).value)
+            counts.add(_oracle_ngen(tuple(orders), p))
         assert len(counts) == 1
         if prof.char_class is CharClass.HIGH:
             assert counts == {intersection_number(prof.d, orders)}
+
+
+class TestAgainstRecursion:
+    def test_seeded_profiles(self):
+        # 12,000 profiles of 3-9 orders in 1..p-1, p <= 13: order-1 entries
+        # and orders above d (count 0) come up, and so does p = d, the first
+        # degree at which the fold changes a count
+        rng = random.Random(11)
+        seen = Counter()
+        for _ in range(12_000):
+            p = rng.choice((3, 5, 7, 11, 13))
+            profile = validate_profile(
+                _random_profile(rng, p, rng.randint(3, 9)), p)
+            got = n_gen_recursive(profile).value
+            if profile.oversized:
+                assert got == 0
+                seen["oversized"] += 1
+                continue
+            assert got == _oracle_ngen(profile.orders, p), (profile.orders, p)
+            seen[profile.char_class] += 1
+            seen["p = d"] += p == profile.d
+            seen["order 1"] += 1 in profile.orders
+            if profile.char_class is CharClass.MID:
+                schubert = intersection_number(profile.d, profile.orders)
+                assert got <= schubert, (profile.orders, p)
+                seen["folded"] += got < schubert
+        assert min(seen.values()) >= 300, seen
+
+    def test_long_profiles(self):
+        # up to 40 orders and p <= 31: deep recursions and several folds
+        rng = random.Random(12)
+        folded = 0
+        for _ in range(150):
+            p = rng.choice((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+            profile = validate_profile(
+                _random_profile(rng, p, rng.randint(10, 40)), p)
+            if profile.oversized:
+                continue
+            got = n_gen_recursive(profile).value
+            assert got == _oracle_ngen(profile.orders, p), (profile.orders, p)
+            folded += got < intersection_number(profile.d, profile.orders)
+        assert folded >= 100
 
 
 class TestFourClosed:
