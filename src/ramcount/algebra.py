@@ -14,13 +14,16 @@ degree is the NEG_INFINITY sentinel, never -1.
 Field arithmetic is table-driven.  A field of order q <= 2^16 builds, on its
 first arithmetic call, a log table, an exp table over a fixed generator g
 (doubled, so a sum of two logs indexes it directly) and a Zech table
-zech[i] = log(1 + g^i); every scalar op is a few lookups in them, and
-``vector_tables`` derives flat q x q numpy add/mul tables from them for the
-census.  The raw routines (digit-by-digit addition, and a schoolbook
-product of coordinate vectors reduced by the modulus) only build these
-tables and serve fields with q > 2^16.  Apart from that raw product, which
-stays on digit lists because the tables are built from it and a Poly
-product over F_p is ~3x slower, Poly is the only polynomial arithmetic here.
+zech[i] = log(1 + g^i); every scalar op is a few lookups in them.  The raw
+routines (digit-by-digit addition, and a schoolbook product of coordinate
+vectors reduced by the modulus) build these tables and serve fields with
+q > 2^16.  Such a field builds its log and exp lists only when they are
+read, in O(q) time and memory; the census reads them for its length-q
+arrays.  The census does its numpy arithmetic on the base-p digits that
+decode returns (pencil._jet_classifier); this module does not import numpy.
+Apart from the raw product, which stays on digit lists because the tables
+are built from it and a Poly product over F_p is ~3x slower, Poly is the
+only polynomial arithmetic here.
 
 Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
@@ -240,32 +243,6 @@ class FiniteField:
     def pth_root_i(self, a):
         """Inverse of Frobenius: the unique b with b^p = a."""
         return self.pow_i(a, self.q // self.p)
-
-    def vector_tables(self):
-        """(add, mul): flat q*q numpy arrays with add[a*q + b] = a + b and
-        mul[a*q + b] = a*b, in the narrowest unsigned dtype that holds q - 1.
-        Built on first use from the scalar tables, then kept."""
-        return self._vector_tables
-
-    @cached_property
-    def _vector_tables(self):
-        import numpy as np
-        q = self.q
-        dtype = np.min_scalar_type(q - 1)
-        exp = np.array(self.exp, dtype=dtype)
-        log = np.array(self.log[1:], dtype=np.int32)  # logs of 1 .. q-1
-        mul = np.zeros((q, q), dtype=dtype)
-        mul[1:, 1:] = exp[np.add.outer(log, log)]
-        # a + b = g^log(b) * (1 + g^(log(a) - log(b))) for a, b != 0
-        z = np.array(self.zech, dtype=np.int32)[np.subtract.outer(log, log)]
-        zero = z < 0
-        z += log
-        add = np.empty((q, q), dtype=dtype)
-        add[1:, 1:] = exp[z]
-        del z
-        add[1:, 1:][zero] = 0
-        add[0] = add[:, 0] = np.arange(q, dtype=dtype)
-        return add.ravel(), mul.ravel()
 
     # -- raw routines: they build the tables and serve fields with q > 2^16 --
 

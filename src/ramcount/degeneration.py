@@ -237,35 +237,29 @@ class MapFamily:
 
     def _generically_coprime(self):
         """gcd over k(t) is 1 iff some specialization is coprime with full
-        degree; the number of bad values of t is bounded by resultant and
-        leading-coefficient degrees, so scanning enough values is sound."""
+        degree.  A full-degree value of t where the members share a root
+        is a root of Res_x(F, G), whose t-degree is below `bound`; so once
+        more than `bound` such values fail, the resultant vanishes and the
+        members share a factor.  The values of F_q are tried, then those
+        of F_{q^2}."""
         dx = self.degree
         bound = 2 * dx * (max(self.F.max_t_degree(), self.G.max_t_degree()) + 1) + 1
-        field = self.field
-        tried = 0
-        for c in range(field.q):
-            Fc, Gc = self.F.eval_t(c), self.G.eval_t(c)
-            if Fc.is_zero or Gc.is_zero:
-                continue
-            if max(Fc.degree, Gc.degree) != dx:
-                continue
-            tried += 1
-            if poly_gcd(Fc, Gc).degree == 0:
-                return True
-            if tried > bound:
-                break
-        ext = field.extension(2)
-        emb = field.embedding(ext)
-        F2 = FamilyPoly(ext, tuple(Poly(ext, tuple(emb(v) for v in c.coeffs))
-                                   for c in self.F.coeffs))
-        G2 = FamilyPoly(ext, tuple(Poly(ext, tuple(emb(v) for v in c.coeffs))
-                                   for c in self.G.coeffs))
-        for c in range(ext.q):
-            Fc, Gc = F2.eval_t(c), G2.eval_t(c)
-            if Fc.is_zero or Gc.is_zero or max(Fc.degree, Gc.degree) != dx:
-                continue
-            if poly_gcd(Fc, Gc).degree == 0:
-                return True
+        for m in (1, 2):
+            field = self.field.extension(m)
+            emb = self.field.embedding(field)
+            F, G = (FamilyPoly(field, tuple(Poly(field, tuple(emb(v) for v in c.coeffs))
+                                            for c in member.coeffs))
+                    for member in (self.F, self.G))
+            failed = 0
+            for c in range(field.q):
+                Fc, Gc = F.eval_t(c), G.eval_t(c)
+                if Fc.is_zero or Gc.is_zero or max(Fc.degree, Gc.degree) != dx:
+                    continue
+                if poly_gcd(Fc, Gc).degree == 0:
+                    return True
+                failed += 1
+                if failed > bound:
+                    return False
         return False
 
     def member(self, c):

@@ -6,10 +6,13 @@ coefficient matrix, the unique canonical representative of the subspace;
 ``Pencil`` always reduces its rows.  The census does not screen pencils one
 by one: in each echelon stratum it reduces the choices of each row to jet
 classes and joins the two sides (see the census engine below), O(q^(d-1))
-rows per stratum instead of O(q^(2d-2)) pencils.  It runs in numpy with the
-field's q x q add and mul tables (numpy is imported only there).  The tests
-check it against a small oracle, ``tests/test_pencil.py::_scan_census``,
-which scans every pencil and tests each condition by its 2x2 minors.
+rows per stratum instead of O(q^(2d-2)) pencils.  It runs in numpy (imported
+only there) on the field's own coordinates: a jet is F_p-linear in the
+base-p digits of a row, so the jets of all conditions are one matrix
+product mod p, and a jet is scaled to its class with the field's length-q
+log and exp tables.  The tests check it against a small oracle,
+``tests/test_pencil.py::_scan_census``, which scans every pencil and tests
+each condition by its 2x2 minors.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -30,6 +33,9 @@ from .ratmap import Divisor, ProjPoint, RatMap, is_separable, ram_index
 DEFAULT_BUDGET = 10 ** 7
 
 _INT64_MAX = (1 << 63) - 1
+
+# Rows the census classifies at a time, which bounds its float temporaries.
+_BLOCK = 1 << 12
 
 
 def enumeration_budget(budget=None):
@@ -317,13 +323,13 @@ def _census_survivors(d, assignments, field):
     """Every pencil meeting the assigned conditions, as canonical echelon
     forms."""
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
+    jet_classes = _jet_classifier(field, mats)
     survivors = []
     for j1, j2 in itertools.combinations(range(d + 1), 2):
         free_a = [j for j in range(j1 + 1, d + 1) if j != j2]
         rows_a = _echelon_rows(d, field.q, j1, free_a)
         rows_b = _echelon_rows(d, field.q, j2, list(range(j2 + 1, d + 1)))
-        ia, ib = _join(field.q, _jet_classes(field, mats, rows_a),
-                       _jet_classes(field, mats, rows_b))
+        ia, ib = _join(field.q, jet_classes(rows_a), jet_classes(rows_b))
         for row_a, row_b in zip(rows_a[:, ia].T.tolist(), rows_b[:, ib].T.tolist()):
             survivors.append(Pencil(field, d, (row_a, row_b)))
     return survivors
@@ -341,31 +347,53 @@ def _echelon_rows(d, q, pivot, free):
     return rows
 
 
-def _jet_classes(field, mats, rows):
-    """(zero, classes) for the rows: bit c of zero[t] is set iff row t's
-    jet at condition c vanishes, and classes[c] (e x n) holds the jets
-    scaled by the inverse of their first nonzero entry (0 for a zero jet)."""
+def _jet_classifier(field, mats):
+    """The map rows -> (zero, classes) for the jet matrices: bit c of
+    zero[t] is set iff row t's jet at condition c vanishes, and classes[c]
+    (e x n) holds the jets scaled by the inverse of their first nonzero
+    entry (0 for a zero jet).  lin[(r, i), (l, j)] = digit i of M[r][j] y^l
+    maps the digits (l, j) of a row to the digits (r, i) of its jets, and
+    a jet is scaled as exp[log[jet] - log[lead] + q - 1].  All tables are
+    built once per census and are O(q); rows go in blocks of _BLOCK."""
     import numpy as np
 
-    n = rows.shape[1]
-    zero = np.zeros(n, dtype=np.int64)
-    classes = []
     if not mats:
-        return zero, classes
-    q = field.q
-    add, mul = field.vector_tables()
-    inv = (mul.reshape(q, q) == 1).argmax(axis=1)  # inv[0] = 0
-    nonzero_cols = [j for j in range(rows.shape[0]) if rows[j].any()]
-    for c, M in enumerate(mats):
-        jet = np.zeros((len(M), n), dtype=np.intp)
-        for r, mrow in enumerate(M):
-            for j in nonzero_cols:
-                if mrow[j]:
-                    jet[r] = add[jet[r] * q + mul[mrow[j] * q + rows[j]]]
-        lead = jet[(jet != 0).argmax(axis=0), np.arange(n)]
-        zero |= (lead == 0).astype(np.int64) << c
-        classes.append(mul[inv[lead] * q + jet])
-    return zero, classes
+        return lambda rows: (np.zeros(rows.shape[1], dtype=np.int64), [])
+    p, k, q = field.p, field.k, field.q
+    width, sizes = len(mats[0][0]), [len(M) for M in mats]
+    # float64 is exact while a sum of k (d + 1) products below p^2 is < 2^50
+    if k * width * (p - 1) ** 2 >= 1 << 50:
+        raise BudgetExceeded(f"{field} is too large for an exact census")
+    digit = (np.arange(q) // p ** np.arange(k)[:, None] % p).astype(np.float64)
+    scaled = [[field.mul_i(m, p ** l) for l in range(k) for m in mrow] for M in mats for mrow in M]
+    lin = digit[:, scaled].transpose(1, 0, 2).reshape(k * len(scaled), k * width)
+    # pack[r, (r, i)] = p^i turns the k digits of a jet entry into its encoding
+    pack = np.kron(np.eye(len(scaled)), p ** np.arange(k, dtype=np.float64))
+    log, exp = np.array(field.log), np.array(field.exp, dtype=np.min_scalar_type(q - 1))
+
+    def jet_classes(rows):
+        live = [j for j in range(width) if rows[j].any()]
+        sub = lin[:, [l * width + j for l in range(k) for j in live]]
+        zero = np.zeros(rows.shape[1], dtype=np.int64)
+        classes = np.empty((len(scaled), rows.shape[1]), dtype=exp.dtype)
+        for s in range(0, rows.shape[1], _BLOCK):
+            block = slice(s, s + _BLOCK)
+            jets = sub @ digit[:, rows[live, block]].reshape(k * len(live), -1)
+            quot = jets * (1 / p)  # in place: jets mod p, safe at multiples of p
+            np.floor(np.add(quot, 0.5 / p, out=quot), out=quot)
+            jets -= np.multiply(quot, p, out=quot)
+            enc = (pack @ jets).astype(np.intp)
+            logs, end = log[enc], 0
+            for c, e in enumerate(sizes):
+                jet, jet_log, end = enc[end:end + e], logs[end:end + e], end + e
+                lead = jet_log[-1]
+                for i in range(e - 2, -1, -1):  # down to the first nonzero entry
+                    lead = np.where(jet[i], jet_log[i], lead)
+                zero[block] |= (~jet.any(axis=0)).astype(np.int64) << c
+                classes[end - e:end, block] = np.where(jet, exp[jet_log - lead + (q - 1)], 0)
+        return zero, [classes[end - e:end] for e, end in zip(sizes, itertools.accumulate(sizes))]
+
+    return jet_classes
 
 
 def _join(q, side_a, side_b):

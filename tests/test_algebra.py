@@ -2,6 +2,8 @@ import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramcount import algebra
 from ramcount.algebra import (
@@ -147,26 +149,21 @@ class TestField:
     def test_raw_arithmetic_matches_tables(self, monkeypatch, p, k):
         # a field above the table limit runs on the raw routines alone.  The
         # tables are built from the same _mul_raw, so this checks the table
-        # lookups (and the q x q arrays the census reads) against the
-        # routines they came from, not multiplication itself: the Poly
-        # oracle tests above do that
+        # lookups against the routines they came from, not multiplication
+        # itself: the Poly oracle tests above do that
         table = finite_field(p, k)
         q = table.q
         monkeypatch.setattr(algebra, "_TABLE_LIMIT", q - 1)
         raw = FiniteField(p, k)
-        add, mul = table.vector_tables()
-        assert add.dtype == mul.dtype == "uint8" and add.size == mul.size == q * q
         for a in range(q):
             assert raw.neg_i(a) == table.neg_i(a)
             assert raw.pth_root_i(a) == table.pth_root_i(a)
             if a:
                 assert raw.inv_i(a) == table.inv_i(a)
             for b in range(q):
-                s = raw.add_i(a, b)
-                assert s == table.add_i(a, b) == add[a * q + b], (a, b)
+                assert raw.add_i(a, b) == table.add_i(a, b), (a, b)
                 assert raw.sub_i(a, b) == table.sub_i(a, b), (a, b)
-                m = raw.mul_i(a, b)
-                assert m == table.mul_i(a, b) == mul[a * q + b], (a, b)
+                assert raw.mul_i(a, b) == table.mul_i(a, b), (a, b)
             for n in range(1 - q if a else 0, q):
                 assert raw.pow_i(a, n) == table.pow_i(a, n), (a, n)
         assert "exp" not in vars(raw)  # the raw field never built tables
@@ -256,6 +253,78 @@ class TestGcd:
                 assert u.degree < b.degree - g.degree
             if not v.is_zero and a.degree > g.degree:
                 assert v.degree < a.degree - g.degree
+
+
+# -- property tests: derandomized, so every run draws the same examples -------
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+def _raw_field(p, k):
+    """F_{p^k} on the raw routines alone, as a field above the table limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_TABLE_LIMIT", p ** k - 1)
+        return FiniteField(p, k)
+
+
+RAW125 = _raw_field(5, 3)
+PROPERTY_FIELDS = pytest.mark.parametrize("field", [
+    F9, finite_field(5, 2), F27, finite_field(7, 2), RAW125],
+    ids=["F9", "F25", "F27", "F49", "raw-F125"])
+
+
+def _elements(field):
+    return st.integers(0, field.q - 1)
+
+
+def _polys(field, max_terms=8):
+    return st.lists(_elements(field), max_size=max_terms).map(lambda cs: Poly(field, cs))
+
+
+class TestProperties:
+    @PROPERTY_FIELDS
+    def test_field_axioms(self, field):
+        add, mul, neg, inv = field.add_i, field.mul_i, field.neg_i, field.inv_i
+
+        @PROPERTY
+        @given(_elements(field), _elements(field), _elements(field))
+        def axioms(a, b, c):
+            assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+            assert add(a, neg(a)) == 0 and field.sub_i(add(a, b), b) == a
+            if a:
+                assert mul(a, inv(a)) == 1
+
+        axioms()
+        assert field is not RAW125 or "exp" not in vars(field)
+
+    @PROPERTY_FIELDS
+    def test_divrem_identity(self, field):
+        @PROPERTY
+        @given(_polys(field), _polys(field, 5))
+        def identity(a, b):
+            assume(not b.is_zero)
+            q, r = a.divrem(b)
+            assert q * b + r == a
+            assert r.is_zero or r.degree < b.degree
+
+        identity()
+
+    @PROPERTY_FIELDS
+    def test_xgcd_identity(self, field):
+        @PROPERTY
+        @given(_polys(field), _polys(field))
+        def identity(a, b):
+            assume(not (a.is_zero and b.is_zero))
+            g, u, v = poly_xgcd(a, b)
+            assert u * a + v * b == g
+            assert g.leading() == 1
+            assert (a % g).is_zero and (b % g).is_zero
+
+        identity()
 
 
 class TestValuation:

@@ -243,6 +243,22 @@ class TestFamilyTransform:
         code, out = run(["transform", "--family", str(path)])
         assert (code, out) == (1, "error: special fiber is already separable\n")
 
+    def test_shared_factor_refused_in_bounded_time(self, tmp_path):
+        # F = (x - t) x and G = x - t share x - t over k(t).  The family
+        # is refused once more values of t fail than the resultant's degree
+        # allows, not after a scan of all 3001^2 values of F_{3001^2}; the
+        # timeout turns such a scan into a failure instead of a hang
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"schema": 1, "p": 3001,
+                                    "F": "[(0),(0,3000),(1)]", "G": "[(0,3000),(1)]"}))
+        src = str(Path(ramcount.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "ramcount.cli", "transform", "--family", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30)
+        assert out.returncode == 1
+        assert out.stderr == "error: family members share a factor over k(t)\n"
+
     def _transform_payload(self, tmp_path, **changes):
         payload = {"schema": 1, "p": 3, "k": 1,
                    "F": "[(0),(0),(0,1),(1)]", "G": "[(2,1),(0,1)]",
@@ -345,6 +361,25 @@ def test_numpy_loaded_only_by_census():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_census_tables_are_linear_in_q():
+    # the census over F_3001 scales jets with length-q log/exp arrays; one
+    # q x q table of uint16 alone would take 17.2 MiB.  The field's scalar
+    # tables are built first, so the peak is the census's own
+    import tracemalloc
+
+    from ramcount.algebra import finite_field
+
+    finite_field(3001).add_i(1, 1)
+    tracemalloc.start()
+    try:
+        payload = run_json(["search", "--p", "3001", "--orders", "2,2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["total"] == payload["separable"] == 1
+    assert peak < 16 << 20, peak
 
 
 def test_out_of_memory_is_exit_2():

@@ -287,6 +287,36 @@ class TestAnalyzeLimit:
         assert any("combined order" in w for w in report.warnings)
 
 
+class TestGenericCoprimality:
+    def test_shared_factor_refused_after_bounded_tries(self, monkeypatch):
+        # F = (x - t) x and G = x - t share x - t over k(t): every value of
+        # t fails, and past the resultant's degree bound (9 here) the
+        # family is refused without trying the 101^2 values of F_{101^2}
+        field = finite_field(101)
+        calls = []
+        eval_t = FamilyPoly.eval_t
+
+        def counted(self, c):
+            calls.append(c)
+            return eval_t(self, c)
+
+        monkeypatch.setattr(FamilyPoly, "eval_t", counted)
+        F = FamilyPoly.from_string(field, "[(0),(0,100),(1)]")
+        G = FamilyPoly.from_string(field, "[(0,100),(1)]")
+        with pytest.raises(ValueError, match="share a factor"):
+            MapFamily(F, G)
+        assert len(calls) < 100
+
+    def test_coprime_only_over_the_quadratic_extension(self):
+        # F = x, G = x + t^3 - t: every t in F_3 gives G = F, so only a
+        # value of F_9 outside F_3 shows that the members are coprime
+        F = FamilyPoly.from_string(F3, "[(0),(1)]")
+        G = FamilyPoly.from_string(F3, "[(0,2,0,1),(1)]")
+        assert all(F.eval_t(c) == G.eval_t(c) for c in range(3))
+        fam = MapFamily(F, G)
+        assert fam.degree == 1
+
+
 class TestFamilySerialization:
     def test_json_roundtrip(self):
         fam = quartet_family(F9)

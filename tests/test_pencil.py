@@ -1,12 +1,16 @@
 import functools
 import itertools
+import random
 
 import pytest
 
+import ramcount.pencil as pencil_module
 from ramcount.algebra import BudgetExceeded, Poly, finite_field
 from ramcount.pencil import (
     Pencil,
     _classify_survivors,
+    _echelon_rows,
+    _jet_classifier,
     count_maps_bruteforce,
     gaussian_binomial_pencils,
     sample_general_points,
@@ -167,6 +171,71 @@ def _assigns(field, points, orders):
             for x, e in zip(points, orders)]
 
 
+class TestJetClassifier:
+    """The census's jet classes against a scalar oracle: each condition's
+    jet is its jet matrix times the row in add_i/mul_i, scaled by inv_i of
+    its first nonzero entry."""
+
+    @staticmethod
+    def _oracle(field, mats, row):
+        zero, classes = 0, []
+        for c, M in enumerate(mats):
+            jet = [functools.reduce(field.add_i, map(field.mul_i, m, row), 0) for m in M]
+            lead = next((v for v in jet if v), 0)
+            if lead:
+                classes.append([field.mul_i(v, field.inv_i(lead)) for v in jet])
+            else:
+                zero |= 1 << c
+                classes.append(jet)
+        return zero, classes
+
+    @pytest.mark.parametrize("p, k", [
+        (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (3001, 1)])
+    def test_classes_match_scalar_oracle(self, monkeypatch, p, k):
+        import numpy as np
+
+        monkeypatch.setattr(pencil_module, "_BLOCK", 16)  # several blocks a call
+        field, d = finite_field(p, k), 4
+        rng = random.Random(p ** k)
+        points = [ProjPoint.infinity(field)]
+        points += [ProjPoint(field, a) for a in rng.sample(range(1, field.q), 3)]
+        assigns = list(zip(points, (2, 3, 2, 4)))
+        mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assigns]
+        # random rows, and rows whose jet vanishes at one of the points:
+        # (x - a)^e h, or of degree <= d - e for the point at infinity
+        rows = []
+        for t in range(60):
+            pt, e = assigns[t % 4]
+            if t % 3 == 0:
+                rows.append([rng.randrange(field.q) for _ in range(d + 1)])
+                continue
+            h = Poly(field, [rng.randrange(field.q) for _ in range(d + 1 - e)])
+            if not pt.is_infinity:
+                h = h * Poly(field, (field.neg_i(pt.i), 1)) ** e
+            rows.append(list(h.coeffs) + [0] * (d + 1 - len(h.coeffs)))
+        # and an echelon stratum, whose rows are zero at three positions
+        stratum = _echelon_rows(d, field.q, 1, [3])[:, :50]
+        classify = _jet_classifier(field, mats)
+        for array in (np.array(rows, dtype=np.intp).T, stratum):
+            zero, classes = classify(array)
+            assert zero.any() or array is stratum
+            for t, row in enumerate(array.T.tolist()):
+                expect_zero, expect = self._oracle(field, mats, row)
+                assert zero[t] == expect_zero, (t, row)
+                assert [cls[:, t].tolist() for cls in classes] == expect, (t, row)
+
+    def test_refuses_a_field_too_large_for_exact_products(self):
+        # 3 (p - 1)^2 is above 2^50 here, so a float64 sum could round
+        field = finite_field(100000007)
+        mats = [vanishing_jet_matrix(field, 2, ProjPoint(field, 1), 2)]
+        with pytest.raises(BudgetExceeded, match="too large for an exact census"):
+            _jet_classifier(field, mats)
+
+    def test_no_conditions(self):
+        zero, classes = _jet_classifier(F5, [])(_echelon_rows(2, 5, 0, [2]))
+        assert zero.tolist() == [0] * 5 and classes == []
+
+
 class TestCensus:
     def test_engines_agree_small(self):
         cases = [
@@ -217,6 +286,9 @@ class TestCensus:
         (4, 3, 1, (None, 0, 1), (4, 3, 2), (1, 1)),
         # every point of P^1(F_5), far from general: five maps
         (4, 5, 1, (0, None, 4, 3, 2, 1), (2, 2, 2, 2, 2, 2), (5, 0)),
+        # d = 2 over F_81 and F_125: jets of four and of three base-p digits
+        (2, 3, 4, (5, 7, None), (2, 2, 1), (1, 0)),
+        (2, 5, 3, (31, None), (2, 2), (1, 0)),
     ])
     def test_join_branches_agree_with_scan(self, d, p, k, points, orders, least):
         field = finite_field(p, k)
