@@ -31,7 +31,10 @@ into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
 with shifts a that leave every proper subfield at once: O(deg^2 log q)
 field operations, where a scan takes O(q deg).  splitting_field_roots
 splits each distinct-degree part of f over F_{q^K} on its own, and
-FiniteField.embedding takes the least root of a modulus the same way.
+FiniteField.embedding takes the least root of a modulus the same way: an
+element's image in an extension is its digit polynomial evaluated at that
+cached root.  Poly.over, which applies the embedding coefficientwise, is
+the one way a polynomial is carried into an extension field.
 
 p = 2 is rejected at construction.
 """
@@ -110,7 +113,7 @@ class FiniteField:
         self.q = p ** k
         self.modulus = _lexleast_modulus(p, k)
         self._half = (self.q - 1) // 2  # g^half = -1
-        self._embeddings = {}
+        self._embedding_roots = {}
         if self.q > _TABLE_LIMIT:
             # too large to tabulate: the raw routines serve every op
             self.add_i, self.sub_i, self.neg_i = self._add_raw, self._sub_raw, self._neg_raw
@@ -322,32 +325,20 @@ class FiniteField:
         return finite_field(self.p, self.k * m)
 
     def embedding(self, target):
-        """Map of encodings F_{p^k} -> F_{p^{k*m}}: sends y to the first root
-        of this field's modulus in the target (first in encoding order).  An
-        element of F_p has the same encoding in every extension, so a prime
-        field embeds as the identity."""
+        """Map of encodings F_{p^k} -> F_{p^{k*m}}: an element's digit
+        polynomial evaluated at the first root (in encoding order) of this
+        field's modulus in the target, which is where y goes.  Digits are in
+        F_p, and an element of F_p has the same encoding in every extension,
+        so a prime field embeds as the identity."""
         if target.p != self.p or target.k % self.k != 0:
             raise ValueError(f"{target} does not contain {self}")
         if target == self or self.k == 1:
             return lambda a: a
-        key = (target.p, target.k, target.modulus)
-        if key in self._embeddings:
-            powers = self._embeddings[key]
-        else:
-            # the modulus has F_p coefficients, which keep their encodings
-            root = roots_with_multiplicity(Poly(target, self.modulus))[0][0]
-            powers = [1]
-            for _ in range(self.k - 1):
-                powers.append(target.mul_i(powers[-1], root))
-            self._embeddings[key] = powers
-        def embed(a, _powers=powers, _t=target, _s=self):
-            digits = _s.decode(a)
-            acc = 0
-            for d, pw in zip(digits, _powers):
-                if d:
-                    acc = _t.add_i(acc, _t.mul_i(d, pw))
-            return acc
-        return embed
+        if target not in self._embedding_roots:
+            self._embedding_roots[target] = roots_with_multiplicity(
+                Poly(target, self.modulus))[0][0]
+        root = self._embedding_roots[target]
+        return lambda a: Poly(target, self.decode(a))(root)
 
 
 def finite_field(p, k=1):
@@ -564,6 +555,13 @@ class Poly:
             raise ValueError("degree exceeds reversal bound")
         padded = list(self.coeffs) + [0] * (d + 1 - len(self.coeffs))
         return Poly(self.field, tuple(reversed(padded)))
+
+    def over(self, target):
+        """The same polynomial over target, an extension of its field."""
+        if target == self.field:
+            return self
+        embed = self.field.embedding(target)
+        return Poly(target, tuple(embed(c) for c in self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +866,14 @@ def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
             f"splitting field F_{{{field.p}^{field.k * ext_deg}}} exceeds budget {budget}")
     ext = field.extension(ext_deg)
     embed = field.embedding(ext)
-
-    def lift(f):
-        return Poly(ext, tuple(embed(c) for c in f.coeffs))
-
-    lifted = lift(fpoly)
+    lifted = fpoly.over(ext)
     found = []
     for j, g in parts:
         if j == 1:
             # the roots lie in the base field: find them there, then embed
             found += [embed(r) for r, _ in roots_with_multiplicity(g)]
         else:
-            found += [r for r, _ in roots_with_multiplicity(lift(g))]
+            found += [r for r, _ in roots_with_multiplicity(g.over(ext))]
     found.sort()
     roots = [(r, poly_valuation(lifted, r)) for r in found]
     total = sum(m for _, m in roots)

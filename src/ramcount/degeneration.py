@@ -15,6 +15,12 @@ positive power of t removed, which is asserted at every step and forces
 termination.  A family normalizes its basis (``_nonconstant_basis``) at most
 once: ``special_fiber_separable``, ``insep_limit_transform`` and each step of
 ``analyze_limit`` share it, and the last one gives the limit.
+
+``MapFamily`` refuses members that share a factor over k(t).  It
+specializes t over F_q first, which settles almost every family; when F_q
+has too few values to decide, it scans the least F_{q^m} with more
+elements than the resultant's t-degree bound plus the top t-degree, and
+that field decides every family.
 """
 
 from __future__ import annotations
@@ -191,11 +197,8 @@ class Section:
     def value_at(self, field, c):
         if self.at_infinity:
             return ProjPoint.infinity(field)
-        num = self.num(c)
-        den = self.den(c) if self.den is not None else 1
-        if den == 0:
-            return ProjPoint.infinity(field)
-        return ProjPoint(field, field.div_i(num, den))
+        return ProjPoint.from_ratio(field, self.num(c),
+                                    self.den(c) if self.den is not None else 1)
 
     @classmethod
     def constant(cls, field, point, order):
@@ -240,20 +243,23 @@ class MapFamily:
         degree.  A full-degree value of t where the members share a root
         is a root of Res_x(F, G), whose t-degree is below `bound`; so once
         more than `bound` such values fail, the resultant vanishes and the
-        members share a factor.  The values of F_q are tried, then those
-        of F_{q^2}."""
+        members share a factor.  The degree drops only at roots of one
+        leading t-coefficient, at most `top` values, so a field with more
+        than bound + top elements decides.  The values of F_q are tried,
+        then those of the least such F_{q^m}."""
         dx = self.degree
-        bound = 2 * dx * (max(self.F.max_t_degree(), self.G.max_t_degree()) + 1) + 1
-        for m in (1, 2):
-            field = self.field.extension(m)
-            emb = self.field.embedding(field)
-            F, G = (FamilyPoly(field, tuple(Poly(field, tuple(emb(v) for v in c.coeffs))
-                                            for c in member.coeffs))
+        top = max(self.F.max_t_degree(), self.G.max_t_degree())
+        bound = 2 * dx * (top + 1) + 1
+        m = 1
+        while self.field.q ** m <= bound + top:
+            m += 1
+        for field in (self.field, self.field.extension(m)):
+            F, G = (FamilyPoly(field, tuple(c.over(field) for c in member.coeffs))
                     for member in (self.F, self.G))
             failed = 0
             for c in range(field.q):
                 Fc, Gc = F.eval_t(c), G.eval_t(c)
-                if Fc.is_zero or Gc.is_zero or max(Fc.degree, Gc.degree) != dx:
+                if max(Fc.degree, Gc.degree) != dx:
                     continue
                 if poly_gcd(Fc, Gc).degree == 0:
                     return True

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .algebra import BudgetExceeded, Poly, nullspace, rref
 from .ratmap import Divisor, ProjPoint, RatMap, is_separable, ram_index
+from .schubert import check_orders
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -161,13 +162,7 @@ def solve_three_point(d, e1, e2, e3, field):
     The solution space is a projective space P^m; when m = 0 the unique
     pencil is returned together with its separability.
     """
-    orders = (e1, e2, e3)
-    if any(e < 1 for e in orders):
-        raise ValueError("orders must be >= 1")
-    if sum(e - 1 for e in orders) != 2 * (d - 1):
-        raise ValueError("orders do not match degree d (parity/degree check)")
-    if any(e > d for e in orders):
-        raise ValueError("some order exceeds d: no valid instance")
+    check_orders(d, (e1, e2, e3))
     # unknowns: a_j for j in [e1, d], then b_j for j in [0, d - e2]
     a_idx = list(range(e1, d + 1))
     b_idx = list(range(0, d - e2 + 1))
@@ -249,13 +244,7 @@ def count_maps_bruteforce(d, assignments, field, budget=None):
     pts = [pt for pt, _ in assignments]
     if len(set(pts)) != len(pts):
         raise ValueError("assigned points must be distinct")
-    for _, e in assignments:
-        if not 1 <= e <= d:
-            raise ValueError(f"order {e} outside 1..d")
-    codim = sum(e - 1 for _, e in assignments)
-    if codim != 2 * d - 2:
-        raise ValueError(
-            f"orders impose codimension {codim}, expected 2d-2 = {2 * d - 2}")
+    check_orders(d, [e for _, e in assignments])
     total_pencils = gaussian_binomial_pencils(d, field.q)
     limit = enumeration_budget(budget)
     if total_pencils > limit:

@@ -50,6 +50,13 @@ class ProjPoint:
     def infinity(cls, field):
         return cls(field, None)
 
+    @classmethod
+    def from_ratio(cls, field, num, den):
+        """The point num/den of encodings: infinity where den = 0."""
+        if den == 0:
+            return cls.infinity(field)
+        return cls(field, field.div_i(num, den))
+
     @property
     def is_infinity(self):
         return self.i is None
@@ -204,12 +211,8 @@ class RatMap:
             raise ValueError("point in a different field; embed the map first")
         if point.is_infinity:
             fs, gs = self._swapped()
-            num, den = fs(0), gs(0)
-        else:
-            num, den = self.F(point.i), self.G(point.i)
-        if den == 0:
-            return ProjPoint.infinity(self.field)
-        return ProjPoint(self.field, self.field.div_i(num, den))
+            return ProjPoint.from_ratio(self.field, fs(0), gs(0))
+        return ProjPoint.from_ratio(self.field, self.F(point.i), self.G(point.i))
 
     def _swapped(self):
         """The pair after x -> 1/x: both coefficient sequences reversed,
@@ -221,9 +224,7 @@ class RatMap:
         """The same map over an extension field."""
         if target == self.field:
             return self
-        embed = self.field.embedding(target)
-        return RatMap(Poly(target, tuple(embed(c) for c in self.F.coeffs)),
-                      Poly(target, tuple(embed(c) for c in self.G.coeffs)))
+        return RatMap(self.F.over(target), self.G.over(target))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +346,9 @@ def mobius_apply(field, M, point):
     """Apply (a b; c e) as w -> (aw+b)/(cw+e) to a ProjPoint."""
     a, b, c, e = _check_matrix(field, M)
     if point.is_infinity:
-        if c == 0:
-            return ProjPoint.infinity(field)
-        return ProjPoint(field, field.div_i(a, c))
-    num = field.add_i(field.mul_i(a, point.i), b)
-    den = field.add_i(field.mul_i(c, point.i), e)
-    if den == 0:
-        return ProjPoint.infinity(field)
-    return ProjPoint(field, field.div_i(num, den))
+        return ProjPoint.from_ratio(field, a, c)
+    return ProjPoint.from_ratio(field, field.add_i(field.mul_i(a, point.i), b),
+                                field.add_i(field.mul_i(c, point.i), e))
 
 
 def mobius_inverse(field, M):

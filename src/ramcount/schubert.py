@@ -22,6 +22,12 @@ class and drop out.  For 2d - 2 simple points this is the Catalan number
 C(2m, m) - C(2m, m - 1), m = d - 1.  ``intersection_number`` extracts that
 one coefficient; ``counting`` reads the same series folded modulo p.
 
+The degree rule fixes an instance: by Riemann-Hurwitz a degree-d map has
+sum (e_i - 1) = 2d - 2, the complementary codimension, and every order
+lies in 1..d.  ``check_orders`` is its one statement; the census and the
+three-point solver in ``pencil`` call it too, so all three refuse a bad
+instance with the same message.
+
 ``pieri_multiply`` is the Pieri rule on class sums: multiplying by a
 special class raises a + b by a fixed amount, so a product of special
 classes lives in one degree s = a + b at a time and is a list of
@@ -87,13 +93,9 @@ def pieri_multiply(class_sum, e, d):
     return out
 
 
-def intersection_number(d, orders):
-    """Coefficient of the point class (d-1, d-1) in the product of the
-    special classes (e_i - 1, 0), starting from the identity class.
-
-    Requires complementary total codimension: sum (e_i - 1) = 2(d - 1).
-    """
-    orders = tuple(int(e) for e in orders)
+def check_orders(d, orders):
+    """The degree rule: raise ValueError unless every order lies in 1..d
+    and sum (e_i - 1) = 2(d - 1), the Riemann-Hurwitz total."""
     if any(e < 1 for e in orders):
         raise ValueError("orders must be >= 1")
     codim = sum(e - 1 for e in orders)
@@ -102,6 +104,15 @@ def intersection_number(d, orders):
             f"codimension mismatch: sum(e_i - 1) = {codim} != 2(d-1) = {2 * (d - 1)}")
     for e in orders:
         _check_order(e, d)
+
+
+def intersection_number(d, orders):
+    """Coefficient of the point class (d-1, d-1) in the product of the
+    special classes (e_i - 1, 0), starting from the identity class; the
+    orders must satisfy the degree rule (``check_orders``).
+    """
+    orders = tuple(int(e) for e in orders)
+    check_orders(d, orders)
     return _series_coefficient(d, orders)
 
 

@@ -182,6 +182,19 @@ class TestPolyArithmetic:
     def test_add_disjoint_supports(self):
         assert P(F5, 0, 0, 2, 1) + P(F5, 1, 2) == P(F5, 1, 2, 2, 1)
 
+    def test_over_an_extension_is_a_ring_map(self):
+        # carrying F_9 polynomials into F_81 commutes with products and
+        # with evaluation; over their own field they stay as they are
+        F81 = finite_field(3, 4)
+        embed = F9.embedding(F81)
+        rng = random.Random(5)
+        for _ in range(20):
+            f, g = (Poly(F9, [rng.randrange(9) for _ in range(4)]) for _ in range(2))
+            assert (f * g).over(F81) == f.over(F81) * g.over(F81)
+            a = rng.randrange(9)
+            assert f.over(F81)(embed(a)) == embed(f(a))
+            assert f.over(F9) is f
+
     def test_zero_degree_sentinel(self):
         assert Poly.zero(F5).degree == NEG_INFINITY
         assert Poly.one(F5).degree == 0
@@ -536,11 +549,6 @@ def _irreducibles(p, j, rng, count):
     return out
 
 
-def _lift(fpoly, target):
-    embed = fpoly.field.embedding(target)
-    return Poly(target, [embed(c) for c in fpoly.coeffs])
-
-
 def _assert_roots_match(fpoly):
     assert roots_with_multiplicity(fpoly) == _scan_roots(fpoly), fpoly
 
@@ -570,8 +578,8 @@ class TestRootsAgainstScan:
             for m in (j, 2 * j):
                 if p ** m <= 3 ** 8:
                     ext = finite_field(p, m)
-                    _assert_roots_match(_lift(f, ext))
-                    _assert_roots_match(_lift(f * f * P(f.field, 1, 1), ext))
+                    _assert_roots_match(f.over(ext))
+                    _assert_roots_match((f * f * P(f.field, 1, 1)).over(ext))
             _assert_splitting_matches(f)
 
     @pytest.mark.parametrize("field", [F3, F5, F9, finite_field(5, 2)])
@@ -632,7 +640,7 @@ class TestRootsAgainstScan:
                 _assert_splitting_matches(f, max_q=3 ** 6)
             assert "exp" not in vars(field)
         f = _irreducibles(3, 4, rng, 1)[0]
-        _assert_roots_match(_lift(f, finite_field(3, 4)))
+        _assert_roots_match(f.over(finite_field(3, 4)))
 
     def test_embeddings(self):
         # every proper subfield of every field with q <= 6561

@@ -316,6 +316,36 @@ class TestGenericCoprimality:
         fam = MapFamily(F, G)
         assert fam.degree == 1
 
+    def test_coprime_only_beyond_the_quadratic_extension(self):
+        # F = x, G = x + t^9 - t: every t in F_9 gives G = F, and those 9
+        # failures are fewer than the 21 a nonzero resultant allows, so
+        # neither F_3 nor F_9 decides; F_81 does
+        F = FamilyPoly.from_string(F3, "[(0),(1)]")
+        G = FamilyPoly.from_string(F3, "[(0,2,0,0,0,0,0,0,0,1),(1)]")
+        F_9, G_9 = (FamilyPoly(F9, [c.over(F9) for c in member.coeffs])
+                    for member in (F, G))
+        assert all(F_9.eval_t(c) == G_9.eval_t(c) for c in range(9))
+        assert MapFamily(F, G).degree == 1
+
+    def test_shared_factor_refused_over_a_small_field(self):
+        # (x - t^9 + t) x and x - t^9 + t share a factor; over F_3 the
+        # decisive field is F_81, where every full-degree value fails
+        F = FamilyPoly.from_string(F3, "[(0),(0,1,0,0,0,0,0,0,0,2),(1)]")
+        G = FamilyPoly.from_string(F3, "[(0,1,0,0,0,0,0,0,0,2),(1)]")
+        with pytest.raises(ValueError, match="share a factor"):
+            MapFamily(F, G)
+
+
+class TestSection:
+    def test_value_at_a_pole(self):
+        # t/(t - 1) over F_5: a pole at t = 1, finite values elsewhere
+        F5 = finite_field(5)
+        s = Section(num=Poly.from_ints(F5, (0, 1)), den=Poly.from_ints(F5, (-1, 1)))
+        assert s.value_at(F5, 1).is_infinity
+        assert s.value_at(F5, 0) == ProjPoint(F5, 0)
+        assert s.value_at(F5, 2) == ProjPoint(F5, 2)  # 2/1
+        assert s.value_at(F5, 3) == ProjPoint(F5, 4)  # 3/2 = 3 * 3
+
 
 class TestFamilySerialization:
     def test_json_roundtrip(self):

@@ -18,6 +18,7 @@ from ramcount.pencil import (
     vanishing_jet_matrix,
 )
 from ramcount.ratmap import ProjPoint, RatMap
+from ramcount.schubert import intersection_number
 
 F3 = finite_field(3)
 F5 = finite_field(5)
@@ -144,6 +145,34 @@ class TestThreePointSolver:
     def test_oversized_error(self):
         with pytest.raises(ValueError):
             solve_three_point(3, 5, 1, 2, F5)
+
+
+class TestDegreeRule:
+    """The Schubert number, the census and the three-point solver refuse a
+    bad instance with one message: they share schubert.check_orders."""
+
+    @staticmethod
+    def _messages(d, orders):
+        points = [ProjPoint(F5, x) for x in range(len(orders))]
+        calls = [lambda: intersection_number(d, orders),
+                 lambda: count_maps_bruteforce(d, list(zip(points, orders)), F5),
+                 lambda: solve_three_point(d, *orders, 1, F5)]
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        return messages
+
+    def test_order_above_d(self):
+        assert self._messages(3, (4, 2)) == ["order e = 4 outside 1..d"] * 3
+
+    def test_codimension_mismatch(self):
+        assert self._messages(3, (2, 2)) == [
+            "codimension mismatch: sum(e_i - 1) = 2 != 2(d-1) = 4"] * 3
+
+    def test_order_below_one(self):
+        assert self._messages(2, (0, 3)) == ["orders must be >= 1"] * 3
 
 
 def _four_simple_points(field, lam):

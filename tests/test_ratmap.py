@@ -196,6 +196,15 @@ class TestMobius:
         assert moved(ProjPoint(F5, 1)).is_infinity
         assert ram_index(moved, 1) == 3
 
+    def test_apply_poles(self):
+        # w -> w/(w - 1) over F_5 sends 1 to infinity and infinity to 1;
+        # the identity fixes infinity (c = 0)
+        M = ((1, 0), (1, 4))
+        assert mobius_apply(F5, M, ProjPoint(F5, 1)).is_infinity
+        assert mobius_apply(F5, M, ProjPoint.infinity(F5)) == ProjPoint(F5, 1)
+        assert mobius_apply(F5, M, ProjPoint(F5, 2)) == ProjPoint(F5, 2)  # 2/1
+        assert mobius_apply(F5, ((1, 0), (0, 1)), ProjPoint.infinity(F5)).is_infinity
+
     def test_image_action_preserves_ram(self):
         m = solver_map()
         rng = random.Random(4)
