@@ -42,7 +42,7 @@ p = 2 is rejected at construction.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 NEG_INFINITY = float("-inf")
 
@@ -337,8 +337,8 @@ class FiniteField:
         if target not in self._embedding_roots:
             self._embedding_roots[target] = roots_with_multiplicity(
                 Poly(target, self.modulus))[0][0]
-        root = self._embedding_roots[target]
-        return lambda a: Poly(target, self.decode(a))(root)
+        root, add, mul = self._embedding_roots[target], target.add_i, target.mul_i
+        return lambda a: reduce(lambda acc, d: add(mul(acc, root), d), reversed(self.decode(a)), 0)
 
 
 def finite_field(p, k=1):

@@ -212,8 +212,7 @@ def cmd_table(args):
                 c4 = _four_closed(profile)
                 closed4 = c4.value if not c4.is_unknown else ""
             if p == INFINITY and not profile.forced_zero:
-                # the count at p = inf is the intersection number itself
-                schubert = count
+                schubert = intersection_number(d, orders)
             checks = [v for v in (closed4, schubert) if v != ""]
             if result.is_unknown or profile.forced_zero:
                 match = ""
