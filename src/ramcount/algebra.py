@@ -23,14 +23,26 @@ arrays.  The census does its numpy arithmetic on the base-p digits that
 decode returns (pencil._jet_classifier); this module does not import numpy.
 Apart from the raw product, which stays on digit lists because the tables
 are built from it and a Poly product over F_p is ~3x slower, Poly is the
-only polynomial arithmetic here.
+only polynomial arithmetic here.  Its product and division run on one row
+kernel, FiniteField.axpy_i (acc[start + j] += c * vec[j]), called once per
+row: on a tabulated field it adds in the log domain, one Zech and one exp
+lookup per nonzero product, and a field with q > 2^16 rebinds it to the raw
+routines with its other ops.
 
 Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
 into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
 with shifts a that leave every proper subfield at once: O(deg^2 log q)
 field operations, where a scan takes O(q deg).  splitting_field_roots
-splits each distinct-degree part of f over F_{q^K} on its own, and
+splits each distinct-degree part of f over F_{q^K} on its own; a part of
+degree j > 1 is known to split there, so it goes to the splitter with no
+gcd.  The distinct-degree pass stops as soon as its answer is known: at
+step j, a remainder of degree below 2j is one irreducible factor.  Under a
+budget it also refuses early, once the lcm of the degrees found exceeds
+max_ext, the largest m with q^m <= budget, or once step j passes max_ext
+with a factor left; it refuses exactly when q^K > budget, and its message
+gives a lower bound on K.
+
 FiniteField.embedding takes the least root of a modulus the same way: an
 element's image in an extension is its digit polynomial evaluated at that
 cached root.  Poly.over, which applies the embedding coefficientwise, is
@@ -118,6 +130,7 @@ class FiniteField:
             # too large to tabulate: the raw routines serve every op
             self.add_i, self.sub_i, self.neg_i = self._add_raw, self._sub_raw, self._neg_raw
             self.mul_i, self.inv_i, self.pow_i = self._mul_raw, self._inv_raw, self._pow_raw
+            self.axpy_i = self._axpy_raw
 
     # -- identity ----------------------------------------------------------
 
@@ -247,6 +260,25 @@ class FiniteField:
         """Inverse of Frobenius: the unique b with b^p = a."""
         return self.pow_i(a, self.q // self.p)
 
+    def axpy_i(self, acc, start, c, vec):
+        """acc[start + j] += c * vec[j] in place, for c != 0: the row
+        operation of Poly's product and division.  In logs, a + b is
+        g^la (1 + g^(lb - la)), so each nonzero product costs one zech and
+        one exp lookup; lb - la may be negative, and Python's negative
+        indexing then lands on the same Zech entry, since zech is doubled."""
+        log, exp, zech = self.log, self.exp, self.zech
+        lc = log[c]
+        for j, v in enumerate(vec, start):
+            if v:
+                lb = lc + log[v]
+                a = acc[j]
+                if a:
+                    la = log[a]
+                    z = zech[lb - la]
+                    acc[j] = exp[la + z] if z >= 0 else 0
+                else:
+                    acc[j] = exp[lb]
+
     # -- raw routines: they build the tables and serve fields with q > 2^16 --
 
     def _add_raw(self, a, b, sign=1):
@@ -282,6 +314,12 @@ class FiniteField:
                 for j in range(k):
                     prod[i - k + j] -= c * mod[j]
         return self.encode(prod[:k])
+
+    def _axpy_raw(self, acc, start, c, vec):
+        add, mul = self._add_raw, self._mul_raw
+        for j, v in enumerate(vec, start):
+            if v:
+                acc[j] = add(acc[j], mul(c, v))
 
     def _inv_raw(self, a):
         if not a:
@@ -463,13 +501,13 @@ class Poly:
         f = self.field
         if not self.coeffs or not other.coeffs:
             return Poly.zero(f)
-        add, mul = f.add_i, f.mul_i
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs, i):
-                    if b:
-                        out[j] = add(out[j], mul(a, b))
+        # one row per coefficient of the shorter factor
+        rows, vec = sorted((self.coeffs, other.coeffs), key=len)
+        out = [0] * (len(rows) + len(vec) - 1)
+        axpy = f.axpy_i
+        for i, c in enumerate(rows):
+            if c:
+                axpy(out, i, c, vec)
         return Poly(f, out)
 
     def scale(self, c):
@@ -507,16 +545,18 @@ class Poly:
         inv_lead = 1 if dv[-1] == 1 else f.inv_i(dv[-1])
         if len(rem) - 1 < dd:
             return Poly.zero(f), self
-        sub, mul = f.sub_i, f.mul_i
+        axpy, mul, neg = f.axpy_i, f.mul_i, f.neg_i
+        # the row at i clears rem[i], which is never read again, so the
+        # rows leave out the divisor's leading coefficient
+        low = dv[:-1]
         quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
                 c = mul(c, inv_lead)
                 quot[i - dd] = c
-                for j, m in enumerate(dv, i - dd):
-                    rem[j] = sub(rem[j], mul(c, m))
-        return Poly(f, quot), Poly(f, rem)
+                axpy(rem, i - dd, neg(c), low)
+        return Poly(f, quot), Poly(f, rem[:dd])
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
@@ -810,36 +850,67 @@ def _split_linear(g):
     return roots
 
 
-def _distinct_degree_parts(fpoly):
+def _distinct_degree_parts(fpoly, budget=None):
     """[(j, g_j)] for each degree j of an irreducible factor, ascending:
     g_j is the product of the distinct monic irreducible factors of degree
     j, so it is squarefree.
 
     Works directly on non-squarefree input: gcd with x^{q^j} - x picks up
     every degree-j factor once, and repeated gcd-division strips that degree
-    to full multiplicity before moving on.
+    to full multiplicity before moving on.  At step j every factor left in
+    work has degree >= j, so a work of degree below 2j is one irreducible
+    factor, and the pass stops there.
+
+    With a budget, the splitting field F_{q^K}, K the lcm of the part
+    degrees, must have at most budget elements, that is K <= max_ext.  The
+    pass raises BudgetExceeded as soon as that is known to fail: when the
+    lcm of the degrees found so far exceeds max_ext, or when j passes
+    max_ext while work still has a factor, whose degree is then >= j.
     """
     field = fpoly.field
+    max_ext = math.inf if budget is None else _max_extension(field.q, budget)
     work = fpoly.monic()[0]
     parts = []
     x = frob = Poly.x(field)
-    j = 0
+    j, ext_deg = 0, 1
     while work.degree > 0:
         j += 1
-        if j > fpoly.degree:
-            raise ArithmeticError("distinct-degree factorization did not terminate")
-        # x^{q^j} mod work: work only loses factors, so the previous power
-        # reduced mod the new work is still right
-        frob = poly_powmod(frob, field.q, work)
-        g = poly_gcd(frob - x, work)
-        if g.degree > 0:
-            parts.append((j, g))
-            while True:
-                h = poly_gcd(work, g)
-                if h.degree == 0:
-                    break
-                work = work // h
+        if work.degree < 2 * j:
+            g, j, work = work, work.degree, Poly.one(field)
+        elif j > max_ext:
+            _refuse(field, j, budget)
+        else:
+            # x^{q^j} mod work: work only loses factors, so the previous
+            # power reduced mod the new work is still right
+            frob = poly_powmod(frob, field.q, work)
+            g = poly_gcd(frob - x, work)
+            if g.degree == 0:
+                continue
+        parts.append((j, g))
+        ext_deg = math.lcm(ext_deg, j)
+        if ext_deg > max_ext:
+            _refuse(field, ext_deg, budget)
+        while True:
+            h = poly_gcd(work, g)
+            if h.degree == 0:
+                break
+            work = work // h
     return parts
+
+
+def _max_extension(q, budget):
+    """The largest m >= 0 with q^m <= budget."""
+    m, size = 0, q
+    while size <= budget:
+        m, size = m + 1, size * q
+    return m
+
+
+def _refuse(field, ext_deg, budget):
+    """Refuse a splitting field of degree at least ext_deg over field."""
+    raise BudgetExceeded(
+        f"splitting field F_{{{field.p}^m}} with m >= {field.k * ext_deg} "
+        f"exceeds budget {budget}")
 
 
 def distinct_degree_profile(fpoly):
@@ -849,22 +920,17 @@ def distinct_degree_profile(fpoly):
 
 def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
     """(ext_field, [(root, mult)]) over the smallest F_{q^K} where fpoly
-    splits into linear factors, roots in encoding order.  Each squarefree
-    distinct-degree part is lifted and split on its own; the multiplicities
-    are read off the lifted fpoly."""
+    splits into linear factors, roots in encoding order.  The distinct-degree
+    pass refuses a K with q^K > budget, as early as it can tell.  Each
+    squarefree distinct-degree part is lifted and split on its own; the
+    multiplicities are read off the lifted fpoly."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
     if fpoly.degree == 0:
         return field, []
-    parts = _distinct_degree_parts(fpoly)
-    ext_deg = 1
-    for dj, _ in parts:
-        ext_deg = ext_deg * dj // math.gcd(ext_deg, dj)
-    if field.q ** ext_deg > budget:
-        raise BudgetExceeded(
-            f"splitting field F_{{{field.p}^{field.k * ext_deg}}} exceeds budget {budget}")
-    ext = field.extension(ext_deg)
+    parts = _distinct_degree_parts(fpoly, budget)
+    ext = field.extension(math.lcm(*(j for j, _ in parts)))
     embed = field.embedding(ext)
     lifted = fpoly.over(ext)
     found = []
@@ -873,7 +939,9 @@ def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
             # the roots lie in the base field: find them there, then embed
             found += [embed(r) for r, _ in roots_with_multiplicity(g)]
         else:
-            found += [r for r, _ in roots_with_multiplicity(g.over(ext))]
+            # g_j is squarefree and splits over F_{q^K}, since j divides K:
+            # no gcd with x^{q^K} - x is needed
+            found += _split_linear(g.over(ext))
     found.sort()
     roots = [(r, poly_valuation(lifted, r)) for r in found]
     total = sum(m for _, m in roots)

@@ -239,8 +239,7 @@ def count_maps_bruteforce(d, assignments, field, budget=None):
     exact ramification orders and the Riemann-Hurwitz total.
     """
     assignments = tuple(
-        (pt if isinstance(pt, ProjPoint) else ProjPoint(field, int(pt) % field.q), int(e))
-        for pt, e in assignments)
+        (ProjPoint.coerce(field, pt), int(e)) for pt, e in assignments)
     pts = [pt for pt, _ in assignments]
     if len(set(pts)) != len(pts):
         raise ValueError("assigned points must be distinct")

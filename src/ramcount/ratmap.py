@@ -57,6 +57,14 @@ class ProjPoint:
             return cls.infinity(field)
         return cls(field, field.div_i(num, den))
 
+    @classmethod
+    def coerce(cls, field, point):
+        """point itself if it is a ProjPoint, else the finite point whose
+        encoding is int(point) mod q."""
+        if isinstance(point, ProjPoint):
+            return point
+        return cls(field, int(point) % field.q)
+
     @property
     def is_infinity(self):
         return self.i is None
@@ -205,8 +213,7 @@ class RatMap:
 
     def __call__(self, point):
         """Value at a ProjPoint (or finite encoding), as a ProjPoint."""
-        if not isinstance(point, ProjPoint):
-            point = ProjPoint(self.field, int(point) % self.field.q)
+        point = ProjPoint.coerce(self.field, point)
         if point.field != self.field:
             raise ValueError("point in a different field; embed the map first")
         if point.is_infinity:
@@ -248,8 +255,7 @@ def is_separable(f):
 
 def ram_index(f, point):
     """Ramification index e_P >= 1 at the given point."""
-    if not isinstance(point, ProjPoint):
-        point = ProjPoint(f.field, int(point) % f.field.q)
+    point = ProjPoint.coerce(f.field, point)
     if point.field != f.field:
         f = f.lift(point.field)
     if point.is_infinity:
@@ -421,10 +427,7 @@ def involution_transform(f, P1, P2):
     """
     field = f.field
     p = field.p
-    if not isinstance(P1, ProjPoint):
-        P1 = ProjPoint(field, int(P1) % field.q)
-    if not isinstance(P2, ProjPoint):
-        P2 = ProjPoint(field, int(P2) % field.q)
+    P1, P2 = ProjPoint.coerce(field, P1), ProjPoint.coerce(field, P2)
     if P1.is_infinity or P2.is_infinity:
         raise ValueError("P1 and P2 must be finite (apply a domain Moebius first)")
     if P1 == P2:

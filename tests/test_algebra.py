@@ -1,5 +1,7 @@
 import functools
+import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -666,3 +668,161 @@ class TestRootsAgainstScan:
                 assert poly_powmod(base, 0, mod) == Poly.one(field)
                 for e in (1, 2, 5, 12):
                     assert poly_powmod(base, e, mod) == (base ** e) % mod
+
+
+# ---------------------------------------------------------------------------
+# the row kernel, checked by evaluation
+# ---------------------------------------------------------------------------
+
+def _values(fpoly, field=None):
+    """fpoly at every element, by scalar add_i/mul_i Horner (of field, by
+    default fpoly's own): no row kernel.  A polynomial of degree < q is
+    determined by these values."""
+    field = field or fpoly.field
+    out = []
+    for a in range(field.q):
+        acc = 0
+        for c in reversed(fpoly.coeffs):
+            acc = field.add_i(field.mul_i(acc, a), c)
+        out.append(acc)
+    return out
+
+
+def _assert_kernel_by_evaluation(field, rng, count, top, scalars=None):
+    """Products and divrem over field against pointwise arithmetic in
+    scalars (by default field itself), with every degree below
+    min(q, top + 1), on random pairs and on pairs whose rows cancel to zero."""
+    top = min(top, field.q - 1)
+    scalars = scalars or field
+    mul, add = scalars.mul_i, scalars.add_i
+    values = functools.partial(_values, field=scalars)
+    pairs = []
+    for _ in range(count):
+        da = rng.randint(0, top)
+        a = _random_poly(field, rng, da)
+        b = _random_poly(field, rng, top - da)
+        pairs.append((a, b))
+        c = rng.randrange(1, field.q)
+        plus, minus = Poly(field, (c, 1)), Poly(field, (field.neg_i(c), 1))
+        if top >= 2:
+            pairs.append((plus, minus))  # x^2 - c^2: the x row cancels
+        if not b.is_zero and a.degree + b.degree + 1 <= top:
+            pairs.append((a * b, b))  # exact division: every remainder row cancels
+            pairs.append((a * b + minus, b))
+    for a, b in pairs:
+        va, vb = values(a), values(b)
+        assert values(a * b) == [mul(x, y) for x, y in zip(va, vb)], (a, b)
+        assert values(a * b) == values(b * a)
+        if b.is_zero:
+            continue
+        quot, rem = a.divrem(b)
+        assert rem.is_zero or rem.degree < b.degree, (a, b)
+        assert quot.is_zero if a.degree < b.degree else quot.degree == a.degree - b.degree
+        vq, vr = values(quot), values(rem)
+        assert [add(mul(x, y), z) for x, y, z in zip(vq, vb, vr)] == va, (a, b)
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("field, count", [
+        (F3, 60), (finite_field(13), 40), (finite_field(7, 2), 30), (finite_field(3, 5), 12)],
+        ids=["F3", "F13", "F49", "F243"])
+    def test_products_and_division_by_evaluation(self, field, count):
+        _assert_kernel_by_evaluation(field, random.Random(field.q + 3), count, top=12)
+
+    def test_raw_field(self, monkeypatch):
+        # evaluated with the scalar ops of the tabulated F_{3^7}, which has
+        # the same encodings (test_raw_arithmetic_matches_tables)
+        table = finite_field(3, 7)
+        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 3 ** 7 - 1)
+        raw = FiniteField(3, 7)
+        _assert_kernel_by_evaluation(raw, random.Random(37), 6, top=10, scalars=table)
+        assert "exp" in vars(table)
+        assert "exp" not in vars(raw)  # the raw kernel ran, not the log one
+
+
+# ---------------------------------------------------------------------------
+# the distinct-degree pass: stopping rules and early refusal
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _sieved_irreducibles(p, j):
+    """Monic irreducibles of degree j over F_p: every monic polynomial of
+    degree j that is not a product of two monic ones of lower degree."""
+    fp = finite_field(p)
+
+    def monics(deg):
+        return [Poly(fp, [m // p ** i % p for i in range(deg)] + [1])
+                for m in range(p ** deg)]
+
+    reducible = {(a * b).coeffs for i in range(1, j // 2 + 1)
+                 for a in monics(i) for b in monics(j - i)}
+    return [f for f in monics(j) if f.coeffs not in reducible]
+
+
+def _sieved_product(p, rng, max_small):
+    """(f, {j: product of the distinct factors of degree j}): up to three
+    small factors of degree <= 3, some repeated, and usually one factor of
+    degree above half of deg f, which ends the pass early."""
+    fp = finite_field(p)
+    factors = {}
+    for _ in range(rng.randint(0, 3)):
+        factors.setdefault(rng.choice(_sieved_irreducibles(p, rng.randint(1, max_small))),
+                           rng.randint(1, 2))
+    small = sum(g.degree * m for g, m in factors.items())
+    big_degrees = [j for j in range(small + 1, 7) if p ** j <= 3 ** 6]
+    if big_degrees and rng.random() < 0.8:
+        factors[rng.choice(_sieved_irreducibles(p, rng.choice(big_degrees)))] = 1
+    f = Poly.constant(fp, rng.randrange(1, p))
+    parts = {}
+    for g, m in factors.items():
+        f = f * g ** m
+        parts[g.degree] = parts.get(g.degree, Poly.one(fp)) * g
+    return f, parts
+
+
+class TestDistinctDegreeStop:
+    @pytest.mark.parametrize("p, count", [(3, 60), (5, 40), (7, 25)])
+    def test_parts_match_sieve(self, p, count):
+        rng = random.Random(p + 41)
+        for _ in range(count):
+            f, parts = _sieved_product(p, rng, 3 if p == 3 else 2)
+            assert algebra._distinct_degree_parts(f) == sorted(parts.items()), f
+            assert distinct_degree_profile(f) == (sorted(parts) or [1])
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_refusal_is_exactly_over_budget(self, p):
+        rng = random.Random(p + 43)
+        for _ in range(30):
+            f, parts = _sieved_product(p, rng, 2)
+            if f.degree < 1:
+                continue
+            K = math.lcm(*parts)
+            for budget in {p ** K - 1, p ** K, p ** K + 1, p ** (K - 1), rng.randrange(2, 3 ** 8)}:
+                if p ** K > budget:
+                    with pytest.raises(BudgetExceeded, match=f"exceeds budget {budget}$"):
+                        splitting_field_roots(f, budget)
+                else:
+                    ext, roots = splitting_field_roots(f, budget)
+                    assert ext == finite_field(p, K)
+                    assert sum(m for _, m in roots) == f.degree
+
+    def test_refusal_stops_at_the_budget(self, monkeypatch):
+        # an irreducible of degree 14 over F_13 needs F_{13^14}; with
+        # 13^3 <= budget < 13^4 the pass must give up after step 3
+        budget = 2 * 10 ** 4
+        max_ext = max(m for m in range(15) if 13 ** m <= budget)
+        f = Poly(finite_field(13), finite_field(13, 14).modulus)
+        calls = []
+
+        def counting_powmod(*args):
+            calls.append(args)
+            return poly_powmod(*args)
+
+        monkeypatch.setattr(algebra, "poly_powmod", counting_powmod)
+        with pytest.raises(BudgetExceeded, match=f"exceeds budget {budget}$") as refusal:
+            splitting_field_roots(f, budget)
+        # steps 1..max_ext take one power each; step max_ext + 1 refuses
+        # before taking its own
+        assert len(calls) <= max_ext
+        bound = int(re.search(r"m >= (\d+)", str(refusal.value)).group(1))
+        assert max_ext < bound <= 14  # a lower bound on the degree needed
