@@ -87,21 +87,15 @@ def is_prime(n):
 def _lexleast_modulus(p, k):
     """Monic irreducible of degree k over F_p with least integer encoding.
 
-    A candidate f of degree k is irreducible iff gcd(x^{p^j} - x, f) = 1 for
-    1 <= j <= k/2.  k = 1 gives x, which is what lets the search run on
-    Poly over finite_field(p) without recursing."""
+    A monic f of degree k is irreducible iff its distinct-degree parts are
+    [(k, f)].  k = 1 gives x, which is what lets the search run on Poly over
+    finite_field(p) without recursing."""
     if k == 1:
         return (0, 1)
     fp = finite_field(p)
-    x = Poly.x(fp)
     for m in range(p ** k):
         f = Poly(fp, [m // p ** i % p for i in range(k)] + [1])
-        frob = x
-        for _ in range(k // 2):
-            frob = poly_powmod(frob, p, f)  # x^{p^j} mod f
-            if poly_gcd(frob - x, f).degree > 0:
-                break
-        else:
+        if _distinct_degree_parts(f) == [(k, f)]:
             return f.coeffs
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 
@@ -262,10 +256,11 @@ class FiniteField:
 
     def axpy_i(self, acc, start, c, vec):
         """acc[start + j] += c * vec[j] in place, for c != 0: the row
-        operation of Poly's product and division.  In logs, a + b is
-        g^la (1 + g^(lb - la)), so each nonzero product costs one zech and
-        one exp lookup; lb - la may be negative, and Python's negative
-        indexing then lands on the same Zech entry, since zech is doubled."""
+        operation of Poly's product and division, and of rref.  In logs,
+        a + b is g^la (1 + g^(lb - la)), so each nonzero product costs one
+        zech and one exp lookup; lb - la may be negative, and Python's
+        negative indexing then lands on the same Zech entry, since zech is
+        doubled."""
         log, exp, zech = self.log, self.exp, self.zech
         lc = log[c]
         for j, v in enumerate(vec, start):
@@ -746,9 +741,7 @@ def rref(rows, field):
             rows[r] = [field.mul_i(inv, x) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [field.sub_i(x, field.mul_i(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
+                field.axpy_i(rows[i], 0, field.neg_i(rows[i][c]), rows[r])
         pivots.append(c)
         r += 1
         if r == len(rows):

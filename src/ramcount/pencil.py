@@ -12,7 +12,8 @@ base-p digits of a row, so the jets of all conditions are one matrix
 product mod p, and a jet is scaled to its class with the field's length-q
 log and exp tables.  The tests check it against a small oracle,
 ``tests/test_pencil.py::_scan_census``, which scans every pencil and tests
-each condition by its 2x2 minors.
+each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
+survivor; it counts the base points by degree and never locates them.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import BudgetExceeded, Poly, nullspace, rref
-from .ratmap import Divisor, ProjPoint, RatMap, is_separable, ram_index
+from .ratmap import ProjPoint, RatMap, is_separable, ram_index
 from .schubert import check_orders
 
 DEFAULT_BUDGET = 10 ** 7
@@ -84,13 +85,12 @@ class Pencil:
         return Poly(self.field, self.rows[0]), Poly(self.field, self.rows[1])
 
     def to_map(self):
-        """(reduced map, base divisor including the point at infinity)."""
+        """(reduced map, number of base points with multiplicity): the
+        degree of the rows' common factor plus the pencil's degree deficit,
+        the base point at infinity.  No base point is located."""
         A, B = self.polys()
-        m, base = RatMap.new(A, B)
-        inf_mult = self.d - max(A.degree, B.degree)
-        if inf_mult > 0:
-            base = base + Divisor({ProjPoint.infinity(self.field): inf_mult})
-        return m, base
+        m, g = RatMap.reduce(A, B)
+        return m, g.degree + self.d - max(A.degree, B.degree)
 
     def __eq__(self, other):
         return (isinstance(other, Pencil) and self.field == other.field
@@ -190,7 +190,7 @@ def solve_three_point(d, e1, e2, e3, field):
     pencil = Pencil.from_polys(F, G, d)
     rmap, base = pencil.to_map()
     sep = is_separable(rmap)
-    count = 1 if (sep and base.total == 0) else 0
+    count = 1 if (sep and base == 0) else 0
     if count:
         _audit_witness(rmap, ((ProjPoint(field, 0), e1),
                               (ProjPoint.infinity(field), e2),
@@ -258,10 +258,9 @@ def _classify_survivors(d, assignments, field, survivors):
     witnesses = []
     for pencil in survivors:
         rmap, base = pencil.to_map()
-        has_base = base.total > 0
-        if has_base:
+        if base:
             with_base += 1
-        if is_separable(rmap) and not has_base:
+        if is_separable(rmap) and not base:
             separable += 1
             _audit_witness(rmap, assignments, d)
             witnesses.append((pencil, rmap))

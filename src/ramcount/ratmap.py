@@ -1,9 +1,12 @@
 """Rational self-maps of P^1 with ramification queries.
 
 A map is a coprime pair (F, G) of polynomials up to a common scalar; the
-degree is max(deg F, deg G).  Ramification at infinity and at poles is
-handled by reversing coefficient sequences (the coordinate swap x -> 1/x)
-so a single valuation code path covers every point.
+degree is max(deg F, deg G).  Every way from a pair to a map ends in one
+normalization; ``RatMap.reduce`` cancels the gcd, whose degree counts the
+finite base points, and only ``RatMap.new`` goes on to find them, in a
+splitting field.  Ramification at infinity and at poles is handled by
+reversing coefficient sequences (the coordinate swap x -> 1/x) so a single
+valuation code path covers every point.
 """
 
 from __future__ import annotations
@@ -121,12 +124,6 @@ class Divisor:
     def __hash__(self):
         return hash(frozenset(self._data.items()))
 
-    def __add__(self, other):
-        merged = dict(self._data)
-        for pt, m in other.items():
-            merged[pt] = merged.get(pt, 0) + m
-        return Divisor(merged)
-
     def to_json(self):
         return {repr(pt): m for pt, m in sorted(
             self._data.items(), key=lambda kv: (kv[0].i is None, kv[0].i or 0))}
@@ -135,44 +132,55 @@ class Divisor:
         return f"Divisor({self.to_json()})"
 
 
+def _check_pair(F, G):
+    if F.field != G.field:
+        raise ValueError("numerator and denominator over different fields")
+    if F.is_zero or G.is_zero:
+        raise ValueError("constant maps are rejected")
+
+
 class RatMap:
     """Degree-d self-map of P^1 as a normalized coprime pair (F, G)."""
 
     __slots__ = ("field", "F", "G")
 
     def __init__(self, F, G):
-        if F.field != G.field:
-            raise ValueError("numerator and denominator over different fields")
-        if F.is_zero or G.is_zero:
-            raise ValueError("constant maps are rejected")
-        g = poly_gcd(F, G)
-        if g.degree > 0:
+        _check_pair(F, G)
+        if poly_gcd(F, G).degree > 0:
             raise ValueError("pair has common factors; use RatMap.new")
+        self._normalize(F, G)
+
+    def _normalize(self, F, G):
+        """The private constructor, from a pair known to be coprime (no gcd
+        is run): constant maps are rejected, and the common scalar is fixed
+        by making the higher-degree member monic."""
         d = max(F.degree, G.degree)
         if d < 1:
             raise ValueError("constant maps are rejected")
-        field = F.field
-        # normalize: leading coefficient of the higher-degree member becomes 1
-        lead_poly = F if F.degree == d else G
-        scale = field.inv_i(lead_poly.leading())
-        self.field = field
-        self.F = F.scale(scale)
-        self.G = G.scale(scale)
+        scale = F.field.inv_i((F if F.degree == d else G).leading())
+        self.field, self.F, self.G = F.field, F.scale(scale), G.scale(scale)
 
     @classmethod
-    def new(cls, F, G):
-        """Cancel common factors; returns (map, cancelled base divisor)."""
-        if F.field != G.field:
-            raise ValueError("numerator and denominator over different fields")
-        if F.is_zero or G.is_zero:
-            raise ValueError("constant maps are rejected")
-        base = Divisor()
+    def reduce(cls, F, G):
+        """(map, monic common factor): the pair with its gcd cancelled.  The
+        degree of the factor is the number of finite base points."""
+        _check_pair(F, G)
         g = poly_gcd(F, G)
         if g.degree > 0:
             F, G = F // g, G // g
-            ext, roots = splitting_field_roots(g)
-            base = Divisor({ProjPoint(ext, r): m for r, m in roots})
-        return cls(F, G), base
+        f = cls.__new__(cls)
+        f._normalize(F, G)
+        return f, g
+
+    @classmethod
+    def new(cls, F, G):
+        """Cancel common factors; returns (map, cancelled base divisor), the
+        roots of the common factor over its splitting field."""
+        f, g = cls.reduce(F, G)
+        if g.degree == 0:
+            return f, Divisor()
+        ext, roots = splitting_field_roots(g)
+        return f, Divisor({ProjPoint(ext, r): m for r, m in roots})
 
     @property
     def degree(self):
@@ -217,21 +225,18 @@ class RatMap:
         if point.field != self.field:
             raise ValueError("point in a different field; embed the map first")
         if point.is_infinity:
-            fs, gs = self._swapped()
-            return ProjPoint.from_ratio(self.field, fs(0), gs(0))
+            d = self.degree
+            return ProjPoint.from_ratio(self.field, self.F.coeff(d), self.G.coeff(d))
         return ProjPoint.from_ratio(self.field, self.F(point.i), self.G(point.i))
 
-    def _swapped(self):
-        """The pair after x -> 1/x: both coefficient sequences reversed,
-        padded to degree d."""
-        d = self.degree
-        return self.F.reverse(d), self.G.reverse(d)
-
     def lift(self, target):
-        """The same map over an extension field."""
+        """The same map over an extension field, with no gcd: coprimality
+        does not depend on the field."""
         if target == self.field:
             return self
-        return RatMap(self.F.over(target), self.G.over(target))
+        f = RatMap.__new__(RatMap)
+        f._normalize(self.F.over(target), self.G.over(target))
+        return f
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +264,17 @@ def ram_index(f, point):
     if point.field != f.field:
         f = f.lift(point.field)
     if point.is_infinity:
-        # the swapped pair stays coprime: a shared root r != 0 would give a
-        # shared root 1/r of the original pair, and 0 divides at most one side
-        Fs, Gs = f._swapped()
-        return _ram_index_finite(Fs, Gs, 0, f.field)
+        return pair_index_at_infinity(f.F, f.G)
     return _ram_index_finite(f.F, f.G, point.i, f.field)
+
+
+def pair_index_at_infinity(F, G):
+    """Ramification index at infinity of the coprime pair (F, G): at 0 after
+    x -> 1/x, both members reversed to degree d = max(deg F, deg G).  That
+    keeps the pair coprime: a shared root r != 0 would give a shared root
+    1/r of F and G, and 0 divides at most one side."""
+    d = max(F.degree, G.degree)
+    return _ram_index_finite(F.reverse(d), G.reverse(d), 0, F.field)
 
 
 def _ram_index_finite(F, G, a, field):
@@ -282,9 +293,7 @@ def ramification_profile(f):
         div = wronskian_divisor(f)
     except InseparableMapError:
         raise InseparableMapError("inseparable map has no ramification profile") from None
-    lifted = _lift_to_points(f, div)
-    indices = {pt: ram_index(lifted, pt) for pt in div.points()}
-    return Divisor({pt: e for pt, e in indices.items() if e > 1})
+    return Divisor({pt: e for pt, _, e in _ram_indices(f, div) if e > 1})
 
 
 def wronskian_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
@@ -316,9 +325,7 @@ def different_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
     """
     div = wronskian_divisor(f, root_budget)
     p = f.field.p
-    lifted = _lift_to_points(f, div)
-    for pt, mult in div.items():
-        e = ram_index(lifted, pt)
+    for pt, mult, e in _ram_indices(f, div):
         if e % p == 0:
             raise WildRamificationError(pt, e, mult)
         if mult != e - 1:
@@ -327,12 +334,13 @@ def different_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
     return div
 
 
-def _lift_to_points(f, div):
-    """f over the field of div's points (they share one: the splitting field
-    of the Wronskian)."""
-    for pt in div.points():
-        return f.lift(pt.field)
-    return f
+def _ram_indices(f, div):
+    """(point, valuation, e_P) for each point of div, in order, with f lifted
+    once to the field the points share (the Wronskian's splitting field)."""
+    lifted = None
+    for pt, mult in div.items():
+        lifted = lifted or f.lift(pt.field)
+        yield pt, mult, ram_index(lifted, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ def P(field, *coeffs):
     return Poly.from_ints(field, coeffs)
 
 
+def _lower_table_limit(patch, limit):
+    """Make every field built under patch with q > limit raw.  finite_field
+    keeps its first instance of each field for the life of the process, so
+    it gets a fresh cache too: no raw field built here reaches a later
+    caller."""
+    patch.setattr(algebra, "_TABLE_LIMIT", limit)
+    patch.setattr(algebra, "_canonical_field", functools.lru_cache(maxsize=None)(FiniteField))
+
+
 class TestField:
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +149,7 @@ class TestField:
             field, [(a, b) for a in range(field.q) for b in range(field.q)])
 
     def test_raw_mul_matches_poly_oracle(self, monkeypatch):
-        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 3 ** 7 - 1)
+        _lower_table_limit(monkeypatch, 3 ** 7 - 1)
         raw = FiniteField(3, 7)
         rng = random.Random(23)
         self._assert_mul_matches_poly(
@@ -155,7 +164,7 @@ class TestField:
         # itself: the Poly oracle tests above do that
         table = finite_field(p, k)
         q = table.q
-        monkeypatch.setattr(algebra, "_TABLE_LIMIT", q - 1)
+        _lower_table_limit(monkeypatch, q - 1)
         raw = FiniteField(p, k)
         for a in range(q):
             assert raw.neg_i(a) == table.neg_i(a)
@@ -278,7 +287,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
 def _raw_field(p, k):
     """F_{p^k} on the raw routines alone, as a field above the table limit."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_TABLE_LIMIT", p ** k - 1)
+        _lower_table_limit(patch, p ** k - 1)
         return FiniteField(p, k)
 
 
@@ -628,9 +637,7 @@ class TestRootsAgainstScan:
 
     def test_raw_fields(self, monkeypatch):
         # every field built in this test runs on the raw routines
-        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 1)
-        monkeypatch.setattr(algebra, "_canonical_field",
-                            functools.lru_cache(maxsize=None)(FiniteField))
+        _lower_table_limit(monkeypatch, 1)
         rng = random.Random(29)
         for p, k in [(3, 1), (5, 1), (3, 2), (3, 3)]:
             field = finite_field(p, k)
@@ -733,11 +740,35 @@ class TestRowKernel:
         # evaluated with the scalar ops of the tabulated F_{3^7}, which has
         # the same encodings (test_raw_arithmetic_matches_tables)
         table = finite_field(3, 7)
-        monkeypatch.setattr(algebra, "_TABLE_LIMIT", 3 ** 7 - 1)
+        _lower_table_limit(monkeypatch, 3 ** 7 - 1)
         raw = FiniteField(3, 7)
         _assert_kernel_by_evaluation(raw, random.Random(37), 6, top=10, scalars=table)
         assert "exp" in vars(table)
         assert "exp" not in vars(raw)  # the raw kernel ran, not the log one
+
+    def test_rref_raw_matches_tables(self, monkeypatch):
+        # rref's row operation is the kernel too: the raw and the tabulated
+        # F_{3^7} share encodings, so they must reduce every matrix alike,
+        # and each nullspace vector must annihilate the original rows
+        table = finite_field(3, 7)
+        _lower_table_limit(monkeypatch, 3 ** 7 - 1)
+        raw = FiniteField(3, 7)
+        rng = random.Random(41)
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randrange(table.q) if rng.random() < 0.7 else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                c = rng.randrange(1, table.q)
+                rows[-1] = [table.mul_i(c, x) for x in rows[0]]  # a dependent row
+            reduced, pivots = rref(rows, table)
+            assert rref(rows, raw) == (reduced, pivots)
+            for field in (table, raw):
+                for vec in nullspace(rows, field, ncols):
+                    for row in rows:
+                        dot = functools.reduce(table.add_i, map(table.mul_i, row, vec), 0)
+                        assert dot == 0, (rows, vec)
+        assert "exp" not in vars(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,13 @@ class TestFamilyTransform:
             '"632222":2,"inf":12},"schema":1,'
             '"sections":[{"order":12,"point":"inf"}]}\n')
 
+    def test_family_refuses_a_shared_irreducible_factor(self):
+        # f = x h and g = h with h = x^3 + x + 1, irreducible over F_101: the
+        # shared factor is refused by its degree, though its roots lie in
+        # F_{101^3}, over the root budget
+        assert run(["family", "--p", "101", "--f", "0,1,1,0,1", "--g", "1,1,0,1"]) == \
+            (1, "error: input pair must be coprime\n")
+
     def test_transform_analyze(self, tmp_path):
         fam_payload = {
             "schema": 1, "p": 3, "k": 1,

@@ -115,6 +115,18 @@ class TestSchubertCondition:
         assert _meets_at(V, ProjPoint.infinity(F5), 2)  # member 1
 
 
+class TestBasePoints:
+    def test_counted_without_splitting_field(self):
+        # h is irreducible over F_101, so its roots lie in F_{101^3}, over
+        # the default root budget: the count needs only deg h
+        F101 = finite_field(101)
+        h = Poly.from_ints(F101, (1, 1, 0, 1))
+        x = Poly.x(F101)
+        m, base = Pencil.from_polys(h * x, h, 4).to_map()
+        assert base == 3 and m.aut_equivalent(RatMap(x, Poly.one(F101)))
+        assert Pencil.from_polys(h * x, h, 6).to_map()[1] == 5  # 2 at infinity
+
+
 class TestThreePointSolver:
     def test_high_char_witness(self):
         sol = solve_three_point(3, 2, 2, 3, F5)

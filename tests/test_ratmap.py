@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ramcount.ratmap as ratmap
 from ramcount.algebra import Poly, finite_field, poly_is_inseparable
 from ramcount.ratmap import (
     Divisor,
@@ -52,6 +53,27 @@ class TestConstruction:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             RatMap.new(P(F5, 3), P(F5, 1))
+
+    def test_new_runs_one_gcd_and_lift_none(self, monkeypatch):
+        calls = []
+        gcd = ratmap.poly_gcd
+        monkeypatch.setattr(ratmap, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        m, base = RatMap.new(P(F5, 0, 0, 2, 1).scale(3), P(F5, 1, 2).scale(3))
+        assert len(calls) == 1 and base.total == 0
+        F25 = finite_field(5, 2)
+        lifted = m.lift(F25)
+        assert len(calls) == 1
+        assert lifted == RatMap(m.F.over(F25), m.G.over(F25))
+        assert lifted.F.leading() == 1
+
+    def test_reduce_returns_the_monic_common_factor(self):
+        h = P(F5, 1, 1, 0, 1)  # x^3 + x + 1, irreducible over F_5
+        m, g = RatMap.reduce((h * P(F5, 0, 1)).scale(2), h.scale(4))
+        assert g == h and m == RatMap(P(F5, 0, 1), P(F5, 2))
+        with pytest.raises(ValueError, match="use RatMap.new"):
+            RatMap(h * P(F5, 0, 1), h)
+        with pytest.raises(ValueError, match="constant maps"):
+            RatMap.reduce(h.scale(2), h)
 
     def test_scalar_normalisation(self):
         a = RatMap(P(F5, 0, 0, 1).scale(3), P(F5, 1, 1).scale(3))
