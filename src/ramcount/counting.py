@@ -5,12 +5,21 @@ The count is the Schubert series R(t) = (1 - t)^(1 - n') prod_(e_i >= 2)
 (1 - t^(e_i)), n' the number of orders e_i >= 2, folded modulo p:
 N_gen = sum_(k in Z) [t^(d-1+kp)] R.  For p > d (or characteristic 0, the
 INFINITY sentinel) only k = 0 is in range and this is the intersection
-number (``schubert``).  It is the Kac-Walton formula for the sl_2 fusion
-ring at level p - 2 (Kac, *Infinite-dimensional Lie algebras*, 3rd ed.,
-Exercise 13.35; Walton, *Nucl. Phys. B* 340, 1990).  The paper counts by a
-degeneration recursion over the degree d' of one component
-(``_recursion_steps``); that the two agree is not proved here, and the
-evidence is a test comparing them on more than 10^4 profiles.
+number (``schubert``).
+
+The fold is the paper's count.  The paper counts by a degeneration
+recursion over the degree d' of one component (``_recursion_steps``).  With
+a = e - 1 for each order and k = p - 2, one step merges labels a, b into the
+labels |a - b|, |a - b| + 2, ..., min(a + b, 2k - a - b): the sl_2
+Clebsch-Gordan rule at level k (Gepner-Witten, *Nucl. Phys. B* 278, 1986).
+Its base case, one map through three points iff p > d, is the same rule's
+level bound a + b + c <= 2k.  So, by associativity of the level-k fusion
+ring, the recursion computes the multiplicity of V_0 in the product of the
+V_(e_i - 1).  By the Kac-Walton formula (Kac, *Infinite-dimensional Lie
+algebras*, 3rd ed., Exercise 13.35; Walton, *Nucl. Phys. B* 340, 1990) that
+multiplicity is the alternating sum over the affine Weyl orbit, which is
+the fold.  The tests check the first link exhaustively for p <= 31 and the
+end-to-end agreement on more than 10^4 profiles.
 """
 
 from __future__ import annotations

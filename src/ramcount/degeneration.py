@@ -488,11 +488,13 @@ def insep_limit_transform(fam):
     F, G, g, Fb, Gb = fam._normalized()
     if not pair_wronskian(Fb, Gb).is_zero:
         raise SeparableSpecialFiberError("special fiber is already separable")
-    h1, h2 = bezout_inseparable(Fb, Gb)
     w_before = pair_wronskian(F, G)
+    if w_before.is_zero:
+        raise InseparableMapError("generic fiber must be separable")
+    h1, h2 = bezout_inseparable(Fb, Gb)
+    # raw is not zero: F Gb = G Fb would make F/G = Fb/Gb, an inseparable
+    # generic fiber
     raw = F * FamilyPoly.lift(Gb) - G * FamilyPoly.lift(Fb)
-    if raw.is_zero:
-        raise ArithmeticError("transform collapsed the family")
     v = raw.t_valuation()
     if v < 1:
         raise ArithmeticError("expected a positive power of t in the new numerator")
@@ -500,11 +502,9 @@ def insep_limit_transform(fam):
     Gnew = F * FamilyPoly.lift(h2) - G * FamilyPoly.lift(h1)
     # determinant of the transformation is Fb*h2 - Gb*h1 = 1, so the
     # Wronskian is divided by exactly t^v
-    w_after = pair_wronskian(Fnew, Gnew)
-    if not w_before.is_zero:
-        t_pow = FamilyPoly(field, (Poly(field, (0,) * v + (1,)),))
-        if w_after * t_pow != w_before:
-            raise ArithmeticError("wronskian bookkeeping failed")
+    t_pow = FamilyPoly(field, (Poly(field, (0,) * v + (1,)),))
+    if pair_wronskian(Fnew, Gnew) * t_pow != w_before:
+        raise ArithmeticError("wronskian bookkeeping failed")
     g0_check = Gnew.at_zero()
     if g0_check.is_zero or (g0_check.monic()[0] != g.monic()[0]):
         raise ArithmeticError("new denominator at t=0 is not the cancelled factor")

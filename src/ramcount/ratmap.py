@@ -6,7 +6,18 @@ normalization; ``RatMap.reduce`` cancels the gcd, whose degree counts the
 finite base points, and only ``RatMap.new`` goes on to find them, in a
 splitting field.  Ramification at infinity and at poles is handled by
 reversing coefficient sequences (the coordinate swap x -> 1/x) so a single
-valuation code path covers every point.
+valuation code path covers every point: the order at a is the valuation of
+the pencil member through a.
+
+``involution_transform`` is the map-level form of the symmetry that trades
+orders (e1, e2) < p at two finite points P1, P2 for (p - e1, p - e2).  With
+A and B the members through P1 and P2, g = A/B is f moved in the image so
+that g(P1) = 0 and g(P2) = infinity, and the result is g u^p with
+u = (x - P2)/(x - P1), of degree d + p - e1 - e2.  At any other point Q,
+infinity included, u - u(Q) has order 1 and
+g u^p - g(Q) u(Q)^p = (g - g(Q)) u^p + g(Q) (u - u(Q))^p, so every order
+below p is kept.  Applied twice it gives back f up to an automorphism of
+the image.
 """
 
 from __future__ import annotations
@@ -265,7 +276,7 @@ def ram_index(f, point):
         f = f.lift(point.field)
     if point.is_infinity:
         return pair_index_at_infinity(f.F, f.G)
-    return _ram_index_finite(f.F, f.G, point.i, f.field)
+    return poly_valuation(_member_through(f.F, f.G, point.i), point.i)
 
 
 def pair_index_at_infinity(F, G):
@@ -274,15 +285,16 @@ def pair_index_at_infinity(F, G):
     keeps the pair coprime: a shared root r != 0 would give a shared root
     1/r of F and G, and 0 divides at most one side."""
     d = max(F.degree, G.degree)
-    return _ram_index_finite(F.reverse(d), G.reverse(d), 0, F.field)
+    return poly_valuation(_member_through(F.reverse(d), G.reverse(d), 0), 0)
 
 
-def _ram_index_finite(F, G, a, field):
+def _member_through(F, G, a):
+    """The member of the pencil <F, G> that vanishes at the finite point a:
+    F - (F(a)/G(a)) G, or G where G(a) = 0.  Its order at a is e_a."""
     gval = G(a)
     if gval == 0:
-        return poly_valuation(G, a)
-    v = field.div_i(F(a), gval)
-    return poly_valuation(F - G.scale(v), a)
+        return G
+    return F - G.scale(F.field.div_i(F(a), gval))
 
 
 def ramification_profile(f):
@@ -365,11 +377,6 @@ def mobius_apply(field, M, point):
                                 field.add_i(field.mul_i(c, point.i), e))
 
 
-def mobius_inverse(field, M):
-    a, b, c, e = _check_matrix(field, M)
-    return ((e, field.neg_i(b)), (field.neg_i(c), a))
-
-
 def mobius_domain_basis(field, entries, d):
     """[(ax+b)^i (cx+e)^(d-i) for i = 0..d]: the images of x^i under the
     substitution x -> (ax+b)/(cx+e), cleared to degree d.  entries is
@@ -414,24 +421,13 @@ def mobius_act(f, M, side):
 # involution transform (multiply by (x-P2)^p / (x-P1)^p)
 # ---------------------------------------------------------------------------
 
-class InvolutionResult:
-    """Transformed map plus the normalizations that were applied."""
-
-    __slots__ = ("map", "domain_mobius", "image_mobius")
-
-    def __init__(self, map, domain_mobius, image_mobius):
-        self.map = map
-        self.domain_mobius = domain_mobius
-        self.image_mobius = image_mobius
-
-
 def involution_transform(f, P1, P2):
     """Trade ramification orders (e1, e2) at finite P1, P2 for (p-e1, p-e2).
 
-    Requires e1, e2 < p, f(P1) != f(P2), and f separable.  If f is ramified
-    at infinity it is first pre-composed with a recorded domain Moebius map
-    moving an unramified point to infinity; the returned map carries the
-    stated orders at the original P1, P2.
+    Requires e1, e2 < p, f(P1) != f(P2), and f separable.  With A and B the
+    members of the pencil through P1 and P2, the result is
+    (A/B) ((x - P2)/(x - P1))^p, of degree d + p - e1 - e2.  Every other
+    point, infinity included, keeps its order where that order is below p.
     """
     field = f.field
     p = field.p
@@ -446,63 +442,12 @@ def involution_transform(f, P1, P2):
     e2 = ram_index(f, P2)
     if e1 >= p or e2 >= p:
         raise ValueError(f"orders ({e1}, {e2}) must be < p = {p}")
-    v1, v2 = f(P1), f(P2)
-    if v1 == v2:
+    if f(P1) == f(P2):
         raise ValueError("f(P1) = f(P2); transform undefined")
-
-    domain_m = None
-    work = f
-    Q1, Q2 = P1, P2
-    if ram_index(f, ProjPoint.infinity(field)) > 1:
-        domain_m = _unramified_to_infinity(f, (P1, P2))
-        work = mobius_act(f, domain_m, "domain")
-        inv = mobius_inverse(field, domain_m)
-        Q1 = mobius_apply(field, inv, P1)
-        Q2 = mobius_apply(field, inv, P2)
-        v1, v2 = work(Q1), work(Q2)
-
-    image_m = _image_to_zero_infinity(field, v1, v2)
-    norm = mobius_act(work, image_m, "image")
-    # now norm(Q1) = 0 with valuation e1 and norm(Q2) = infinity with
-    # denominator valuation e2; peel those factors off exactly
-    lin1 = Poly(field, (field.neg_i(Q1.i), 1))
-    lin2 = Poly(field, (field.neg_i(Q2.i), 1))
-    Fp = norm.F
-    Gp = norm.G
-    for _ in range(e1):
-        Fp, rem = Fp.divrem(lin1)
-        if not rem.is_zero:
-            raise ArithmeticError("numerator does not vanish to order e1 at P1")
-    for _ in range(e2):
-        Gp, rem = Gp.divrem(lin2)
-        if not rem.is_zero:
-            raise ArithmeticError("denominator does not vanish to order e2 at P2")
-    Fh = Fp * lin2 ** (p - e2)
-    Gh = Gp * lin1 ** (p - e1)
-    hat = RatMap(Fh, Gh)
-    if domain_m is not None:
-        hat = mobius_act(hat, mobius_inverse(field, domain_m), "domain")
-    return InvolutionResult(hat, domain_m, image_m)
-
-
-def _image_to_zero_infinity(field, v1, v2):
-    """Image Moebius sending v1 -> 0 and v2 -> infinity."""
-    if v1.is_infinity:
-        # w -> 1/(w - v2)
-        return ((0, 1), (1, field.neg_i(v2.i)))
-    if v2.is_infinity:
-        # w -> w - v1
-        return ((1, field.neg_i(v1.i)), (0, 1))
-    return ((1, field.neg_i(v1.i)), (1, field.neg_i(v2.i)))
-
-
-def _unramified_to_infinity(f, keep_finite):
-    """Domain Moebius x -> c + 1/x with c unramified and off the kept points."""
-    field = f.field
-    forbidden = {pt.i for pt in keep_finite}
-    for c in range(field.q):
-        if c in forbidden:
-            continue
-        if ram_index(f, ProjPoint(field, c)) == 1:
-            return ((c, 1), (1, 0))  # x -> (cx + 1)/x = c + 1/x
-    raise ValueError("no unramified finite point available; enlarge the field")
+    lin1 = Poly(field, (field.neg_i(P1.i), 1))
+    lin2 = Poly(field, (field.neg_i(P2.i), 1))
+    A, rem1 = _member_through(f.F, f.G, P1.i).divrem(lin1 ** e1)
+    B, rem2 = _member_through(f.F, f.G, P2.i).divrem(lin2 ** e2)
+    if not (rem1.is_zero and rem2.is_zero):
+        raise ArithmeticError("a member does not vanish to its order at P1 or P2")
+    return RatMap(A * lin2 ** (p - e2), B * lin1 ** (p - e1))

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ramcount
@@ -235,6 +235,18 @@ class TestFamilyTransform:
         payload = run_json(["transform", "--family", str(path), "--analyze"])
         assert payload["iterations"] >= 1
         assert payload["hypotheses_ok"] is False
+
+    @pytest.mark.parametrize("F", [
+        "[(0),(0),(0),(1)]",        # x^3, constant in t
+        "[(0,0,1),(0),(0),(1)]",    # x^3 + t^2
+    ])
+    def test_inseparable_generic_fiber_refused(self, tmp_path, F):
+        # one transform step needs a separable generic fiber, as --analyze does
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"schema": 1, "p": 3, "F": F, "G": "[(1)]"}))
+        for analyze in ([], ["--analyze"]):
+            assert run(["transform", "--family", str(path)] + analyze) == \
+                (1, "error: generic fiber must be separable\n")
 
     def test_missing_file(self):
         code, _ = run(["transform", "--family", "/nonexistent.json"])
@@ -508,6 +520,8 @@ class TestExitCodeFuzz:
         "p": st.just(p), "k": st.sampled_from([1, 1, 2, 0]),
         "F": _family_poly(p), "G": _family_poly(p),
         "sections": st.lists(_section(p), max_size=4)})), st.booleans(), _FORMAT)
+    @example({"schema": 1, "p": 3, "F": "[(0),(0),(0),(1)]", "G": "[(1)]"}, False, [])
+    @example({"schema": 1, "p": 3, "F": "[(0,0,1),(0),(0),(1)]", "G": "[(1)]"}, False, [])
     def test_transform(self, tmp_path, family, analyze, fmt):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(family))

@@ -203,6 +203,32 @@ class TestRecursion:
             assert vals == {n_gen(orders, INFINITY).value}
 
 
+def _clebsch_gordan(a, b, k):
+    """The labels c with V_c in V_a (x) V_b for sl_2: |a - b| to a + b in
+    steps of 2, cut at 2k - a - b at level k (Gepner-Witten 1986)."""
+    top = a + b if k == INFINITY else min(a + b, 2 * k - a - b)
+    return list(range(abs(a - b), top + 1, 2))
+
+
+class TestFusionRule:
+    """The first link from the recursion to the fold: one merge of orders
+    e, e' yields exactly the level-(p - 2) Clebsch-Gordan labels of
+    a = e - 1 and b = e' - 1, whatever the degree."""
+
+    def test_recursion_steps_are_level_p_minus_2_clebsch_gordan(self):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):  # every odd prime <= 31
+            for a, b in itertools.product(range(p - 1), repeat=2):
+                for d in (max(a, b) + 1, a + b + 1, 2 * p):
+                    labels = [e - 1 for _, e in _recursion_steps(d, a + 1, b + 1, p)]
+                    assert labels == _clebsch_gordan(a, b, p - 2), (p, a, b, d)
+
+    def test_characteristic_zero_has_no_level(self):
+        for a, b in itertools.product(range(40), repeat=2):
+            for d in (max(a, b) + 1, a + b + 1, 100):
+                labels = [e - 1 for _, e in _recursion_steps(d, a + 1, b + 1, INFINITY)]
+                assert labels == _clebsch_gordan(a, b, INFINITY), (a, b, d)
+
+
 def _sorted_profiles(n, d_max):
     out = []
     for orders in itertools.combinations_with_replacement(range(1, d_max + 1), n):

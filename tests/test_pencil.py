@@ -443,7 +443,7 @@ class TestCensus:
         report = count_maps_bruteforce(3, _four_simple_points(F7, 3), F7)
         assert report.separable == 1
         witness = report.witnesses[0][1]
-        hat = involution_transform(witness, 0, 1).map
+        hat = involution_transform(witness, 0, 1)
         assert hat.degree == 3 + 7 - 2 - 2
         assert ram_index(hat, 0) == 5
         assert ram_index(hat, 1) == 5

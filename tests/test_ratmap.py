@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ramcount.ratmap as ratmap
-from ramcount.algebra import Poly, finite_field, poly_is_inseparable
+from ramcount.algebra import BudgetExceeded, Poly, finite_field, poly_gcd, poly_is_inseparable
 from ramcount.ratmap import (
     Divisor,
     InseparableMapError,
@@ -253,6 +255,10 @@ class TestMobius:
                 assert ram_index(g, pt) == ram_index(m, mobius_apply(F5, M, pt))
 
 
+# derandomized, so every run draws the same maps
+INVOLUTION = settings(derandomize=True, deadline=None, max_examples=60)
+
+
 class TestInvolution:
     def test_two_two_three_becomes_three_three_three(self):
         m = solver_map()
@@ -262,8 +268,7 @@ class TestInvolution:
         assert ram_index(g, 0) == 2
         assert ram_index(g, 1) == 2
         assert ram_index(g, ProjPoint.infinity(F5)) == 3
-        res = involution_transform(g, 0, 1)
-        h = res.map
+        h = involution_transform(g, 0, 1)
         assert h.degree == g.degree + 5 - 2 - 2  # d + p - e1 - e2 = 4
         assert ram_index(h, 0) == 3
         assert ram_index(h, 1) == 3
@@ -274,10 +279,58 @@ class TestInvolution:
     def test_involutive_up_to_aut(self):
         m = solver_map()
         g = mobius_act(m, ((1, 0), (1, 4)), "domain")
-        once = involution_transform(g, 0, 1).map
-        twice = involution_transform(once, 0, 1).map
+        once = involution_transform(g, 0, 1)
+        twice = involution_transform(once, 0, 1)
         assert twice.degree == g.degree
         assert twice.aut_equivalent(g)
+
+    def test_every_other_point_of_f5_ramified(self):
+        # every point of P^1(F_5) but P1 = 1, P2 = 2 is ramified, infinity
+        # included: no unramified point could be moved to infinity first
+        f = RatMap(P(F5, 0, 0, 2, 4, 2, 1), P(F5, 1, 0, 3, 2))
+        others = [ProjPoint(F5, i) for i in (0, 3, 4)] + [ProjPoint.infinity(F5)]
+        assert [ram_index(f, pt) for pt in others] == [2, 2, 2, 2]
+        h = involution_transform(f, 1, 2)
+        assert h.degree == 5 + 5 - 1 - 1
+        assert (ram_index(h, 1), ram_index(h, 2)) == (4, 4)
+        assert [ram_index(h, pt) for pt in others] == [2, 2, 2, 2]
+        assert different_divisor(h).total == 2 * 8 - 2
+        assert involution_transform(h, 1, 2).aut_equivalent(f)
+
+    @INVOLUTION
+    @given(st.data())
+    def test_random_maps(self, data):
+        p = data.draw(st.sampled_from([5, 7, 11, 13]), label="p")
+        field = finite_field(p)
+        d = data.draw(st.integers(2, 5), label="d")
+        # deg F = d, and a G of degree below d - 1 puts a pole of order >= 2
+        # at infinity: most draws are ramified there
+        elements = st.integers(0, p - 1)
+        F = P(field, *data.draw(st.lists(elements, min_size=d, max_size=d), label="F"),
+              data.draw(st.integers(1, p - 1), label="lc F"))
+        G = P(field, *data.draw(st.lists(elements, min_size=1, max_size=d + 1), label="G"))
+        assume(not G.is_zero and poly_gcd(F, G).degree == 0)
+        f = RatMap(F, G)
+        assume(is_separable(f))
+        P1, P2 = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2,
+                                    unique=True), label="P1, P2")
+        e1, e2 = ram_index(f, P1), ram_index(f, P2)
+        assume(e1 < p and e2 < p and f(P1) != f(P2))
+        try:
+            div = different_divisor(f)
+        except (WildRamificationError, BudgetExceeded):
+            assume(False)  # a wild point, or a splitting field over the budget
+        assert div.total == 2 * d - 2  # Riemann-Hurwitz, tame points audited
+
+        h = involution_transform(f, P1, P2)
+        assert h.degree == d + p - e1 - e2
+        assert (ram_index(h, P1), ram_index(h, P2)) == (p - e1, p - e2)
+        for pt in [ProjPoint(field, i) for i in range(p)] + [ProjPoint.infinity(field)]:
+            e = ram_index(f, pt)
+            if pt.i not in (P1, P2) and e < p:
+                assert ram_index(h, pt) == e, pt
+        assert different_divisor(h).total == 2 * h.degree - 2
+        assert involution_transform(h, P1, P2).aut_equivalent(f)
 
     def test_shared_image_rejected(self):
         # x^2 + 4x = x(x+4) sends 0 and 1 to 0 over F5
