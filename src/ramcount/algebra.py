@@ -749,14 +749,10 @@ def rref(rows, field):
     return [tuple(row) for row in rows], pivots
 
 
-def nullspace(rows, field, ncols=None):
-    """Basis of the right kernel of the matrix, as encoded vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("empty matrix needs an explicit column count")
-        ncols = len(rows[0])
-    if not rows:
-        return [tuple(1 if j == c else 0 for j in range(ncols)) for c in range(ncols)]
+def nullspace(rows, field):
+    """Basis of the right kernel of a matrix with at least one row, as
+    encoded vectors."""
+    ncols = len(rows[0])
     red, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -207,19 +207,16 @@ def cmd_table(args):
             closed4 = ""
             schubert = ""
             reason = result.reason
-            if len(orders) == 4 and not profile.forced_zero and \
-                    profile.char_class is not CharClass.LOW:
-                c4 = _four_closed(profile)
-                closed4 = c4.value if not c4.is_unknown else ""
-            if p == INFINITY and not profile.forced_zero:
+            # every e_i <= d, and outside LOW every e_i < p: so only LOW rows
+            # are wild or UNKNOWN, and they have no cross-check
+            if len(orders) == 4 and profile.char_class is not CharClass.LOW:
+                closed4 = _four_closed(profile).value
+            if p == INFINITY:
                 schubert = intersection_number(d, orders)
             checks = [v for v in (closed4, schubert) if v != ""]
-            if result.is_unknown or profile.forced_zero:
-                match = ""
-            elif checks:
+            match = ""
+            if checks:
                 match = "true" if all(v == count for v in checks) else "false"
-            else:
-                match = ""
             if profile.wild:
                 reason = "wild excluded"
             rows.append({

@@ -135,10 +135,6 @@ class FamilyPoly:
             out.append(self.coeffs[i].scale(i % field.p))
         return FamilyPoly(field, out)
 
-    def at_zero(self):
-        """The x-polynomial at t = 0."""
-        return Poly(self.field, tuple(c.coeff(0) for c in self.coeffs))
-
     def eval_t(self, c):
         """The x-polynomial at t = c (encoding)."""
         return Poly(self.field, tuple(coeff(c) for coeff in self.coeffs))
@@ -274,7 +270,7 @@ class MapFamily:
         return RatMap.reduce(self.F.eval_t(c), self.G.eval_t(c))[0]
 
     def special_pair(self):
-        return self.F.at_zero(), self.G.at_zero()
+        return self.F.eval_t(0), self.G.eval_t(0)
 
     def wronskian(self):
         return pair_wronskian(self.F, self.G)
@@ -380,7 +376,7 @@ def _nonconstant_basis(F, G):
     guard = 0
     limit = 2 * (F.max_t_degree() + G.max_t_degree() + 2)
     while True:
-        F0, G0 = F.at_zero(), G.at_zero()
+        F0, G0 = F.eval_t(0), G.eval_t(0)
         g = poly_gcd(F0, G0)
         Fb = F0 // g if g.degree else F0
         Gb = G0 // g if g.degree else G0
@@ -505,7 +501,7 @@ def insep_limit_transform(fam):
     t_pow = FamilyPoly(field, (Poly(field, (0,) * v + (1,)),))
     if pair_wronskian(Fnew, Gnew) * t_pow != w_before:
         raise ArithmeticError("wronskian bookkeeping failed")
-    g0_check = Gnew.at_zero()
+    g0_check = Gnew.eval_t(0)
     if g0_check.is_zero or (g0_check.monic()[0] != g.monic()[0]):
         raise ArithmeticError("new denominator at t=0 is not the cancelled factor")
     return MapFamily(Fnew, Gnew, fam.sections)
@@ -557,7 +553,7 @@ class LimitReport:
     iterations: int
     m: int
     b: int
-    degrees: tuple      # (d_tilde, d_0) after tame reduction, before base removal
+    degrees: tuple      # (d_tilde, d_0) after base removal and tame reduction
     e_infinity: int
     epsilon: object = None
     hypotheses_ok: bool = False
@@ -582,29 +578,24 @@ class LimitReport:
 def _check_hypotheses(fam):
     """Limit-law hypotheses, checked as far as the data allows."""
     warnings = []
-    field = fam.field
-    p = field.p
+    p = fam.field.p
     if not fam.sections:
         warnings.append("no marked sections: hypothesis checks are partial")
-    collision = None
+    limits = {}  # the point at t = 0 -> the orders of the sections there
     for s in fam.sections:
-        if s.at_infinity or s.value_at(field, 0).is_infinity:
+        pt = s.value_at(fam.field, 0)
+        if pt.is_infinity:
             warnings.append("a marked section meets infinity")
         if s.order >= p:
             warnings.append(f"marked order {s.order} is not < p")
-    limits = [s.value_at(field, 0) for s in fam.sections]
-    seen = {}
-    for s, pt in zip(fam.sections, limits):
-        key = (pt.field, pt.i)
-        seen.setdefault(key, []).append(s)
-    for key, group in seen.items():
-        if len(group) == 2:
-            combined = group[0].order + group[1].order
-            if combined >= p:
+        limits.setdefault(pt, []).append(s.order)
+    collision = None
+    for pt, orders in limits.items():
+        if len(orders) == 2:
+            if sum(orders) >= p:
                 warnings.append("colliding pair has combined order >= p")
-            pt = group[0].value_at(field, 0)
-            collision = (pt, combined)
-        elif len(group) > 2:
+            collision = (pt, sum(orders))
+        elif len(orders) > 2:
             warnings.append("more than two sections collide")
     ok = not warnings
     return ok, warnings, collision
@@ -614,8 +605,7 @@ def analyze_limit(fam):
     """Iterate the transform to a separable limit, tame-reduce at infinity,
     remove base points at the collision point, and report the limit data:
     m = d - deg(G0), e_infinity, b, and the measured epsilon."""
-    field = fam.field
-    p = field.p
+    p = fam.field.p
     d = fam.degree
     w = fam.wronskian()
     if w.is_zero:
@@ -647,17 +637,15 @@ def analyze_limit(fam):
     e_inf = pair_index_at_infinity(F0t, G0t)
 
     b = 0
-    if collision is not None and g.degree:
-        pt, _ = collision
-        if not pt.is_infinity and pt.field == field:
-            b = poly_valuation(g, pt.i)
+    if collision is not None and g.degree and not collision[0].is_infinity:
+        b = poly_valuation(g, collision[0].i)
     if g.degree and g.degree != b:
         warnings.append("base points appeared away from the collision point")
 
     epsilon = None
     if iterations:
-        # measured degree after base removal, minus the expected d + m - 1 - b
-        epsilon = (d_tilde - b) - (d + m - 1 - b)
+        # the limit's degree, base points divided out, minus the expected d + m - 1
+        epsilon = d_tilde - (d + m - 1)
         checks = []
         if e_inf != 2 * m - 1:
             checks.append(f"e_infinity = {e_inf} != 2m-1 = {2 * m - 1}")

@@ -26,6 +26,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass
 
 from .algebra import BudgetExceeded, Poly, nullspace, rref
@@ -70,10 +71,8 @@ class Pencil:
         self.rows = (tuple(rows[0]), tuple(rows[1]))
 
     @classmethod
-    def from_polys(cls, f, g, d=None):
+    def from_polys(cls, f, g, d):
         field = f.field
-        if d is None:
-            d = max(f.degree, g.degree)
         rows = []
         for poly in (f, g):
             if not poly.is_zero and poly.degree > d:
@@ -146,7 +145,7 @@ class ThreePointSolution:
     m: int                      # projective dimension of the solution space
     pencil: object              # Pencil when m == 0, else None
     separable: object           # bool when m == 0, else None
-    count: object               # 1 iff the unique pencil is a separable map
+    count: int                  # 1 iff the unique pencil is a separable map
 
     def to_json(self):
         out = {"m": self.m, "count": self.count}
@@ -156,45 +155,31 @@ class ThreePointSolution:
 
 
 def solve_three_point(d, e1, e2, e3, field):
-    """Solve the normalized three-point linear system: F supported in
-    degrees [e1, d], G in [0, d - e2], and (x-1)^{e3} dividing F - G.
+    """Solve the normalized three-point system on the stacked coefficients
+    (F | G): the census's jet conditions for F at 0 to order e1, G at
+    infinity to order e2, and F - G at 1 to order e3.
 
-    The solution space is a projective space P^m; when m = 0 the unique
-    pencil is returned together with its separability.
+    The 2d + 1 equations in 2d + 2 unknowns cut out a projective space P^m,
+    m >= 0; when m = 0 the unique pencil is returned together with its
+    separability.
     """
     check_orders(d, (e1, e2, e3))
-    # unknowns: a_j for j in [e1, d], then b_j for j in [0, d - e2]
-    a_idx = list(range(e1, d + 1))
-    b_idx = list(range(0, d - e2 + 1))
-    ncols = len(a_idx) + len(b_idx)
-    one = ProjPoint(field, 1)
-    M = vanishing_jet_matrix(field, d, one, e3)
-    rows = []
-    for mrow in M:
-        row = [mrow[j] for j in a_idx]
-        row += [field.neg_i(mrow[j]) for j in b_idx]
-        rows.append(row)
-    kernel = nullspace(rows, field, ncols)
+    zero, inf, one = ProjPoint(field, 0), ProjPoint.infinity(field), ProjPoint(field, 1)
+    blank = (0,) * (d + 1)
+    rows = [jet + blank for jet in vanishing_jet_matrix(field, d, zero, e1)]
+    rows += [blank + jet for jet in vanishing_jet_matrix(field, d, inf, e2)]
+    rows += [jet + tuple(map(field.neg_i, jet))
+             for jet in vanishing_jet_matrix(field, d, one, e3)]
+    kernel = nullspace(rows, field)
     m = len(kernel) - 1
-    if m != 0:
-        return ThreePointSolution(m=m, pencil=None, separable=None,
-                                  count=0 if m > 0 else None)
-    vec = kernel[0]
-    fc = [0] * (d + 1)
-    gc = [0] * (d + 1)
-    for pos, j in enumerate(a_idx):
-        fc[j] = vec[pos]
-    for pos, j in enumerate(b_idx):
-        gc[j] = vec[len(a_idx) + pos]
-    F, G = Poly(field, fc), Poly(field, gc)
-    pencil = Pencil.from_polys(F, G, d)
+    if m:
+        return ThreePointSolution(m=m, pencil=None, separable=None, count=0)
+    pencil = Pencil(field, d, (kernel[0][:d + 1], kernel[0][d + 1:]))
     rmap, base = pencil.to_map()
     sep = is_separable(rmap)
     count = 1 if (sep and base == 0) else 0
     if count:
-        _audit_witness(rmap, ((ProjPoint(field, 0), e1),
-                              (ProjPoint.infinity(field), e2),
-                              (one, e3)), d)
+        _audit_witness(rmap, ((zero, e1), (inf, e2), (one, e3)), d)
     return ThreePointSolution(m=0, pencil=pencil, separable=sep, count=count)
 
 
@@ -274,8 +259,7 @@ def _classify_survivors(d, assignments, field, survivors):
         ram_points = [pt for pt, e in assignments if e >= 2]
         distinct = True
         for _, rmap in witnesses:
-            images = [rmap(pt) for pt in ram_points]
-            if len({(im.field, im.i) for im in images}) != len(images):
+            if len({rmap(pt) for pt in ram_points}) != len(ram_points):
                 distinct = False
     return CensusReport(total=total, separable=separable, inseparable=inseparable,
                         with_base_points=with_base, witnesses=witnesses, d=d,
@@ -455,11 +439,16 @@ def sample_general_points(n, field, seed):
     """n distinct seeded-random finite points.
 
     Deterministic for a given (n, field, seed).  The field must satisfy
-    q >= 4n, so that the points have room to be general.
+    q >= 4n, so that the points have room to be general, and q <= sys.maxsize,
+    the largest range that random.sample draws from.
     """
     if field.q < 4 * n:
         raise ValueError(
             f"field of size {field.q} too small for {n} general points "
             f"(need q >= {4 * n})")
+    if field.q > sys.maxsize:
+        raise ValueError(
+            f"field of size {field.q} too large to sample points from "
+            f"(need q <= {sys.maxsize})")
     rng = random.Random(seed)
     return tuple(ProjPoint(field, x) for x in rng.sample(range(field.q), n))

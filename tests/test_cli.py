@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ramcount
+from ramcount.cli import main
 from ramcount.cli import run_argv as run
+from ramcount.degeneration import MapFamily
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -22,6 +24,33 @@ def run_json(argv):
     code, out = run(argv)
     assert code == 0, out
     return json.loads(out)
+
+
+# README's four-simple-points family over F_3: x^3 + t x^2 over t x + (t - 1)
+README_QUARTET = {
+    "schema": 1, "p": 3, "k": 1,
+    "F": "[(0),(0),(0,1),(1)]",
+    "G": "[(2,1),(0,1)]",
+    "sections": [{"num": "0", "order": 2}, {"point": "inf", "order": 2},
+                 {"num": "1", "order": 2}, {"num": "2,1", "order": 2}],
+}
+
+
+class TestMain:
+    def test_success_goes_to_stdout(self, capsys):
+        argv = ["count", "--p", "3", "--orders", "2,2,2,2", "--format", "text"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (run(argv)[1], "")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["count", "--p", "4", "--orders", "2,2,2,2"], 1),
+        (["search", "--p", "5", "--k", "2", "--orders", "2,2,2,2", "--budget", "10"], 2),
+    ])
+    def test_failure_goes_to_stderr(self, capsys, argv, code):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCount:
@@ -126,6 +155,13 @@ class TestSolve3:
         assert payload["count"] == 0
         assert payload["separable"] is False
 
+    def test_positive_dimensional(self):
+        # d = 4: the pencils with order 3 at 0, inf and 1 over F_3 form a P^1,
+        # so there is no unique pencil to classify
+        payload = run_json(["solve3", "--p", "3", "--orders", "3,3,3"])
+        assert (payload["m"], payload["count"]) == (1, 0)
+        assert payload["pencil"] is None and payload["separable"] is None
+
 
 class TestSearch:
     def test_explicit_points(self):
@@ -161,6 +197,23 @@ class TestSearch:
         code, _ = run(["search", "--p", "5", "--orders", "2,2,2,2",
                        "--points", "0,1"])
         assert code == 1
+
+    def test_field_beyond_the_sampling_range_is_refused(self):
+        # 3^40 > sys.maxsize: random.sample cannot draw from range(q)
+        code, out = run(["search", "--p", "3", "--k", "40", "--orders", "2,2,3"])
+        assert code == 1
+        assert out.startswith("error: field of size 12157665459056928801 too large")
+        assert out.count("\n") == 1
+
+    def test_sampled_points_below_the_sampling_range(self):
+        # 3^39 < sys.maxsize: the refusal above must not move the points
+        # drawn from any smaller field (pinned values)
+        from ramcount.algebra import finite_field
+        from ramcount.pencil import sample_general_points
+
+        points = sample_general_points(3, finite_field(3, 39), 0)
+        assert [pt.i for pt in points] == [
+            1776630401191380941, 186701255205885013, 2240945956782794338]
 
 
 class TestFamilyTransform:
@@ -235,6 +288,27 @@ class TestFamilyTransform:
         payload = run_json(["transform", "--family", str(path), "--analyze"])
         assert payload["iterations"] >= 1
         assert payload["hypotheses_ok"] is False
+
+    def test_transform_one_step(self, tmp_path):
+        # README's quartet family: one step removes the t in the Wronskian
+        # and leaves a separable special fiber
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(README_QUARTET))
+        before = MapFamily.from_json(README_QUARTET)
+        assert before.wronskian().t_valuation() == 1
+        assert not before.special_fiber_separable()
+        payload = run_json(["transform", "--family", str(path)])
+        after = MapFamily.from_json(payload)
+        assert after.wronskian().t_valuation() == 0
+        assert after.special_fiber_separable()
+        assert payload["sections"] == README_QUARTET["sections"]
+
+        # --format text falls back to one sorted `key = value` line per key
+        code, out = run(["transform", "--family", str(path), "--format", "text"])
+        assert code == 0
+        lines = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert list(lines) == sorted(payload)
+        assert (lines["F"], lines["G"]) == (payload["F"], payload["G"])
 
     @pytest.mark.parametrize("F", [
         "[(0),(0),(0),(1)]",        # x^3, constant in t

@@ -210,10 +210,26 @@ def _clebsch_gordan(a, b, k):
     return list(range(abs(a - b), top + 1, 2))
 
 
+def _oracle_fusion(orders, p):
+    """The third oracle: the multiplicity of V_0 in the level-(p - 2) fusion
+    product of the V_(e - 1), by iterated truncated Clebsch-Gordan passes
+    over the labels 0..p - 2."""
+    multiplicity = {0: 1}
+    for e in orders:
+        product = Counter()
+        for a, m in multiplicity.items():
+            for c in _clebsch_gordan(a, e - 1, p - 2):
+                product[c] += m
+        multiplicity = product
+    return multiplicity[0]
+
+
 class TestFusionRule:
     """The first link from the recursion to the fold: one merge of orders
     e, e' yields exactly the level-(p - 2) Clebsch-Gordan labels of
-    a = e - 1 and b = e' - 1, whatever the degree."""
+    a = e - 1 and b = e' - 1, whatever the degree.  The last test checks the
+    whole chain on samples: the fusion product's V_0 multiplicity is the
+    fold."""
 
     def test_recursion_steps_are_level_p_minus_2_clebsch_gordan(self):
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):  # every odd prime <= 31
@@ -227,6 +243,19 @@ class TestFusionRule:
             for d in (max(a, b) + 1, a + b + 1, 100):
                 labels = [e - 1 for _, e in _recursion_steps(d, a + 1, b + 1, INFINITY)]
                 assert labels == _clebsch_gordan(a, b, INFINITY), (a, b, d)
+
+    def test_fusion_product_is_the_fold(self):
+        # 8,000 profiles of 3-9 orders in 1..p-1, p <= 13; the MID ones are
+        # where the level cut changes the count
+        rng = random.Random(13)
+        mid = 0
+        for _ in range(8_000):
+            p = rng.choice((3, 5, 7, 11, 13))
+            profile = validate_profile(_random_profile(rng, p, rng.randint(3, 9)), p)
+            assert _oracle_fusion(profile.orders, p) == n_gen_recursive(profile).value, \
+                (profile.orders, p)
+            mid += profile.char_class is CharClass.MID
+        assert mid >= 5_000
 
 
 def _sorted_profiles(n, d_max):

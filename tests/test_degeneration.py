@@ -3,7 +3,7 @@ import random
 import pytest
 
 import ramcount.degeneration as degeneration
-from ramcount.algebra import Poly, finite_field
+from ramcount.algebra import Poly, finite_field, poly_gcd
 from ramcount.degeneration import (
     FamilyPoly,
     MapFamily,
@@ -22,6 +22,8 @@ from ramcount.ratmap import (
     WildRamificationError,
     different_divisor,
     mobius_act,
+    pair_index_at_infinity,
+    pair_wronskian,
     ram_index,
     ramification_profile,
     wronskian_divisor,
@@ -198,6 +200,31 @@ class TestTameAtInfinity:
         with pytest.raises(Exception):
             tame_at_infinity_reduce(P(F3, 0, 0, 0, 1), Poly.one(F3))
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_swap_and_translate(self, p):
+        # seeded coprime separable pairs (a G + H, G) with deg G - deg H a
+        # multiple of p, so that p divides the index at infinity: a = 0 starts
+        # with the swap (deg F < deg G), a != 0 with the translate (equal
+        # degrees); each must end tame with the same monic Wronskian
+        field = finite_field(p)
+        rng = random.Random(f"tame-at-infinity:{p}")
+        moves = {"swap": 0, "translate": 0}
+        while min(moves.values()) < 20:
+            low = [rng.randrange(p) for _ in range(rng.randint(p, p + 4))]
+            G = Poly.from_ints(field, low + [1])
+            top = [rng.randrange(1, p)]  # deg H = deg G - p
+            H = Poly.from_ints(field, [rng.randrange(p) for _ in range(len(low) - p)] + top)
+            a = rng.randrange(p)
+            F = G.scale(a) + H
+            w = pair_wronskian(F, G)
+            if poly_gcd(F, G).degree or w.is_zero:
+                continue
+            assert pair_index_at_infinity(F, G) % p == 0
+            moves["translate" if a else "swap"] += 1
+            F0, G0 = tame_at_infinity_reduce(F, G)
+            assert pair_index_at_infinity(F0, G0) % p
+            assert pair_wronskian(F0, G0).monic()[0] == w.monic()[0]
+
 
 class TestAnalyzeLimit:
     def toy_family(self):
@@ -234,7 +261,7 @@ class TestAnalyzeLimit:
         fam = self.toy_family()
         sections_at_zero = [s.value_at(F9, 0) for s in fam.sections]
         assert all(not pt.is_infinity for pt in sections_at_zero)
-        assert len({(pt.field, pt.i) for pt in sections_at_zero}) == 4
+        assert len(set(sections_at_zero)) == 4
         report = analyze_limit(fam)
         assert report.hypotheses_ok
         assert not report.separable_limit
@@ -285,6 +312,22 @@ class TestAnalyzeLimit:
         pt, combined = report.collision
         assert repr(pt) == "1" and combined == 4
         assert any("combined order" in w for w in report.warnings)
+
+    @pytest.mark.parametrize("a,b,warned", [(1, 1, False), (2, 0, True)])
+    def test_base_points_at_the_collision(self, a, b, warned):
+        # over F_5 the special pair x^2 (x - 1), (x - 1)(x + 1) shares the
+        # factor x - 1: one base point, at the collision only when the two
+        # sections a and a + t meet at 1
+        F5 = finite_field(5)
+        F = FamilyPoly.from_string(F5, "[(0,1),(0),(4),(1)]")  # x^3 + 4x^2 + t
+        G = FamilyPoly.from_string(F5, "[(4),(0),(1)]")        # x^2 - 1
+        sections = (Section(num=P(F5, a), order=2), Section(num=P(F5, a, 1), order=2))
+        report = analyze_limit(MapFamily(F, G, sections))
+        assert report.collision == (ProjPoint(F5, a), 4)
+        assert report.b == b
+        assert report.degrees == (2, 1)  # read after x - 1 is divided out
+        assert ("base points appeared away from the collision point"
+                in report.warnings) == warned
 
 
 class TestGenericCoprimality:
