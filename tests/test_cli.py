@@ -264,6 +264,19 @@ class TestFamilyTransform:
             '"632222":2,"inf":12},"schema":1,'
             '"sections":[{"order":12,"point":"inf"}]}\n')
 
+    def test_family_counts_pencils_without_building_members(self):
+        # the q members of f - t x^p are q distinct pencils, so F_{3^12}
+        # (531,441 members, on the raw digit routines) answers at once;
+        # the timeout turns a member-by-member run into a failure
+        src = str(Path(ramcount.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "ramcount.cli", "family", "--p", "3", "--k", "12",
+             "--f", "0,1,0,0,0,1", "--format", "text"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "members = 531441\ndistinct_pencils = 531441\n"
+
     def test_family_refuses_a_shared_irreducible_factor(self):
         # f = x h and g = h with h = x^3 + x + 1, irreducible over F_101: the
         # shared factor is refused by its degree, though its roots lie in
@@ -303,12 +316,14 @@ class TestFamilyTransform:
         assert after.special_fiber_separable()
         assert payload["sections"] == README_QUARTET["sections"]
 
-        # --format text falls back to one sorted `key = value` line per key
+        # --format text falls back to one sorted `key = value` line per key,
+        # with list and dict values as JSON, so each line reads back
         code, out = run(["transform", "--family", str(path), "--format", "text"])
         assert code == 0
         lines = dict(line.split(" = ", 1) for line in out.splitlines())
         assert list(lines) == sorted(payload)
         assert (lines["F"], lines["G"]) == (payload["F"], payload["G"])
+        assert json.loads(lines["sections"]) == payload["sections"]
 
     @pytest.mark.parametrize("F", [
         "[(0),(0),(0),(1)]",        # x^3, constant in t
@@ -325,6 +340,12 @@ class TestFamilyTransform:
     def test_missing_file(self):
         code, _ = run(["transform", "--family", "/nonexistent.json"])
         assert code == 1
+
+    def test_family_json_not_an_object(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text("[1, 2]")
+        assert run(["transform", "--family", str(path)]) == \
+            (1, "error: family JSON must be an object\n")
 
     def test_one_member_vanishing_at_t0(self, tmp_path):
         # the family x/t: only G vanishes at t = 0, and the limit pencil is

@@ -31,6 +31,8 @@ from ramcount.ratmap import (
 
 F3 = finite_field(3)
 F9 = finite_field(3, 2)
+F25 = finite_field(5, 2)
+F27 = finite_field(3, 3)
 
 
 def P(field, *coeffs):
@@ -114,18 +116,22 @@ class TestPathologyFamily:
         F, G = P(F9, 0, 1, 0, 0, 0, 1), Poly.one(F9)
         fam = pathology_family(F, G)
         profiles = set()
-        pencils = set()
         for c in range(9):
-            member = fam.member(c)
-            prof = ramification_profile(member)
-            profiles.add(frozenset(prof.items()))
-            pencils.add(member.pencil_rows())
+            profiles.add(frozenset(ramification_profile(fam.member(c)).items()))
         assert len(profiles) == 1
-        assert len(pencils) == 9
         only = dict(profiles.pop())
         assert only[ProjPoint.infinity(F9)] == 5
         finite_orders = [e for pt, e in only.items() if not pt.is_infinity]
         assert sorted(finite_orders) == [2, 2, 2, 2]
+
+        # the q members are q distinct pencils, which `family` prints as
+        # distinct_pencils without building them
+        for field, coeffs in ((F9, (0, 1, 0, 0, 0, 1)),          # x^5 + x
+                              (F25, (0, 1, 0, 0, 0, 0, 0, 1)),   # x^7 + x
+                              (F27, (0, 1, 0, 0, 0, 1))):        # x^5 + x
+            fam = pathology_family(P(field, *coeffs), Poly.one(field))
+            pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
+            assert len(pencils) == field.q
 
     def test_low_order_at_infinity_rejected(self):
         with pytest.raises(ValueError):

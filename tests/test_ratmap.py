@@ -135,6 +135,14 @@ class TestRamIndex:
         m = solver_map()
         assert ram_index(m, 3) == 1
 
+    @pytest.mark.parametrize("text", ["12", "22"])
+    def test_point_of_an_extension_field(self, text):
+        # (x^2 + x^3)/(1 + 2x) over F_3 has order 2 at two conjugate points
+        # of F_9; ram_index lifts the map to the point's field
+        m = RatMap(P(F3, 0, 0, 1, 1), P(F3, 1, 2))
+        pt = ProjPoint.parse(F9, text)
+        assert ram_index(m, pt) == 2 == ram_index(m.lift(F9), pt)
+
 
 class TestDifferent:
     def test_square(self):
@@ -178,6 +186,11 @@ class TestDifferent:
     def test_inseparable_rejected(self):
         with pytest.raises(InseparableMapError):
             different_divisor(RatMap(P(F3, 0, 0, 0, 1), P(F3, 1)))
+
+    def test_inseparable_map_has_no_profile(self):
+        with pytest.raises(InseparableMapError,
+                           match="^inseparable map has no ramification profile$"):
+            ramification_profile(RatMap(P(F3, 0, 0, 0, 1), P(F3, 1)))
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_random_tame_maps_total(self, p):
