@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -25,6 +24,7 @@ from .counting import (
     INFINITY,
     CharClass,
     _four_closed,
+    check_prime,
     n_gen_recursive,
     validate_profile,
 )
@@ -186,63 +186,84 @@ def cmd_transform(args):
 
 
 def _table_profiles(n_max, d_max):
-    for n in range(3, n_max + 1):
-        for orders in itertools.combinations_with_replacement(
-                range(1, d_max + 1), n):
-            total = sum(e - 1 for e in orders)
-            if total % 2 or total == 0:
-                continue
-            d = 1 + total // 2
-            if d > d_max or any(e > d for e in orders):
-                continue
-            yield orders, d
+    """The table's profiles, as (orders, d) in no particular order: the
+    nondecreasing orders with 3 <= n <= n_max entries, each at most d, whose
+    total sum (e_i - 1) = 2(d - 1) is positive and fixes d <= d_max.
+
+    The orders >= 2 are walked depth first on an explicit stack, with their
+    running total; a branch ends as soon as the total would pass
+    2(d_max - 1).  Order-1 entries add nothing to the total, so they are
+    not walked: each hit is padded with every number of them that n allows.
+    """
+    limit = 2 * (d_max - 1)
+    stack = [((), 0)]  # (orders >= 2, nondecreasing; their sum of e - 1)
+    while stack:
+        heavy, total = stack.pop()
+        d = 1 + total // 2
+        if total and total % 2 == 0 and heavy[-1] <= d:
+            for ones in range(max(0, 3 - len(heavy)), n_max - len(heavy) + 1):
+                yield (1,) * ones + heavy, d
+        if len(heavy) < n_max:
+            for e in range(heavy[-1] if heavy else 2,
+                           min(d_max, limit - total + 1) + 1):
+                stack.append((heavy + (e,), total + e - 1))
 
 
 def cmd_table(args):
+    """One row per (orders, p), sorted by n, then orders, then p.
+
+    Only the rows with p <= d go through n_gen_recursive: a MID row is
+    the folded series, a LOW row is unknown or wild.  For p > d (HIGH) and
+    at inf the count is the intersection number, the same for every such
+    p, so it is computed once per orders, as is the profile at inf that
+    these rows share.  It also fills the inf row's schubert column, whose
+    match therefore holds by construction.  The independent checks are
+    closed4, the four-point closed form, and the paper's degeneration
+    recursion, which the tests run against the table.
+    """
+    for p in args.p:
+        check_prime(p)
+    primes = sorted(args.p)  # inf last
+    groups = sorted((len(orders), " ".join(map(str, orders)), orders, d)
+                    for orders, d in _table_profiles(args.n_max, args.d))
     rows = []
-    for orders, d in _table_profiles(args.n_max, args.d):
-        orders_text = " ".join(str(e) for e in orders)
-        for p in args.p:
-            profile = validate_profile(orders, p)
-            result = n_gen_recursive(profile)
-            count = result.value
-            closed4 = ""
-            schubert = ""
-            reason = result.reason
+    for n, orders_text, orders, d in groups:
+        high = number = None  # read once, by the first row with p > d
+        for p in primes:
+            # HIGH: the class, count and closed form are those at inf (the
+            # closed form's penalty d + 1 - p is at most 0)
+            if p > d:
+                if high is None:
+                    high = validate_profile(orders, INFINITY)
+                    number = intersection_number(d, orders)
+                profile, count, reason = high, number, ""
+            else:
+                profile = validate_profile(orders, p)
+                result = n_gen_recursive(profile)
+                count = result.value
+                reason = "wild excluded" if profile.wild else result.reason
             # every e_i <= d, and outside LOW every e_i < p: so only LOW rows
             # are wild or UNKNOWN, and they have no cross-check
-            if len(orders) == 4 and profile.char_class is not CharClass.LOW:
+            closed4 = ""
+            if n == 4 and profile.char_class is not CharClass.LOW:
                 closed4 = _four_closed(profile).value
-            if p == INFINITY:
-                schubert = intersection_number(d, orders)
+            schubert = number if p == INFINITY else ""
             checks = [v for v in (closed4, schubert) if v != ""]
             match = ""
             if checks:
                 match = "true" if all(v == count for v in checks) else "false"
-            if profile.wild:
-                reason = "wild excluded"
-            rows.append({
-                "schema": SCHEMA_VERSION,
-                "orders": orders_text,
-                "n": len(orders),
-                "d": d,
-                "p": _p_str(p),
-                "class": profile.char_class.value,
-                "count": count,
-                "closed4": closed4,
-                "schubert": schubert,
-                "match": match,
-                "reason": reason,
-            })
-    rows.sort(key=lambda r: (r["n"], r["orders"], r["p"] == "inf",
-                             0 if r["p"] == "inf" else int(r["p"])))
+            rows.append([SCHEMA_VERSION, orders_text, n, d, _p_str(p),
+                         profile.char_class.value, count, closed4, schubert,
+                         match, reason])
     if args.format == "json":
-        return json.dumps({"schema": SCHEMA_VERSION, "rows": rows},
-                          sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(
+            {"schema": SCHEMA_VERSION,
+             "rows": [dict(zip(TABLE_COLUMNS, row)) for row in rows]},
+            sort_keys=True, separators=(",", ":")) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
-    writer.writerows([row[col] for col in TABLE_COLUMNS] for row in rows)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

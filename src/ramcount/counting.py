@@ -104,6 +104,13 @@ def _classify(top, p, d):
     return CharClass.LOW
 
 
+def check_prime(p):
+    """The characteristic rule: raise ValueError unless p is a prime >= 3
+    or INFINITY."""
+    if p != INFINITY and (not isinstance(p, int) or not is_prime(p) or p < 3):
+        raise ValueError(f"p must be a prime >= 3 or INFINITY, got {p!r}")
+
+
 def validate_profile(orders, p):
     """Build a RamProfile; raises on structurally invalid input."""
     orders = tuple(map(int, orders))
@@ -111,8 +118,7 @@ def validate_profile(orders, p):
         raise ValueError("orders must be nonempty")
     if min(orders) < 1:
         raise ValueError("every ramification order must be >= 1")
-    if p != INFINITY and (not isinstance(p, int) or not is_prime(p) or p < 3):
-        raise ValueError(f"p must be a prime >= 3 or INFINITY, got {p!r}")
+    check_prime(p)
     total = sum(orders) - len(orders)
     if total % 2 != 0:
         raise ValueError(f"sum of (e_i - 1) = {total} is odd; no integer degree")

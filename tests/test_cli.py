@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ramcount
-from ramcount.cli import main
+from ramcount.cli import _table_profiles, main
 from ramcount.cli import run_argv as run
 from ramcount.degeneration import MapFamily
 
@@ -461,6 +462,44 @@ class TestTable:
         assert len(rows) > 400
         assert all(r["match"] != "false" for r in rows)
         assert any(r["match"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "9", "--d", "8", "--n-max", "2"],  # no profile to print
+        ["--p", "4", "--d", "1"],
+    ])
+    def test_bad_prime_is_refused_before_enumerating(self, argv):
+        code, out = run(["table"] + argv)
+        assert code == 1
+        assert out == f"error: p must be a prime >= 3 or INFINITY, got {argv[1]}\n"
+
+    @staticmethod
+    def _oracle_profiles(n_max, d_max):
+        # the plain filter over every multiset of orders in 1..d_max
+        for n in range(3, n_max + 1):
+            for orders in itertools.combinations_with_replacement(
+                    range(1, d_max + 1), n):
+                total = sum(e - 1 for e in orders)
+                if total % 2 or total == 0:
+                    continue
+                d = 1 + total // 2
+                if d > d_max or any(e > d for e in orders):
+                    continue
+                yield orders, d
+
+    def test_profiles_match_the_filter(self):
+        for n_max in range(-1, 8):
+            for d_max in range(-1, 11):
+                got = list(_table_profiles(n_max, d_max))
+                assert len(got) == len(set(got)), (n_max, d_max)
+                assert set(got) == set(self._oracle_profiles(n_max, d_max)), \
+                    (n_max, d_max)
+
+    def test_profile_counts(self):
+        # the benchmark's sweep, and a long run of order-1 entries
+        assert len(list(_table_profiles(5, 8))) == 212
+        code, out = run(["table", "--p", "3", "--d", "2", "--n-max", "1500"])
+        assert code == 0
+        assert out.count("\n") == 1499  # (1, ..., 1, 2, 2) for 3 <= n <= 1500
 
 
 def test_numpy_loaded_only_by_census():

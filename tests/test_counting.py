@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from collections import Counter
 from itertools import accumulate
 
 import pytest
 
+from ramcount.cli import run_argv
 from ramcount.counting import (
     INFINITY,
     UNKNOWN,
@@ -344,6 +346,27 @@ class TestAgainstRecursion:
             assert got == _oracle_ngen(profile.orders, p), (profile.orders, p)
             folded += got < intersection_number(profile.d, profile.orders)
         assert folded >= 100
+
+    def test_table(self):
+        # the table's counts and its inf schubert column against the
+        # recursion: its own match column at inf compares the series with
+        # itself
+        code, out = run_argv(["table", "--p", "3,5,7,11,13,inf", "--d", "8",
+                              "--n-max", "5", "--format", "json"])
+        assert code == 0
+        seen = Counter()
+        for row in json.loads(out)["rows"]:
+            orders = tuple(map(int, row["orders"].split()))
+            p = INFINITY if row["p"] == "inf" else int(row["p"])
+            seen[row["class"]] += 1
+            if row["class"] == "LOW":
+                assert row["count"] == UNKNOWN or row["reason"] == "wild excluded", row
+                continue
+            assert row["count"] == _oracle_ngen(orders, p), row
+            if p == INFINITY:
+                assert row["schubert"] == _oracle_ngen(orders, INFINITY), row
+                seen["inf"] += 1
+        assert min(seen.values()) >= 80, seen  # every class and inf row
 
 
 class TestFourClosed:
