@@ -75,10 +75,6 @@ class CountResult:
     trace: tuple = ()
     reason: str = ""
 
-    @property
-    def is_unknown(self):
-        return self.value == UNKNOWN
-
     def to_json(self, profile=None):
         out = {
             "schema": 1,

@@ -33,6 +33,7 @@ from .algebra import (
     bezout_inseparable,
     poly_gcd,
     poly_valuation,
+    roots_with_multiplicity,
 )
 from .ratmap import (
     InseparableMapError,
@@ -269,9 +270,6 @@ class MapFamily:
         """The fiber at t = c as a RatMap (base points cancelled)."""
         return RatMap.reduce(self.F.eval_t(c), self.G.eval_t(c))[0]
 
-    def special_pair(self):
-        return self.F.eval_t(0), self.G.eval_t(0)
-
     def wronskian(self):
         return pair_wronskian(self.F, self.G)
 
@@ -437,7 +435,8 @@ def family_domain_mobius(fam, M):
 def pathology_family(F, G):
     """The family F/G - t x^p, for maps with a tame pole of order e1 > p at
     infinity and all finite orders < p.  Every member has the same
-    ramification divisor while the pencils are pairwise distinct."""
+    ramification divisor while the pencils are pairwise distinct.  The
+    sections are infinity and every F_q-rational ramification point."""
     return _pathology_family(F, G)[0]
 
 
@@ -465,14 +464,13 @@ def _pathology_family(F, G):
     if e1 % p == 0:
         raise ValueError("order at infinity must be prime to p")
     profile = ramification_profile(base_map)
-    sections = [Section(order=e1, at_infinity=True)]
     for pt, e in profile.items():
-        if pt.is_infinity:
-            continue
-        if e >= p:
+        if not pt.is_infinity and e >= p:
             raise ValueError(f"finite ramification order {e} at {pt} is not < p")
-        if pt.field == field:
-            sections.append(Section.constant(field, pt, e))
+    # a finite order e < p is tame: an F_q-root of the Wronskian of order e - 1
+    sections = [Section(order=e1, at_infinity=True)] + [
+        Section(num=Poly.constant(field, r), order=v + 1)
+        for r, v in roots_with_multiplicity(pair_wronskian(base_map.F, base_map.G))]
     t_xp = FamilyPoly(field, tuple([Poly.zero(field)] * p + [Poly.x(field)]))
     Ffam = FamilyPoly.lift(base_map.F) - FamilyPoly.lift(base_map.G) * t_xp
     Gfam = FamilyPoly.lift(base_map.G)
@@ -489,9 +487,9 @@ def insep_limit_transform(fam):
     new numerator.  The Wronskian loses exactly that (positive) power of t;
     both facts are asserted."""
     field = fam.field
-    F, G, g, Fb, Gb = fam._normalized()
-    if not pair_wronskian(Fb, Gb).is_zero:
+    if fam.special_fiber_separable():
         raise SeparableSpecialFiberError("special fiber is already separable")
+    F, G, g, Fb, Gb = fam._normalized()
     w_before = pair_wronskian(F, G)
     if w_before.is_zero:
         raise InseparableMapError("generic fiber must be separable")
@@ -510,7 +508,7 @@ def insep_limit_transform(fam):
     if pair_wronskian(Fnew, Gnew) * t_pow != w_before:
         raise ArithmeticError("wronskian bookkeeping failed")
     g0_check = Gnew.eval_t(0)
-    if g0_check.is_zero or (g0_check.monic()[0] != g.monic()[0]):
+    if g0_check.is_zero or g0_check.monic()[0] != g:
         raise ArithmeticError("new denominator at t=0 is not the cancelled factor")
     return MapFamily(Fnew, Gnew, fam.sections)
 
@@ -612,35 +610,24 @@ def _check_hypotheses(fam):
 def analyze_limit(fam):
     """Iterate the transform to a separable limit, tame-reduce at infinity,
     remove base points at the collision point, and report the limit data:
-    m = d - deg(G0), e_infinity, b, and the measured epsilon."""
+    m = d - deg(G0), e_infinity, b, and the measured epsilon.
+
+    The loop ends: each step divides the Wronskian by t^v with v >= 1, which
+    the transform asserts, so there are at most val_t(W) steps.  A family
+    whose generic fiber is inseparable is refused by its first step."""
     p = fam.field.p
     d = fam.degree
-    w = fam.wronskian()
-    if w.is_zero:
-        raise InseparableMapError("generic fiber must be separable")
     hypotheses_ok, warnings, collision = _check_hypotheses(fam)
-
-    last_val = w.t_valuation()
-    # each step lowers the t-valuation of the Wronskian, so this bound holds
-    max_iterations = last_val + 1
     iterations = 0
     current = fam
-    while True:
-        _, _, g, F0r, G0r = current._normalized()
-        if not pair_wronskian(F0r, G0r).is_zero:
-            break
-        if iterations >= max_iterations:
-            raise ArithmeticError("limit transform exceeded its iteration bound")
+    while not current.special_fiber_separable():
         current = insep_limit_transform(current)
         iterations += 1
-        new_val = current.wronskian().t_valuation()
-        if new_val is not None and not new_val < last_val:
-            raise ArithmeticError("t-valuation of the Wronskian did not drop")
-        last_val = new_val
+    _, _, g, F0r, G0r = current._normalized()
 
     F0t, G0t = tame_at_infinity_reduce(F0r, G0r)
     d_tilde = max(F0t.degree, G0t.degree)
-    d0 = G0t.degree if not G0t.is_zero else 0
+    d0 = G0t.degree
     m = d - d0
     e_inf = pair_index_at_infinity(F0t, G0t)
 

@@ -320,6 +320,7 @@ def test_criterion_6_transform_audit():
         assert all(b < a for a, b in zip(vals, vals[1:])), vals
         report = analyze_limit(fam)
         assert report.iterations == len(vals) - 1
+        assert report.iterations <= fam.wronskian().t_valuation()
         if report.hypotheses_ok:
             law_cases += 1
             p, d = fam.field.p, fam.degree

@@ -254,7 +254,8 @@ class TestFamilyTransform:
 
     def test_family_stdout_over_a_large_splitting_field(self):
         # the Wronskian's roots lie in F_{7^6}, of 117,649 elements; the
-        # stdout was recorded when the roots were found by scanning it
+        # stdout was recorded when the roots were found by scanning it, and
+        # the sections are infinity and the two roots 1 and 5 that lie in F_7
         code, out = run(["family", "--p", "7", "--f", "0,1,0,0,0,0,0,0,1,0,0,0,1"])
         assert code == 0
         assert out == (
@@ -263,7 +264,14 @@ class TestFamilyTransform:
             '"ramification":{"000001":2,"000005":2,"000101":2,"000201":2,'
             '"000401":2,"135252":2,"255462":2,"362142":2,"465132":2,"552412":2,'
             '"632222":2,"inf":12},"schema":1,'
-            '"sections":[{"order":12,"point":"inf"}]}\n')
+            '"sections":[{"order":12,"point":"inf"},{"num":"1","order":2},'
+            '{"num":"5","order":2}]}\n')
+
+    def test_family_refuses_a_finite_order_at_least_p(self):
+        # x^4 over F_3: order 4 at infinity is tame and above p, but order 4
+        # at 0 is not below p
+        assert run(["family", "--p", "3", "--f", "0,0,0,0,1"]) == \
+            (1, "error: finite ramification order 4 at 0 is not < p\n")
 
     def test_family_counts_pencils_without_building_members(self):
         # the q members of f - t x^p are q distinct pencils, so F_{3^12}

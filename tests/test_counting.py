@@ -419,3 +419,11 @@ class TestInvolutionReduce:
         prof = validate_profile((2, 2, 2, 2), INFINITY)
         with pytest.raises(ValueError):
             involution_reduce(prof, 0, 1)
+
+    @pytest.mark.parametrize("i,j,message", [(1, 1, "indices must be distinct"),
+                                             (0, 4, "index out of range"),
+                                             (-1, 2, "index out of range")])
+    def test_bad_indices_rejected(self, i, j, message):
+        prof = validate_profile((2, 2, 2, 2), 5)
+        with pytest.raises(ValueError, match=message):
+            involution_reduce(prof, i, j)

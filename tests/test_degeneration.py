@@ -93,7 +93,7 @@ class TestFamilyPoly:
 
     def test_eval_and_zero(self):
         fam = quartet_family(F3)
-        F0, G0 = fam.special_pair()
+        F0, G0 = fam.F.eval_t(0), fam.G.eval_t(0)
         assert F0 == P(F3, 0, 0, 0, 1)
         assert G0 == P(F3, -1)
         # generic members need lambda(t) = t - 1 away from {0, 1, -1}
@@ -133,6 +133,23 @@ class TestPathologyFamily:
             pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
             assert len(pencils) == field.q
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sections_are_the_rational_ramification_points(self, k):
+        # x^5 + x over F_{3^k}: the four finite ramification points lie in
+        # F_9, so for odd k only two of them (1 and 2) are F_q-rational; the
+        # sections are infinity and the profile points fixed by x -> x^q
+        field = finite_field(3, k)
+        fam, profile = degeneration._pathology_family(P(field, 0, 1, 0, 0, 0, 1),
+                                                      Poly.one(field))
+        ext = next(pt.field for pt, _ in profile.items())
+        rational = {(pt.i, e) for pt, e in profile.items()
+                    if not pt.is_infinity and ext.pow_i(pt.i, field.q) == pt.i}
+        assert len(rational) == (4 if k % 2 == 0 else 2)
+        assert fam.sections[0] == Section(order=5, at_infinity=True)
+        embed = field.embedding(ext)
+        finite = [(embed(s.num(0)), s.order) for s in fam.sections[1:]]
+        assert len(finite) == len(rational) and set(finite) == rational
+
     def test_low_order_at_infinity_rejected(self):
         with pytest.raises(ValueError):
             pathology_family(P(F3, 0, 0, 1), Poly.one(F3))  # e1 = 2 < 3
@@ -148,7 +165,7 @@ class TestInsepLimitTransform:
         assert not fam.special_fiber_separable()
         out = insep_limit_transform(fam)
         assert out.special_fiber_separable()
-        F0, G0 = out.special_pair()
+        F0, G0 = out.F.eval_t(0), out.G.eval_t(0)
         m, base = RatMap.new(F0, G0)
         assert base.total == 0
         assert m.degree == 4
@@ -279,6 +296,13 @@ class TestAnalyzeLimit:
         assert d0 == 0 and d_tilde == 5
         assert 2 * d_tilde - 2 == 2 * 3 - 2 + report.e_infinity - 1
 
+    def test_steps_bounded_by_the_wronskian_valuation(self):
+        # each step divides the Wronskian by a positive power of t, which the
+        # transform asserts, so the loop takes at most val_t(W) steps;
+        # quartet_family(F3) is README's quartet
+        for fam in (quartet_family(F3), quartet_family(F9), self.toy_family()):
+            assert 1 <= analyze_limit(fam).iterations <= fam.wronskian().t_valuation()
+
     def test_one_normalization_per_family(self, monkeypatch):
         # the loop and the transform share each family's normalized basis:
         # a one-step analysis normalizes the input and its transform only
@@ -334,6 +358,17 @@ class TestAnalyzeLimit:
         assert report.degrees == (2, 1)  # read after x - 1 is divided out
         assert ("base points appeared away from the collision point"
                 in report.warnings) == warned
+
+
+class TestMapFamily:
+    def test_common_power_of_t_divided_out(self):
+        # over F_5, F = t^2 + t x and G = t + 3t x^2 share the factor t
+        F5 = finite_field(5)
+        F = FamilyPoly.from_string(F5, "[(0,0,1),(0,1)]")
+        G = FamilyPoly.from_string(F5, "[(0,1),(0),(0,3)]")
+        fam = MapFamily(F, G)
+        assert (fam.F.to_string(), fam.G.to_string()) == ("[(0,1),(1)]", "[(1),(0),(3)]")
+        assert fam.member(2) == RatMap.reduce(F.eval_t(2), G.eval_t(2))[0]
 
 
 class TestGenericCoprimality:
@@ -397,6 +432,18 @@ class TestSection:
 
 
 class TestFamilySerialization:
+    def test_sections_roundtrip(self):
+        # a constant section at infinity and a section t/(t - 1) with a den
+        F5 = finite_field(5)
+        sections = (Section.constant(F5, ProjPoint.infinity(F5), 3),
+                    Section(num=P(F5, 0, 1), den=P(F5, -1, 1), order=2))
+        fam = MapFamily(FamilyPoly.from_string(F5, "[(0),(1),(0,1)]"),
+                        FamilyPoly.from_string(F5, "[(1)]"), sections)
+        payload = fam.to_json()
+        assert payload["sections"] == [{"point": "inf", "order": 3},
+                                       {"num": "0,1", "den": "4,1", "order": 2}]
+        assert MapFamily.from_json(payload).sections == sections
+
     def test_json_roundtrip(self):
         fam = quartet_family(F9)
         payload = fam.to_json()
@@ -500,5 +547,5 @@ class TestRandomInsepLimits:
                 continue
             if fam.generic_separable() and not fam.special_fiber_separable():
                 report = analyze_limit(fam)
-                assert report.iterations >= 1
+                assert 1 <= report.iterations <= fam.wronskian().t_valuation()
                 built += 1

@@ -289,6 +289,20 @@ class TestInvolution:
         assert sorted(m for _, m in profile.items()) == [3, 3, 3]
         assert different_divisor(h).total == 2 * 4 - 2
 
+    def test_refusals(self):
+        g = mobius_act(solver_map(), ((1, 0), (1, 4)), "domain")
+        with pytest.raises(ValueError, match="must be finite"):
+            involution_transform(g, ProjPoint.infinity(F5), 1)
+        with pytest.raises(ValueError, match="must be distinct"):
+            involution_transform(g, 1, 1)
+        frobenius = RatMap(P(F5, 0, 0, 0, 0, 0, 1), Poly.one(F5))  # x^5
+        with pytest.raises(InseparableMapError, match="separable map"):
+            involution_transform(frobenius, 0, 1)
+        # x^5 + x^6 is separable, with the wild order 5 at 0
+        wild = RatMap(P(F5, 0, 0, 0, 0, 0, 1, 1), Poly.one(F5))
+        with pytest.raises(ValueError, match=r"orders \(5, 1\) must be < p = 5"):
+            involution_transform(wild, 0, 1)
+
     def test_involutive_up_to_aut(self):
         m = solver_map()
         g = mobius_act(m, ((1, 0), (1, 4)), "domain")
