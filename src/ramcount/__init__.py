@@ -29,6 +29,7 @@ from .counting import (
 )
 from .degeneration import (
     FamilyPoly,
+    LimitLawError,
     LimitReport,
     MapFamily,
     Section,

@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 
 from .algebra import BudgetExceeded, Poly, finite_field
@@ -29,7 +30,12 @@ from .counting import (
     validate_profile,
 )
 from .degeneration import MapFamily, _pathology_family, analyze_limit, insep_limit_transform
-from .pencil import count_maps_bruteforce, sample_general_points, solve_three_point
+from .pencil import (
+    count_maps_bruteforce,
+    enumeration_budget,
+    sample_general_points,
+    solve_three_point,
+)
 from .ratmap import ProjPoint
 from .schubert import intersection_number
 
@@ -185,74 +191,120 @@ def cmd_transform(args):
     return _emit(out.to_json(), args.format)
 
 
-def _table_profiles(n_max, d_max):
-    """The table's profiles, as (orders, d) in no particular order: the
-    nondecreasing orders with 3 <= n <= n_max entries, each at most d, whose
-    total sum (e_i - 1) = 2(d - 1) is positive and fixes d <= d_max.
+def _table_heavy_parts(n_max, d_max):
+    """The table's profiles by their orders >= 2, as (heavy, d) in no
+    particular order.  A profile is nondecreasing orders with
+    3 <= n <= n_max entries, each at most d, whose total sum (e_i - 1) =
+    2(d - 1) is positive and fixes d <= d_max.  Order-1 entries add nothing
+    to that total, so a heavy part stands for the profiles (1, ..., 1) +
+    heavy with max(3, len(heavy)) <= n <= n_max.
 
-    The orders >= 2 are walked depth first on an explicit stack, with their
-    running total; a branch ends as soon as the total would pass
-    2(d_max - 1).  Order-1 entries add nothing to the total, so they are
-    not walked: each hit is padded with every number of them that n allows.
+    The parts are walked depth first, with one lazy range of next orders
+    per level.  With T the running total and a = e - 1 for the last order
+    e, a part is a hit when T is even and 2a <= T (that is, e <= d).  A
+    next order a' + 1 can lead to a hit only if a' <= T (it is one itself
+    when a' + T is even: the only choice for the last free entry) or, with
+    two entries free, 2a' <= 2(d_max - 1) - T (one more entry then balances
+    it); each range ends there.  So the walk visits O(1) parts per hit,
+    and never holds d_max candidates at once.
     """
+    if n_max < 3:
+        return
     limit = 2 * (d_max - 1)
-    stack = [((), 0)]  # (orders >= 2, nondecreasing; their sum of e - 1)
-    while stack:
-        heavy, total = stack.pop()
-        d = 1 + total // 2
-        if total and total % 2 == 0 and heavy[-1] <= d:
-            for ones in range(max(0, 3 - len(heavy)), n_max - len(heavy) + 1):
-                yield (1,) * ones + heavy, d
-        if len(heavy) < n_max:
-            for e in range(heavy[-1] if heavy else 2,
-                           min(d_max, limit - total + 1) + 1):
-                stack.append((heavy + (e,), total + e - 1))
+    heavy, total = [], 0
+    frames = [iter(range(2, d_max + 1))]
+    while frames:
+        e = next(frames[-1], None)
+        if e is None:
+            frames.pop()
+            if heavy:
+                total -= heavy.pop() - 1
+            continue
+        heavy.append(e)
+        total += e - 1
+        if total % 2 == 0 and 2 * (e - 1) <= total:
+            yield tuple(heavy), 1 + total // 2
+        room, free = limit - total, n_max - len(heavy)
+        if free == 1:
+            nexts = range(e + (e - 1 + total) % 2, min(room, total) + 2, 2)
+        elif free:
+            nexts = range(e, min(room, max(total, room // 2)) + 2)
+        else:
+            nexts = ()
+        if nexts:
+            frames.append(iter(nexts))
+        else:
+            total -= heavy.pop() - 1
+
+
+def _table_cell(heavy, d, p):
+    """The profile, count and reason that every row (1, ..., 1) + heavy at
+    p shares: an order-1 entry imposes no condition.  Pass p = inf for
+    every p > d (HIGH), whose count is the intersection number."""
+    profile = validate_profile(heavy, p)
+    if p == INFINITY:
+        return profile, intersection_number(d, heavy), ""
+    result = n_gen_recursive(profile)
+    return profile, result.value, "wild excluded" if profile.wild else result.reason
 
 
 def cmd_table(args):
     """One row per (orders, p), sorted by n, then orders, then p.
 
-    Only the rows with p <= d go through n_gen_recursive: a MID row is
-    the folded series, a LOW row is unknown or wild.  For p > d (HIGH) and
-    at inf the count is the intersection number, the same for every such
-    p, so it is computed once per orders, as is the profile at inf that
-    these rows share.  It also fills the inf row's schubert column, whose
-    match therefore holds by construction.  The independent checks are
-    closed4, the four-point closed form, and the paper's degeneration
-    recursion, which the tests run against the table.
+    The engines run once per heavy part (the orders >= 2) and prime, in
+    _table_cell; every row (1, ..., 1) + heavy reuses that cell, so the
+    rows themselves are formatting.  Only the cells with p <= d go through
+    n_gen_recursive: a MID row is the folded series, a LOW row is unknown
+    or wild.  For p > d (HIGH) and at inf the count is the intersection
+    number, the same for every such p, so one cell serves them all.  It
+    also fills the inf row's schubert column, whose match therefore holds
+    by construction.  The independent checks are closed4, the four-point
+    closed form, and the paper's degeneration recursion, which the tests
+    run against the table.
+
+    Before any row is built, the order entries the rows would print are
+    counted, O(1) per heavy part; past enumeration_budget() the table is
+    refused as soon as the walk reaches that count.
     """
     for p in args.p:
         check_prime(p)
     primes = sorted(args.p)  # inf last
-    groups = sorted((len(orders), " ".join(map(str, orders)), orders, d)
-                    for orders, d in _table_profiles(args.n_max, args.d))
-    rows = []
-    for n, orders_text, orders, d in groups:
-        high = number = None  # read once, by the first row with p > d
+    # a first walk only counts, so that a refusal holds no part in memory
+    limit, entries = enumeration_budget(), 0
+    for heavy, _ in _table_heavy_parts(args.n_max, args.d):
+        low = max(3, len(heavy))
+        # the rows of low <= n <= n_max entries, once per prime
+        entries += len(primes) * (low + args.n_max) * (args.n_max + 1 - low) // 2
+        if entries > limit:
+            raise BudgetExceeded(f"table order entries exceed budget {limit}")
+    groups = []
+    for heavy, d in _table_heavy_parts(args.n_max, args.d):
+        shared, cells = {}, []  # one cell per p <= d, and one for every p > d
         for p in primes:
-            # HIGH: the class, count and closed form are those at inf (the
-            # closed form's penalty d + 1 - p is at most 0)
-            if p > d:
-                if high is None:
-                    high = validate_profile(orders, INFINITY)
-                    number = intersection_number(d, orders)
-                profile, count, reason = high, number, ""
-            else:
-                profile = validate_profile(orders, p)
-                result = n_gen_recursive(profile)
-                count = result.value
-                reason = "wild excluded" if profile.wild else result.reason
+            key = p if p <= d else INFINITY
+            if key not in shared:
+                shared[key] = _table_cell(heavy, d, key)
+            cells.append((_p_str(p), *shared[key]))
+        heavy_text = " ".join(map(str, heavy))
+        for n in range(max(3, len(heavy)), args.n_max + 1):
+            ones = n - len(heavy)
+            groups.append((n, "1 " * ones + heavy_text, (1,) * ones + heavy, d, cells))
+    groups.sort()
+    rows = []
+    for n, orders_text, orders, d, cells in groups:
+        for p_text, profile, count, reason in cells:
             # every e_i <= d, and outside LOW every e_i < p: so only LOW rows
-            # are wild or UNKNOWN, and they have no cross-check
+            # are wild or UNKNOWN, and they have no cross-check.  For p > d
+            # the closed form's penalty d + 1 - p is at most 0, as at inf
             closed4 = ""
             if n == 4 and profile.char_class is not CharClass.LOW:
-                closed4 = _four_closed(profile).value
-            schubert = number if p == INFINITY else ""
+                closed4 = _four_closed(replace(profile, orders=orders)).value
+            schubert = count if p_text == "inf" else ""
             checks = [v for v in (closed4, schubert) if v != ""]
             match = ""
             if checks:
                 match = "true" if all(v == count for v in checks) else "false"
-            rows.append([SCHEMA_VERSION, orders_text, n, d, _p_str(p),
+            rows.append([SCHEMA_VERSION, orders_text, n, d, p_text,
                          profile.char_class.value, count, closed4, schubert,
                          match, reason])
     if args.format == "json":

@@ -53,6 +53,11 @@ class SeparableSpecialFiberError(ValueError):
     """The transform needs an inseparable special fiber."""
 
 
+class LimitLawError(ValueError):
+    """A family passed the hypothesis checks, yet its limit breaks the
+    limit laws: it has ramification that no marked section shows."""
+
+
 # one (t-coefficients) group, and the whole text: [group, group, ...]
 _FAMILY_GROUP = re.compile(r"\(([^()]*)\)")
 _FAMILY_TEXT = re.compile(r"\s*\[\s*(?:{g}\s*(?:,\s*{g}\s*)*)?\]\s*".format(
@@ -650,7 +655,7 @@ def analyze_limit(fam):
             checks.append("degree bookkeeping 2d~-2 = 2d-2+e_inf-1 failed")
         if checks:
             if hypotheses_ok:
-                raise ArithmeticError("; ".join(checks))
+                raise LimitLawError("limit law failed: " + "; ".join(checks))
             warnings.extend(checks)
     return LimitReport(
         separable_limit=iterations == 0,

@@ -176,6 +176,18 @@ class TestField:
                 assert raw.mul_i(a, b) == table.mul_i(a, b), (a, b)
             for n in range(1 - q if a else 0, q):
                 assert raw.pow_i(a, n) == table.pow_i(a, n), (a, n)
+        # the row kernel: c = 1 and c = -1 (encoded p - 1) take the raw
+        # kernel's sum-only path, any other c its digit product
+        rng = random.Random(q)
+        others = [c for c in range(2, q) if c != p - 1]
+        for c in [1, p - 1] + rng.sample(others, min(3, len(others))):
+            for _ in range(20):
+                vec = [rng.randrange(q) for _ in range(rng.randint(0, 6))]
+                acc = [rng.randrange(q) for _ in range(len(vec) + 2)]
+                want, got = list(acc), list(acc)
+                table.axpy_i(want, 1, c, vec)
+                raw.axpy_i(got, 1, c, vec)
+                assert got == want, (c, vec, acc)
         assert "exp" not in vars(raw)  # the raw field never built tables
 
 

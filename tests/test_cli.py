@@ -7,6 +7,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ramcount
-from ramcount.cli import _table_profiles, main
+from ramcount import cli
+from ramcount.cli import _table_heavy_parts, main
 from ramcount.cli import run_argv as run
+from ramcount.counting import (
+    INFINITY,
+    CharClass,
+    _four_closed,
+    n_gen_recursive,
+    validate_profile,
+)
 from ramcount.degeneration import MapFamily
+from ramcount.schubert import intersection_number
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -311,6 +322,30 @@ class TestFamilyTransform:
         assert payload["iterations"] >= 1
         assert payload["hypotheses_ok"] is False
 
+    def test_transform_analyze_refuses_a_failed_limit_law(self, tmp_path):
+        # the marked sections pass every hypothesis check, yet the limit has
+        # ramification that none of them shows, so the limit laws fail
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({
+            "schema": 1, "p": 3,
+            "F": "[(1,1),(2,2)]", "G": "[(0),(0),(0),(1,1),(2)]",
+            "sections": [{"num": "1", "order": 1}, {"num": "1,1", "order": 1}]}))
+        code, out = run(["transform", "--family", str(path), "--analyze"])
+        assert code == 1
+        assert out.startswith("error: limit law failed: ") and out.count("\n") == 1
+        assert "e_infinity = 2 != 2m-1 = 5" in out
+
+    def test_other_arithmetic_errors_propagate(self, tmp_path, monkeypatch):
+        # only the limit-law refusal is an input error: a fault in the
+        # arithmetic stays a traceback
+        def fail(fam):
+            raise ZeroDivisionError("inverting zero")
+        monkeypatch.setattr(cli, "analyze_limit", fail)
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(README_QUARTET))
+        with pytest.raises(ZeroDivisionError):
+            run(["transform", "--family", str(path), "--analyze"])
+
     def test_transform_one_step(self, tmp_path):
         # README's quartet family: one step removes the t in the Wronskian
         # and leaves a separable special fiber
@@ -494,20 +529,145 @@ class TestTable:
                     continue
                 yield orders, d
 
+    @staticmethod
+    def _rows(argv):
+        code, out = run(["table"] + argv + ["--format", "json"])
+        assert code == 0, out
+        return json.loads(out)["rows"]
+
     def test_profiles_match_the_filter(self):
+        # the (orders, d) the table prints, padded with order-1 entries from
+        # the walk's heavy parts, against the filter; and the walk itself
         for n_max in range(-1, 8):
             for d_max in range(-1, 11):
-                got = list(_table_profiles(n_max, d_max))
+                rows = self._rows(["--p", "3", "--d", str(d_max),
+                                   "--n-max", str(n_max)])
+                got = [(tuple(map(int, r["orders"].split())), r["d"]) for r in rows]
+                want = set(self._oracle_profiles(n_max, d_max))
                 assert len(got) == len(set(got)), (n_max, d_max)
-                assert set(got) == set(self._oracle_profiles(n_max, d_max)), \
+                assert set(got) == want, (n_max, d_max)
+                assert all(r["n"] == len(orders) for r, (orders, _) in zip(rows, got))
+                heavy = list(_table_heavy_parts(n_max, d_max))
+                assert len(heavy) == len(set(heavy)), (n_max, d_max)
+                assert set(heavy) == {(o[o.count(1):], d) for o, d in want}, \
                     (n_max, d_max)
 
     def test_profile_counts(self):
-        # the benchmark's sweep, and a long run of order-1 entries
-        assert len(list(_table_profiles(5, 8))) == 212
+        # the benchmark's sweep: 212 orders from 111 heavy parts; and a long
+        # run of order-1 entries
+        rows = self._rows(["--p", "inf", "--d", "8", "--n-max", "5"])
+        assert len(rows) == 212
+        assert len(list(_table_heavy_parts(5, 8))) == 111
         code, out = run(["table", "--p", "3", "--d", "2", "--n-max", "1500"])
         assert code == 0
         assert out.count("\n") == 1499  # (1, ..., 1, 2, 2) for 3 <= n <= 1500
+
+    @staticmethod
+    def _per_row(orders, d, p):
+        # every row on its own, from its padded orders: the per-row path
+        # that the cells shared by a heavy part's rows must reproduce
+        n = len(orders)
+        if p > d:
+            profile = validate_profile(orders, INFINITY)
+            count, reason = intersection_number(d, orders), ""
+        else:
+            profile = validate_profile(orders, p)
+            result = n_gen_recursive(profile)
+            count = result.value
+            reason = "wild excluded" if profile.wild else result.reason
+        closed4 = ""
+        if n == 4 and profile.char_class is not CharClass.LOW:
+            closed4 = _four_closed(profile).value
+        schubert = intersection_number(d, orders) if p == INFINITY else ""
+        checks = [v for v in (closed4, schubert) if v != ""]
+        match = ""
+        if checks:
+            match = "true" if all(v == count for v in checks) else "false"
+        return {"class": profile.char_class.value, "count": count,
+                "closed4": closed4, "schubert": schubert, "match": match,
+                "reason": reason}
+
+    def test_rows_match_the_per_row_path(self):
+        # each row reuses its heavy part's count; every column must be what
+        # the row's own orders give
+        rows = self._rows(["--p", "3,5,7,11,inf", "--d", "9", "--n-max", "6"])
+        assert len(rows) == 5 * len(list(self._oracle_profiles(6, 9)))
+        for r in rows:
+            orders = tuple(map(int, r["orders"].split()))
+            p = INFINITY if r["p"] == "inf" else int(r["p"])
+            want = self._per_row(orders, r["d"], p)
+            assert {k: r[k] for k in want} == want, r
+
+    @pytest.mark.parametrize("argv, digest", [
+        # recorded from the per-row implementation, which ran the engines
+        # on every padded orders
+        (["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"],
+         "b3008373857de34ea6acb631eba211cb1d055a20a6c11fbc1bf83e6c116b3adb"),
+        (["--p", "3,inf", "--d", "8", "--n-max", "30", "--format", "json"],
+         "1f30ae9d4b173ff2fee94948501b8e6f4ae8194fdb6a0d1f39b4ed23c9f52e50"),
+    ])
+    def test_pinned_output(self, argv, digest):
+        code, out = run(["table"] + argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
+        calls = {"intersection_number": [], "validate_profile": [],
+                 "n_gen_recursive": []}
+
+        def record(name, key):
+            engine = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name].append(key(*args))
+                return engine(*args)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        record("intersection_number", lambda d, orders: tuple(orders))
+        record("validate_profile", lambda orders, p: (tuple(orders), p))
+        record("n_gen_recursive", lambda profile: (profile.orders, profile.p))
+        rows = self._rows(["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"])
+        assert len(rows) == 4 * 212
+        # inf is above every d: one intersection number per heavy part
+        assert len(calls["intersection_number"]) == 111
+        assert set(calls["intersection_number"]) == \
+            {heavy for heavy, _ in _table_heavy_parts(5, 8)}
+        for name, seen in calls.items():
+            assert len(seen) == len(set(seen)), name
+
+    def test_size_budget(self, monkeypatch):
+        # a long run of order-1 entries is refused from its one heavy part,
+        # (2, 2), before any row is built
+        monkeypatch.delenv("RAMCOUNT_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, out = run(["table", "--p", "3", "--d", "2", "--n-max", "100000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == "error: table order entries exceed budget 10000000\n"
+        # the budget counts the order entries the rows print, every prime's
+        sweep = ["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"]
+        entries = sum(len(r["orders"].split()) for r in self._rows(sweep))
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(entries))
+        assert run(["table"] + sweep)[0] == 0
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(entries - 1))
+        assert run(["table"] + sweep) == \
+            (2, f"error: table order entries exceed budget {entries - 1}\n")
+        # the walk neither holds d candidate orders nor visits parts that
+        # lead to no row, and the count keeps no part: so a huge degree is
+        # refused at the budget, fast and in little memory (10^4 heavy
+        # parts, kept, would take about 2.4 MB)
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "30000")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, _ = run(["table", "--p", "3", "--d", str(10 ** 9), "--n-max", "3"])
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert seconds < 5
+        assert peak < 2 ** 20
 
 
 def test_numpy_loaded_only_by_census():
