@@ -298,15 +298,7 @@ class FiniteField:
         return self.encode(prod[:k])
 
     def _axpy_raw(self, acc, start, c, vec):
-        add = self._add_raw
-        if c == 1 or c == self.p - 1:
-            # c = +-1, which Poly's +, - and negation pass: no digit product
-            sign = 1 if c == 1 else -1
-            for j, v in enumerate(vec, start):
-                if v:
-                    acc[j] = add(acc[j], v, sign)
-            return
-        mul = self._mul_raw
+        add, mul = self._add_raw, self._mul_raw
         for j, v in enumerate(vec, start):
             if v:
                 acc[j] = add(acc[j], mul(c, v))

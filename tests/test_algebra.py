@@ -176,8 +176,8 @@ class TestField:
                 assert raw.mul_i(a, b) == table.mul_i(a, b), (a, b)
             for n in range(1 - q if a else 0, q):
                 assert raw.pow_i(a, n) == table.pow_i(a, n), (a, n)
-        # the row kernel: c = 1 and c = -1 (encoded p - 1) take the raw
-        # kernel's sum-only path, any other c its digit product
+        # the row kernel, for the scalars Poly's +, - and negation pass
+        # (c = 1 and c = -1, encoded p - 1) and for others
         rng = random.Random(q)
         others = [c for c in range(2, q) if c != p - 1]
         for c in [1, p - 1] + rng.sample(others, min(3, len(others))):
