@@ -17,7 +17,6 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from functools import lru_cache
 
 from .algebra import BudgetExceeded, Poly, finite_field
@@ -298,7 +297,7 @@ def cmd_table(args):
             # the closed form's penalty d + 1 - p is at most 0, as at inf
             closed4 = ""
             if n == 4 and profile.char_class is not CharClass.LOW:
-                closed4 = _four_closed(replace(profile, orders=orders)).value
+                closed4 = _four_closed(orders, profile.p, d)
             schubert = count if p_text == "inf" else ""
             checks = [v for v in (closed4, schubert) if v != ""]
             match = ""

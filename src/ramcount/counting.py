@@ -179,18 +179,19 @@ def n_four_closed(e1, e2, e3, e4, p):
         profile = validate_profile((e1, e2, e3, e4), p)
     except ValueError as exc:
         return CountResult(0, CharClass.LOW, reason=str(exc))
-    return _four_closed(profile)
+    value = _four_closed(profile.orders, profile.p, profile.d)
+    reason = "closed form requires all e_i < p" if value == UNKNOWN else ""
+    return CountResult(value, profile.char_class, reason=reason)
 
 
-def _four_closed(profile):
-    """n_four_closed on a validated four-point profile."""
-    orders, p, d = profile.orders, profile.p, profile.d
+def _four_closed(orders, p, d):
+    """n_four_closed's value on four valid orders of degree d: UNKNOWN
+    unless every e_i < p."""
     if p != INFINITY and any(e >= p for e in orders):
-        return CountResult(UNKNOWN, profile.char_class,
-                           reason="closed form requires all e_i < p")
+        return UNKNOWN
     bound = min(min(orders), min(d + 1 - e for e in orders))
     penalty = 0 if p == INFINITY else max(0, d + 1 - p)
-    return CountResult(max(0, bound - penalty), profile.char_class)
+    return max(0, bound - penalty)
 
 
 def involution_reduce(profile, i, j):

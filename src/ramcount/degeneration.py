@@ -26,7 +26,7 @@ that field decides every family.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .algebra import (
     Poly,
@@ -107,15 +107,16 @@ class FamilyPoly:
         return (isinstance(other, FamilyPoly) and self.field == other.field
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
         n = max(len(self.coeffs), len(other.coeffs))
-        return FamilyPoly(self.field, tuple(self.coeff(i) + other.coeff(i)
+        return FamilyPoly(self.field, tuple(op(self.coeff(i), other.coeff(i))
                                             for i in range(n)))
 
+    def __add__(self, other):
+        return self._termwise(other, Poly.__add__)
+
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FamilyPoly(self.field, tuple(self.coeff(i) - other.coeff(i)
-                                            for i in range(n)))
+        return self._termwise(other, Poly.__sub__)
 
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
@@ -155,13 +156,8 @@ class FamilyPoly:
         """Divide by t^v exactly."""
         if v == 0 or self.is_zero:
             return self
-        out = []
-        for c in self.coeffs:
-            if c.is_zero:
-                out.append(c)
-            else:
-                out.append(Poly(self.field, c.coeffs[v:]))
-        return FamilyPoly(self.field, out)
+        return FamilyPoly(self.field, [Poly(self.field, c.coeffs[v:])
+                                       for c in self.coeffs])
 
     def max_t_degree(self):
         return max((c.degree for c in self.coeffs if not c.is_zero), default=-1)
@@ -198,16 +194,28 @@ class Section:
     at_infinity: bool = False
 
     def value_at(self, field, c):
+        """The point at t = c, once the common factor of num and den is
+        cancelled: t/t is 1 at t = 0, not infinity."""
         if self.at_infinity:
             return ProjPoint.infinity(field)
-        return ProjPoint.from_ratio(field, self.num(c),
-                                    self.den(c) if self.den is not None else 1)
+        num = self.num
+        den = self.den if self.den is not None else Poly.one(field)
+        g = poly_gcd(num, den)
+        return ProjPoint.from_ratio(field, (num // g)(c), (den // g)(c))
 
     @classmethod
     def constant(cls, field, point, order):
         if point.is_infinity:
             return cls(order=order, at_infinity=True)
         return cls(num=Poly.constant(field, point.i), order=order)
+
+    def to_json(self):
+        if self.at_infinity:
+            return {"point": "inf", "order": self.order}
+        out = {"num": self.num.to_string() or "0", "order": self.order}
+        if self.den is not None:
+            out["den"] = self.den.to_string() or "0"
+        return out
 
 
 class MapFamily:
@@ -300,70 +308,59 @@ class MapFamily:
             "k": self.field.k,
             "F": self.F.to_string(),
             "G": self.G.to_string(),
-            "sections": [_section_json(s, self.field) for s in self.sections],
+            "sections": [s.to_json() for s in self.sections],
         }
 
     @classmethod
     def from_json(cls, payload):
+        """The family of a family-file object.  Every field is checked
+        before any is parsed, so the ValueError for a bad file names the
+        first field that is missing, of the wrong type or out of range."""
         from .algebra import finite_field
-        _check_family_json(payload)
-        field = finite_field(payload["p"], payload.get("k", 1))
-        F = FamilyPoly.from_string(field, payload["F"])
-        G = FamilyPoly.from_string(field, payload["G"])
-        sections = tuple(_section_from_json(item, field)
-                         for item in payload.get("sections", ()))
-        return cls(F, G, sections)
 
-
-def _check_family_json(payload):
-    """Raise ValueError naming the first field of a family JSON object that
-    is missing or of the wrong type."""
-    def need(obj, key, kind, where="", required=True):
-        if key not in obj:
-            if required:
+        def need(obj, key, kind, where=""):
+            if key not in obj:
                 raise ValueError(f"family JSON: {where}missing field {key!r}")
-            return
-        value = obj[key]
-        if kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, kind)
-        if not ok:
-            raise ValueError(f"family JSON: {where}field {key!r} must be "
-                             f"{kind.__name__}, got {value!r}")
+            value = obj[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"family JSON: {where}field {key!r} must be "
+                                 f"{kind.__name__}, got {value!r}")
+            return value
 
-    if not isinstance(payload, dict):
-        raise ValueError("family JSON must be an object")
-    need(payload, "p", int)
-    need(payload, "k", int, required=False)
-    need(payload, "F", str)
-    need(payload, "G", str)
-    need(payload, "sections", list, required=False)
-    for i, item in enumerate(payload.get("sections", ())):
-        where = f"sections[{i}]: "
-        if not isinstance(item, dict):
-            raise ValueError(f"family JSON: {where}must be an object, got {item!r}")
-        need(item, "order", int, where)
-        if item.get("point") != "inf":
-            need(item, "num", str, where)
-            need(item, "den", str, where, required=False)
-
-
-def _section_json(s, field):
-    if s.at_infinity:
-        return {"point": "inf", "order": s.order}
-    out = {"num": s.num.to_string() or "0", "order": s.order}
-    if s.den is not None:
-        out["den"] = s.den.to_string() or "0"
-    return out
-
-
-def _section_from_json(item, field):
-    if item.get("point") == "inf":
-        return Section(order=item["order"], at_infinity=True)
-    num = Poly.from_string(field, item["num"])
-    den = Poly.from_string(field, item["den"]) if "den" in item else None
-    return Section(num=num, den=den, order=item["order"])
+        if not isinstance(payload, dict):
+            raise ValueError("family JSON must be an object")
+        p = need(payload, "p", int)
+        k = need(payload, "k", int) if "k" in payload else 1
+        F, G = need(payload, "F", str), need(payload, "G", str)
+        items = need(payload, "sections", list) if "sections" in payload else ()
+        marks = []  # (where, order, num, den); num is None at infinity
+        for i, item in enumerate(items):
+            where = f"sections[{i}]: "
+            if not isinstance(item, dict):
+                raise ValueError(f"family JSON: {where}must be an object, got {item!r}")
+            order = need(item, "order", int, where)
+            if order < 1:
+                raise ValueError(f"family JSON: {where}field 'order' must be "
+                                 f">= 1, got {order!r}")
+            if item.get("point") == "inf":
+                marks.append((where, order, None, None))
+            else:
+                marks.append((where, order, need(item, "num", str, where),
+                               need(item, "den", str, where) if "den" in item else None))
+        field = finite_field(p, k)
+        F, G = FamilyPoly.from_string(field, F), FamilyPoly.from_string(field, G)
+        sections = []
+        for where, order, num, den in marks:
+            if num is None:
+                sections.append(Section(order=order, at_infinity=True))
+                continue
+            num = Poly.from_string(field, num)
+            den = None if den is None else Poly.from_string(field, den)
+            if num.is_zero and den is not None and den.is_zero:
+                raise ValueError(f"family JSON: {where}fields 'num' and 'den' "
+                                 "are both zero")
+            sections.append(Section(num=num, den=den, order=order))
+        return cls(F, G, sections)
 
 
 def _nonconstant_basis(F, G):
@@ -572,18 +569,13 @@ class LimitReport:
     collision: object = None  # (point, combined order) when a pair collides
 
     def to_json(self):
-        return {
-            "schema": 1,
-            "separable_limit": self.separable_limit,
-            "iterations": self.iterations,
-            "m": self.m,
-            "b": self.b,
-            "degrees": list(self.degrees),
-            "e_infinity": self.e_infinity,
-            "epsilon": self.epsilon,
-            "hypotheses_ok": self.hypotheses_ok,
-            "warnings": list(self.warnings),
-        }
+        """Every field but the collision, whose point is not JSON."""
+        out = {"schema": 1}
+        for f in fields(self):
+            if f.name != "collision":
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def _check_hypotheses(fam):

@@ -421,4 +421,20 @@ def test_criterion_8_census_genericity():
                 assert report.distinct_images is True, (orders, p)
         print(f"  profile {orders} p={p} q={field.q}: "
               f"distribution {outcomes}, formula {expected}")
+    # seed-free: (2,2,2,2) at p = 5 over F_25 at 0, inf, 1, lambda for every
+    # lambda outside {0, 1}.  No configuration beats the generic count, and
+    # some reach it
+    field = finite_field(5, 2)
+    expected = n_gen_recursive(validate_profile((2, 2, 2, 2), 5)).value
+    assert expected == 2
+    histogram = {}
+    for lam in range(2, field.q):
+        points = (ProjPoint(field, 0), ProjPoint.infinity(field),
+                  ProjPoint(field, 1), ProjPoint(field, lam))
+        count = count_maps_bruteforce(3, list(zip(points, (2, 2, 2, 2))),
+                                      field).separable
+        histogram[count] = histogram.get(count, 0) + 1
+    assert max(histogram) == expected, histogram
+    assert histogram == {0: 12, 2: 9, 1: 2}, histogram
+    print(f"  profile (2, 2, 2, 2) p=5 q=25, all 23 lambda: {histogram}")
     _report("criterion 8: census genericity", time.monotonic() - start, 300.0)

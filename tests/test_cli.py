@@ -457,6 +457,13 @@ class TestFamilyTransform:
         ({"sections": [{"num": 0, "order": 2}]}, "'num'"),
         ({"sections": [{"num": "0", "den": 1, "order": 2}]}, "'den'"),
         ({"sections": [{"point": "inf", "order": "2"}]}, "'order'"),
+        # a section the format cannot mean
+        ({"sections": [{"num": "0", "order": -3}]}, "sections[0]: field 'order'"),
+        ({"sections": [{"point": "inf", "order": 0}]}, "sections[0]: field 'order'"),
+        ({"sections": [{"num": "0", "den": "0", "order": 2}]},
+         "sections[0]: fields 'num' and 'den'"),
+        # two faults: every field is checked before F is parsed
+        ({"F": "[x]", "sections": [{"num": "0"}]}, "sections[0]: missing field 'order'"),
     ])
     def test_family_schema_errors_name_the_field(self, tmp_path, changes, field):
         code, out = self._transform_payload(tmp_path, **changes)
@@ -577,7 +584,7 @@ class TestTable:
             reason = "wild excluded" if profile.wild else result.reason
         closed4 = ""
         if n == 4 and profile.char_class is not CharClass.LOW:
-            closed4 = _four_closed(profile).value
+            closed4 = _four_closed(profile.orders, profile.p, profile.d)
         schubert = intersection_number(d, orders) if p == INFINITY else ""
         checks = [v for v in (closed4, schubert) if v != ""]
         match = ""

@@ -430,6 +430,27 @@ class TestSection:
         assert s.value_at(F5, 2) == ProjPoint(F5, 2)  # 2/1
         assert s.value_at(F5, 3) == ProjPoint(F5, 4)  # 3/2 = 3 * 3
 
+    def test_value_at_cancels_the_common_factor(self):
+        # t/t is the point 1 for every t, t = 0 included; and t^2/t is 0
+        # there, t/t^2 infinity
+        t = P(F3, 0, 1)
+        assert Section(num=t, den=t).value_at(F3, 0) == ProjPoint(F3, 1)
+        assert Section(num=t * t, den=t).value_at(F3, 0) == ProjPoint(F3, 0)
+        assert Section(num=t, den=t * t).value_at(F3, 0).is_infinity
+
+    def test_section_t_over_t_collides_with_1(self):
+        # the README quartet marked by 1 and t/t, both of order 2: the pair
+        # collides at 1 with combined order 4 >= p, and no section meets
+        # infinity; the file keeps t/t as written
+        t = P(F3, 0, 1)
+        marks = (Section(num=P(F3, 1), order=2), Section(num=t, den=t, order=2))
+        fam = quartet_family(F3)
+        rep = analyze_limit(MapFamily(fam.F, fam.G, marks))
+        assert rep.collision == (ProjPoint(F3, 1), 4)
+        assert "colliding pair has combined order >= p" in rep.warnings
+        assert "a marked section meets infinity" not in rep.warnings
+        assert marks[1].to_json() == {"num": "0,1", "den": "0,1", "order": 2}
+
 
 class TestFamilySerialization:
     def test_sections_roundtrip(self):
