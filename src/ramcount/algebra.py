@@ -55,6 +55,7 @@ p = 2 is rejected at construction.
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property, lru_cache, reduce
 
 NEG_INFINITY = float("-inf")
@@ -62,12 +63,23 @@ NEG_INFINITY = float("-inf")
 # Largest field order for which log/exp/Zech tables are built.
 _TABLE_LIMIT = 1 << 16
 
-# Default ceiling on extension-field size during splitting-field searches.
-DEFAULT_ROOT_BUDGET = 10 ** 6
+# The one size limit: pencils in a census, order entries in a table,
+# elements of a splitting field.
+DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceeded(RuntimeError):
     """An enumeration or search would exceed its configured budget."""
+
+
+def enumeration_budget(budget=None):
+    """budget if given, else RAMCOUNT_BUDGET if set, else DEFAULT_BUDGET."""
+    if budget is not None:
+        return budget
+    env = os.environ.get("RAMCOUNT_BUDGET")
+    if env:
+        return int(env)
+    return DEFAULT_BUDGET
 
 
 def is_prime(n):
@@ -892,18 +904,18 @@ def distinct_degree_profile(fpoly):
     return [j for j, _ in _distinct_degree_parts(fpoly)] or [1]
 
 
-def splitting_field_roots(fpoly, budget=DEFAULT_ROOT_BUDGET):
+def splitting_field_roots(fpoly, budget=None):
     """(ext_field, [(root, mult)]) over the smallest F_{q^K} where fpoly
     splits into linear factors, roots in encoding order.  The distinct-degree
-    pass refuses a K with q^K > budget, as early as it can tell.  Each
-    squarefree distinct-degree part is lifted and split on its own; the
-    multiplicities are read off the lifted fpoly."""
+    pass refuses a K with q^K > enumeration_budget(budget), as early as it
+    can tell.  Each squarefree distinct-degree part is lifted and split on
+    its own; the multiplicities are read off the lifted fpoly."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
     if fpoly.degree == 0:
         return field, []
-    parts = _distinct_degree_parts(fpoly, budget)
+    parts = _distinct_degree_parts(fpoly, enumeration_budget(budget))
     ext = field.extension(math.lcm(*(j for j, _ in parts)))
     embed = field.embedding(ext)
     lifted = fpoly.over(ext)

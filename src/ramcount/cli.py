@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
-from .algebra import BudgetExceeded, Poly, finite_field
+from .algebra import BudgetExceeded, Poly, enumeration_budget, finite_field
 from .counting import (
     INFINITY,
     CharClass,
@@ -31,7 +31,6 @@ from .counting import (
 from .degeneration import MapFamily, _pathology_family, analyze_limit, insep_limit_transform
 from .pencil import (
     count_maps_bruteforce,
-    enumeration_budget,
     sample_general_points,
     solve_three_point,
 )
@@ -236,13 +235,11 @@ def _table_heavy_parts(n_max, d_max):
             total -= heavy.pop() - 1
 
 
-def _table_cell(heavy, d, p):
+def _table_cell(heavy, p):
     """The profile, count and reason that every row (1, ..., 1) + heavy at
     p shares: an order-1 entry imposes no condition.  Pass p = inf for
-    every p > d (HIGH), whose count is the intersection number."""
+    every p > d (HIGH)."""
     profile = validate_profile(heavy, p)
-    if p == INFINITY:
-        return profile, intersection_number(d, heavy), ""
     result = n_gen_recursive(profile)
     return profile, result.value, "wild excluded" if profile.wild else result.reason
 
@@ -250,16 +247,15 @@ def _table_cell(heavy, d, p):
 def cmd_table(args):
     """One row per (orders, p), sorted by n, then orders, then p.
 
-    The engines run once per heavy part (the orders >= 2) and prime, in
-    _table_cell; every row (1, ..., 1) + heavy reuses that cell, so the
-    rows themselves are formatting.  Only the cells with p <= d go through
-    n_gen_recursive: a MID row is the folded series, a LOW row is unknown
-    or wild.  For p > d (HIGH) and at inf the count is the intersection
-    number, the same for every such p, so one cell serves them all.  It
-    also fills the inf row's schubert column, whose match therefore holds
-    by construction.  The independent checks are closed4, the four-point
-    closed form, and the paper's degeneration recursion, which the tests
-    run against the table.
+    n_gen_recursive runs once per heavy part (the orders >= 2) and prime,
+    in _table_cell; every row (1, ..., 1) + heavy reuses that cell, so the
+    rows themselves are formatting.  A MID row is the folded series, a LOW
+    row is unknown or wild.  For p > d (HIGH) and at inf the count is the
+    unfolded series, the intersection number, the same for every such p,
+    so one cell serves them all.  It also fills the inf row's schubert
+    column, whose match therefore holds by construction.  The independent
+    checks are closed4, the four-point closed form, and the paper's
+    degeneration recursion, which the tests run against the table.
 
     Before any row is built, the order entries the rows would print are
     counted, O(1) per heavy part; past enumeration_budget() the table is
@@ -282,7 +278,7 @@ def cmd_table(args):
         for p in primes:
             key = p if p <= d else INFINITY
             if key not in shared:
-                shared[key] = _table_cell(heavy, d, key)
+                shared[key] = _table_cell(heavy, key)
             cells.append((_p_str(p), *shared[key]))
         heavy_text = " ".join(map(str, heavy))
         for n in range(max(3, len(heavy)), args.n_max + 1):

@@ -12,9 +12,10 @@ The transformation composes with a fractional linear transformation with
 inseparable coefficients built from Bezout data of the special fiber; its
 determinant is 1, so the Wronskian of the new pair is the old one with a
 positive power of t removed, which is asserted at every step and forces
-termination.  A family normalizes its basis (``_nonconstant_basis``) at most
-once: ``special_fiber_separable``, ``insep_limit_transform`` and each step of
-``analyze_limit`` share it, and the last one gives the limit.
+termination.  A family normalizes its basis (``_nonconstant_basis``) once,
+when it is built, and stores it with the special fiber's separability:
+``insep_limit_transform`` and each step of ``analyze_limit`` read them, and
+the last one gives the limit.
 
 ``MapFamily`` refuses members that share a factor over k(t).  It
 specializes t over F_q first, which settles almost every family; when F_q
@@ -223,9 +224,10 @@ class MapFamily:
 
     The pair is normalized so that no positive power of t divides both
     members; the generic fiber must be nonconstant and coprime over k(t).
+    ``basis`` is ``_nonconstant_basis`` of the pair.
     """
 
-    __slots__ = ("field", "F", "G", "sections", "_basis")
+    __slots__ = ("field", "F", "G", "sections", "basis", "_special_separable")
 
     def __init__(self, F, G, sections=()):
         if F.field != G.field:
@@ -239,11 +241,13 @@ class MapFamily:
         self.F = F
         self.G = G
         self.sections = tuple(sections)
-        self._basis = None
         if max(F.x_degree, G.x_degree) < 1:
             raise ValueError("generic fiber is constant")
         if not self._generically_coprime():
             raise ValueError("family members share a factor over k(t)")
+        self.basis = _nonconstant_basis(F, G)
+        _, _, _, Fb, Gb = self.basis
+        self._special_separable = not pair_wronskian(Fb, Gb).is_zero
 
     @property
     def degree(self):
@@ -292,14 +296,7 @@ class MapFamily:
     def special_fiber_separable(self):
         """Separability of the reduced limit map at t = 0 (after choosing a
         basis whose specialization is nonconstant)."""
-        _, _, _, Fb, Gb = self._normalized()
-        return not pair_wronskian(Fb, Gb).is_zero
-
-    def _normalized(self):
-        """``_nonconstant_basis`` of the pair, computed once per family."""
-        if self._basis is None:
-            self._basis = _nonconstant_basis(self.F, self.G)
-        return self._basis
+        return self._special_separable
 
     def to_json(self):
         return {
@@ -342,7 +339,10 @@ class MapFamily:
             if order < 1:
                 raise ValueError(f"family JSON: {where}field 'order' must be "
                                  f">= 1, got {order!r}")
-            if item.get("point") == "inf":
+            if "point" in item:
+                if item["point"] != "inf":
+                    raise ValueError(f"family JSON: {where}field 'point' must be "
+                                     f"'inf', got {item['point']!r}")
                 marks.append((where, order, None, None))
             else:
                 marks.append((where, order, need(item, "num", str, where),
@@ -491,7 +491,7 @@ def insep_limit_transform(fam):
     field = fam.field
     if fam.special_fiber_separable():
         raise SeparableSpecialFiberError("special fiber is already separable")
-    F, G, g, Fb, Gb = fam._normalized()
+    F, G, g, Fb, Gb = fam.basis
     w_before = pair_wronskian(F, G)
     if w_before.is_zero:
         raise InseparableMapError("generic fiber must be separable")
@@ -620,7 +620,7 @@ def analyze_limit(fam):
     while not current.special_fiber_separable():
         current = insep_limit_transform(current)
         iterations += 1
-    _, _, g, F0r, G0r = current._normalized()
+    _, _, g, F0r, G0r = current.basis
 
     F0t, G0t = tame_at_infinity_reduce(F0r, G0r)
     d_tilde = max(F0t.degree, G0t.degree)

@@ -24,30 +24,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
 
-from .algebra import BudgetExceeded, Poly, nullspace, rref
+from .algebra import BudgetExceeded, Poly, enumeration_budget, nullspace, rref
 from .ratmap import ProjPoint, RatMap, is_separable, ram_index
 from .schubert import check_orders
-
-DEFAULT_BUDGET = 10 ** 7
 
 _INT64_MAX = (1 << 63) - 1
 
 # Rows the census classifies at a time, which bounds its float temporaries.
 _BLOCK = 1 << 12
-
-
-def enumeration_budget(budget=None):
-    if budget is not None:
-        return budget
-    env = os.environ.get("RAMCOUNT_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 def gaussian_binomial_pencils(d, q):

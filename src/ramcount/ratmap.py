@@ -23,7 +23,6 @@ the image.
 from __future__ import annotations
 
 from .algebra import (
-    DEFAULT_ROOT_BUDGET,
     Poly,
     poly_gcd,
     poly_valuation,
@@ -308,9 +307,10 @@ def ramification_profile(f):
     return Divisor({pt: e for pt, _, e in _ram_indices(f, div) if e > 1})
 
 
-def wronskian_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
+def wronskian_divisor(f, root_budget=None):
     """div(W) on P^1: valuations of the Wronskian plus the degree-deficiency
-    part at infinity.  Total is 2d - 2 identically; asserted."""
+    part at infinity.  Total is 2d - 2 identically; asserted.  The
+    splitting field is bounded by enumeration_budget(root_budget)."""
     w = wronskian(f)
     if w.is_zero:
         raise InseparableMapError("wronskian divisor of an inseparable map")
@@ -326,7 +326,7 @@ def wronskian_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
     return div
 
 
-def different_divisor(f, root_budget=DEFAULT_ROOT_BUDGET):
+def different_divisor(f, root_budget=None):
     """The different of a separable map, with the tame accounting audit.
 
     At every point carrying Wronskian valuation the ramification index is

@@ -502,6 +502,18 @@ class TestSplitting:
         with pytest.raises(BudgetExceeded):
             splitting_field_roots(f, budget=10)
 
+    def test_budget_from_the_environment(self, monkeypatch):
+        # x^2 + 1 splits over F_9; an explicit budget takes precedence
+        f = P(F3, 1, 0, 1)
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match="exceeds budget 8$"):
+            splitting_field_roots(f)
+        assert splitting_field_roots(f, budget=9)[0] == F9
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "9")
+        assert splitting_field_roots(f)[0] == F9
+        with pytest.raises(BudgetExceeded, match="exceeds budget 8$"):
+            splitting_field_roots(f, budget=8)
+
 
 # ---------------------------------------------------------------------------
 # root finding against a scan of the field

@@ -284,6 +284,27 @@ class TestFamilyTransform:
         assert run(["family", "--p", "3", "--f", "0,0,0,0,1"]) == \
             (1, "error: finite ramification order 4 at 0 is not < p\n")
 
+    @staticmethod
+    def _quintic(k):
+        return ["family", "--p", "3", "--k", str(k), "--f", "0,1,0,0,0,1",
+                "--format", "text"]
+
+    def test_family_splits_within_the_shared_budget(self, monkeypatch):
+        # the profile check splits the Wronskian of x^5 + x over F_{3^14},
+        # within the default budget of 10^7 that censuses and tables obey
+        monkeypatch.delenv("RAMCOUNT_BUDGET", raising=False)
+        assert run(self._quintic(7)) == \
+            (0, "members = 2187\ndistinct_pencils = 2187\n")
+
+    def test_family_obeys_the_environment_budget(self, monkeypatch):
+        # over F_{3^9} the Wronskian splits over F_{3^18}, above 10^7
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(10 ** 9))
+        assert run(self._quintic(9)) == \
+            (0, "members = 19683\ndistinct_pencils = 19683\n")
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(10 ** 6))
+        assert run(self._quintic(7)) == \
+            (2, "error: splitting field F_{3^m} with m >= 14 exceeds budget 1000000\n")
+
     def test_family_counts_pencils_without_building_members(self):
         # the q members of f - t x^p are q distinct pencils, so F_{3^12}
         # (531,441 members, on the raw digit routines) answers at once;
@@ -297,10 +318,11 @@ class TestFamilyTransform:
         assert out.returncode == 0, out.stderr
         assert out.stdout == "members = 531441\ndistinct_pencils = 531441\n"
 
-    def test_family_refuses_a_shared_irreducible_factor(self):
+    def test_family_refuses_a_shared_irreducible_factor(self, monkeypatch):
         # f = x h and g = h with h = x^3 + x + 1, irreducible over F_101: the
         # shared factor is refused by its degree, though its roots lie in
-        # F_{101^3}, over the root budget
+        # F_{101^3}, over the budget
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(101 ** 3 - 1))
         assert run(["family", "--p", "101", "--f", "0,1,1,0,1", "--g", "1,1,0,1"]) == \
             (1, "error: input pair must be coprime\n")
 
@@ -464,6 +486,11 @@ class TestFamilyTransform:
          "sections[0]: fields 'num' and 'den'"),
         # two faults: every field is checked before F is parsed
         ({"F": "[x]", "sections": [{"num": "0"}]}, "sections[0]: missing field 'order'"),
+        # a finite section is num/den: the only named point is "inf"
+        ({"sections": [{"point": "0", "num": "1", "order": 2}]},
+         "sections[0]: field 'point'"),
+        ({"sections": [{"num": "0", "order": 2}, {"point": 7, "num": "2", "order": 1}]},
+         "sections[1]: field 'point'"),
     ])
     def test_family_schema_errors_name_the_field(self, tmp_path, changes, field):
         code, out = self._transform_payload(tmp_path, **changes)
@@ -619,8 +646,7 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
-        calls = {"intersection_number": [], "validate_profile": [],
-                 "n_gen_recursive": []}
+        calls = {"validate_profile": [], "n_gen_recursive": []}
 
         def record(name, key):
             engine = getattr(cli, name)
@@ -630,15 +656,14 @@ class TestTable:
                 return engine(*args)
             monkeypatch.setattr(cli, name, wrapper)
 
-        record("intersection_number", lambda d, orders: tuple(orders))
         record("validate_profile", lambda orders, p: (tuple(orders), p))
         record("n_gen_recursive", lambda profile: (profile.orders, profile.p))
         rows = self._rows(["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"])
         assert len(rows) == 4 * 212
-        # inf is above every d: one intersection number per heavy part
-        assert len(calls["intersection_number"]) == 111
-        assert set(calls["intersection_number"]) == \
-            {heavy for heavy, _ in _table_heavy_parts(5, 8)}
+        # inf is above every d: one count at inf per heavy part
+        at_inf = [orders for orders, p in calls["n_gen_recursive"] if p == INFINITY]
+        assert len(at_inf) == 111
+        assert set(at_inf) == {heavy for heavy, _ in _table_heavy_parts(5, 8)}
         for name, seen in calls.items():
             assert len(seen) == len(set(seen)), name
 

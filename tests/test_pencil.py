@@ -116,9 +116,10 @@ class TestSchubertCondition:
 
 
 class TestBasePoints:
-    def test_counted_without_splitting_field(self):
+    def test_counted_without_splitting_field(self, monkeypatch):
         # h is irreducible over F_101, so its roots lie in F_{101^3}, over
-        # the default root budget: the count needs only deg h
+        # the budget: the count needs only deg h
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(101 ** 3 - 1))
         F101 = finite_field(101)
         h = Poly.from_ints(F101, (1, 1, 0, 1))
         x = Poly.x(F101)
