@@ -24,7 +24,6 @@ from .counting import (
     n_four_closed,
     n_gen,
     n_gen_recursive,
-    n_three,
     validate_profile,
 )
 from .degeneration import (

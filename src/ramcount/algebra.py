@@ -39,10 +39,10 @@ splits each distinct-degree part of f over F_{q^K} on its own; a part of
 degree j > 1 is known to split there, so it goes to the splitter with no
 gcd.  The distinct-degree pass stops as soon as its answer is known: at
 step j, a remainder of degree below 2j is one irreducible factor.  Under a
-budget it also refuses early, once the lcm of the degrees found exceeds
-max_ext, the largest m with q^m <= budget, or once step j passes max_ext
-with a factor left; it refuses exactly when q^K > budget, and its message
-gives a lower bound on K.
+budget it also refuses early, once q^L > budget for the lcm L of the
+degrees found, or once q^j > budget at step j with a factor left; it
+refuses exactly when q^K > budget, and its message gives a lower bound on
+K.
 
 FiniteField.embedding takes the least root of a modulus the same way: an
 element's image in an extension is its digit polynomial evaluated at that
@@ -73,13 +73,20 @@ class BudgetExceeded(RuntimeError):
 
 
 def enumeration_budget(budget=None):
-    """budget if given, else RAMCOUNT_BUDGET if set, else DEFAULT_BUDGET."""
+    """budget if given, else RAMCOUNT_BUDGET if set, else DEFAULT_BUDGET.
+    RAMCOUNT_BUDGET must be an integer >= 1; otherwise ValueError."""
     if budget is not None:
         return budget
     env = os.environ.get("RAMCOUNT_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"RAMCOUNT_BUDGET must be an integer >= 1, got {env!r}")
+    return value
 
 
 def is_prime(n):
@@ -848,13 +855,12 @@ def _distinct_degree_parts(fpoly, budget=None):
     factor, and the pass stops there.
 
     With a budget, the splitting field F_{q^K}, K the lcm of the part
-    degrees, must have at most budget elements, that is K <= max_ext.  The
-    pass raises BudgetExceeded as soon as that is known to fail: when the
-    lcm of the degrees found so far exceeds max_ext, or when j passes
-    max_ext while work still has a factor, whose degree is then >= j.
+    degrees, must have at most budget elements.  The pass raises
+    BudgetExceeded as soon as that is known to fail: when q to the lcm of
+    the degrees found so far exceeds the budget, or when q^j does while
+    work still has a factor, whose degree is then >= j.
     """
     field = fpoly.field
-    max_ext = math.inf if budget is None else _max_extension(field.q, budget)
     work = fpoly.monic()[0]
     parts = []
     x = frob = Poly.x(field)
@@ -863,7 +869,7 @@ def _distinct_degree_parts(fpoly, budget=None):
         j += 1
         if work.degree < 2 * j:
             g, j, work = work, work.degree, Poly.one(field)
-        elif j > max_ext:
+        elif budget is not None and field.q ** j > budget:
             _refuse(field, j, budget)
         else:
             # x^{q^j} mod work: work only loses factors, so the previous
@@ -874,7 +880,7 @@ def _distinct_degree_parts(fpoly, budget=None):
                 continue
         parts.append((j, g))
         ext_deg = math.lcm(ext_deg, j)
-        if ext_deg > max_ext:
+        if budget is not None and field.q ** ext_deg > budget:
             _refuse(field, ext_deg, budget)
         while True:
             h = poly_gcd(work, g)
@@ -882,14 +888,6 @@ def _distinct_degree_parts(fpoly, budget=None):
                 break
             work = work // h
     return parts
-
-
-def _max_extension(q, budget):
-    """The largest m >= 0 with q^m <= budget."""
-    m, size = 0, q
-    while size <= budget:
-        m, size = m + 1, size * q
-    return m
 
 
 def _refuse(field, ext_deg, budget):

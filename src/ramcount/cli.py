@@ -28,7 +28,7 @@ from .counting import (
     n_gen_recursive,
     validate_profile,
 )
-from .degeneration import MapFamily, _pathology_family, analyze_limit, insep_limit_transform
+from .degeneration import MapFamily, analyze_limit, insep_limit_transform, pathology_family
 from .pencil import (
     count_maps_bruteforce,
     sample_general_points,
@@ -160,8 +160,8 @@ def cmd_family(args):
     field = finite_field(p, args.k)
     F = Poly.from_string(field, args.numerator)
     G = Poly.from_string(field, args.denominator or "1")
-    # the q members have q distinct pencils (see _pathology_family)
-    fam, profile = _pathology_family(F, G)
+    # the q members have q distinct pencils (see pathology_family)
+    fam, profile = pathology_family(F, G)
     payload = fam.to_json()
     payload["members"] = payload["distinct_pencils"] = field.q
     payload["ramification"] = profile.to_json()

@@ -56,10 +56,6 @@ class RamProfile:
     def n(self):
         return len(self.orders)
 
-    @property
-    def forced_zero(self):
-        return bool(self.wild) or bool(self.oversized)
-
 
 @dataclass(frozen=True)
 class CountResult:
@@ -75,17 +71,16 @@ class CountResult:
     trace: tuple = ()
     reason: str = ""
 
-    def to_json(self, profile=None):
+    def to_json(self, profile):
         out = {
             "schema": 1,
             "class": self.char_class.value,
             "count": self.value,
             "trace": [{"dprime": dp, "e": e} for dp, e in self.trace],
+            "orders": list(profile.orders),
+            "p": "inf" if profile.p == INFINITY else profile.p,
+            "d": profile.d,
         }
-        if profile is not None:
-            out["orders"] = list(profile.orders)
-            out["p"] = "inf" if profile.p == INFINITY else profile.p
-            out["d"] = profile.d
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -126,18 +121,6 @@ def validate_profile(orders, p):
     return RamProfile(p=p, orders=orders, d=d,
                       char_class=_classify(top, p, d),
                       wild=wild, oversized=oversized)
-
-
-def n_three(e1, e2, e3, p):
-    """Three-point count.  Degenerate order-1 entries are allowed (their
-    condition is vacuous).  Wild or out-of-range orders give 0; triples
-    outside the mid/high range are UNKNOWN (the closed form does not apply
-    when two of the orders reach p)."""
-    try:
-        profile = validate_profile((e1, e2, e3), p)
-    except ValueError as exc:
-        return CountResult(0, CharClass.LOW, reason=str(exc))
-    return n_gen_recursive(profile)
 
 
 def _recursion_steps(d, en1, en, p):

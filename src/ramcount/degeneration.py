@@ -343,6 +343,10 @@ class MapFamily:
                 if item["point"] != "inf":
                     raise ValueError(f"family JSON: {where}field 'point' must be "
                                      f"'inf', got {item['point']!r}")
+                for key in ("num", "den"):
+                    if key in item:
+                        raise ValueError(f"family JSON: {where}field {key!r} "
+                                         "must be absent at point 'inf'")
                 marks.append((where, order, None, None))
             else:
                 marks.append((where, order, need(item, "num", str, where),
@@ -435,16 +439,12 @@ def family_domain_mobius(fam, M):
 # ---------------------------------------------------------------------------
 
 def pathology_family(F, G):
-    """The family F/G - t x^p, for maps with a tame pole of order e1 > p at
-    infinity and all finite orders < p.  Every member has the same
-    ramification divisor while the pencils are pairwise distinct.  The
-    sections are infinity and every F_q-rational ramification point."""
-    return _pathology_family(F, G)[0]
-
-
-def _pathology_family(F, G):
-    """(pathology_family(F, G), ramification profile of F/G): the checks
-    need the profile, and ``family`` reports it.
+    """(family, profile): the family F/G - t x^p, for maps with a tame pole
+    of order e1 > p at infinity and all finite orders < p, and the
+    ramification profile of F/G, which the checks need and ``family``
+    reports.  Every member has the same ramification divisor while the
+    pencils are pairwise distinct.  The sections are infinity and every
+    F_q-rational ramification point.
 
     With (F, G) reduced, the member at t = c is the pencil <F - c x^p G, G>,
     and the q members over F_q have q distinct pencils, so ``family`` counts

@@ -163,12 +163,8 @@ def solve_three_point(d, e1, e2, e3, field):
     if m:
         return ThreePointSolution(m=m, pencil=None, separable=None, count=0)
     pencil = Pencil(field, d, (kernel[0][:d + 1], kernel[0][d + 1:]))
-    rmap, base = pencil.to_map()
-    sep = is_separable(rmap)
-    count = 1 if (sep and base == 0) else 0
-    if count:
-        _audit_witness(rmap, ((zero, e1), (inf, e2), (one, e3)), d)
-    return ThreePointSolution(m=0, pencil=pencil, separable=sep, count=count)
+    _, _, sep, counted = _classify_pencil(pencil, ((zero, e1), (inf, e2), (one, e3)), d)
+    return ThreePointSolution(m=0, pencil=pencil, separable=sep, count=int(counted))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +226,11 @@ def _classify_survivors(d, assignments, field, survivors):
     separable = inseparable = with_base = 0
     witnesses = []
     for pencil in survivors:
-        rmap, base = pencil.to_map()
+        rmap, base, _, counted = _classify_pencil(pencil, assignments, d)
         if base:
             with_base += 1
-        if is_separable(rmap) and not base:
+        if counted:
             separable += 1
-            _audit_witness(rmap, assignments, d)
             witnesses.append((pencil, rmap))
         else:
             inseparable += 1
@@ -253,6 +248,18 @@ def _classify_survivors(d, assignments, field, survivors):
                         with_base_points=with_base, witnesses=witnesses, d=d,
                         assignments=assignments, field=field,
                         distinct_images=distinct)
+
+
+def _classify_pencil(pencil, assignments, d):
+    """(reduced map, base points, separable, counted) of a pencil meeting
+    the assigned conditions.  The census and solve3 count a pencil iff it
+    is separable with no base point, and audit every counted one."""
+    rmap, base = pencil.to_map()
+    sep = is_separable(rmap)
+    counted = sep and not base
+    if counted:
+        _audit_witness(rmap, assignments, d)
+    return rmap, base, sep, counted
 
 
 def _audit_witness(rmap, assignments, d):

@@ -12,8 +12,8 @@ from ramcount.counting import (
     CharClass,
     involution_reduce,
     n_four_closed,
+    n_gen,
     n_gen_recursive,
-    n_three,
     validate_profile,
 )
 from ramcount.degeneration import (
@@ -86,7 +86,7 @@ def test_criterion_1_three_point_law():
     checked = 0
     for p, d, orders in _mid_high_triples(6, (3, 5, 7, 11, 13)):
         expected = 1 if p > d else 0
-        res = n_three(*orders, p)
+        res = n_gen(orders, p)
         assert res.value == expected, (orders, p)
         field = finite_field(p, 2)
         sol = solve_three_point(d, *orders, field)
@@ -173,7 +173,7 @@ def test_criterion_3_formula_triangle():
     for orders, d in _four_point_profiles(12):
         for p in primes + (INFINITY,):
             profile = validate_profile(orders, p)
-            if profile.char_class is CharClass.LOW or profile.forced_zero:
+            if profile.char_class is CharClass.LOW or profile.wild or profile.oversized:
                 continue
             rec = n_gen_recursive(profile).value
             closed = n_four_closed(*orders, p).value
@@ -208,7 +208,7 @@ def test_criterion_4_involution_invariance():
     for orders, d in _four_point_profiles(12):
         for p in primes:
             profile = validate_profile(orders, p)
-            if profile.char_class is CharClass.LOW or profile.forced_zero:
+            if profile.char_class is CharClass.LOW or profile.wild or profile.oversized:
                 continue
             base = n_gen_recursive(profile).value
             for i, j in itertools.combinations(range(4), 2):
@@ -225,7 +225,7 @@ def test_criterion_5_pathology_family():
     divisor (order 5 at infinity, four simple points)."""
     start = time.monotonic()
     F9 = finite_field(3, 2)
-    fam = pathology_family(Poly.from_ints(F9, (0, 1, 0, 0, 0, 1)), Poly.one(F9))
+    fam, profile = pathology_family(Poly.from_ints(F9, (0, 1, 0, 0, 0, 1)), Poly.one(F9))
     profiles = set()
     pencils = set()
     for c in range(9):
@@ -236,6 +236,7 @@ def test_criterion_5_pathology_family():
     assert len(pencils) == 9
     assert len(profiles) == 1
     prof = dict(profiles.pop())
+    assert prof == dict(profile.items())  # the profile returned with fam
     inf_pt = ProjPoint.infinity(F9)
     assert prof[inf_pt] == 5
     finite = sorted(e for pt, e in prof.items() if not pt.is_infinity)

@@ -75,6 +75,12 @@ class TestCount:
         payload = run_json(["count", "--p", "inf", "--orders", "2,2,3,3"])
         assert payload["count"] == 2
 
+    def test_json_payload(self):
+        payload = run_json(["count", "--p", "5", "--orders", "2,2,2,2"])
+        assert payload == {"schema": 1, "class": "HIGH", "count": 2, "d": 3,
+                           "orders": [2, 2, 2, 2], "p": 5,
+                           "trace": [{"dprime": 2, "e": 1}, {"dprime": 3, "e": 3}]}
+
     def test_p2_rejected(self):
         code, out = run(["count", "--p", "2", "--orders", "2,2,2,2"])
         assert code == 1
@@ -204,6 +210,16 @@ class TestSearch:
         code, _ = run(["search", "--p", "5", "--k", "2", "--orders",
                        "2,2,2,2", "--points", "00,inf,01,02"])
         assert code == 0
+
+    @pytest.mark.parametrize("env", ["10^9", "0"])
+    def test_budget_env_var_must_be_a_positive_integer(self, monkeypatch, env):
+        monkeypatch.setenv("RAMCOUNT_BUDGET", env)
+        argv = ["search", "--p", "5", "--orders", "2,2,2,2", "--points", "0,inf,1,2"]
+        assert run(argv) == (
+            1, f"error: RAMCOUNT_BUDGET must be an integer >= 1, got {env!r}\n")
+        # an explicit --budget takes precedence, and count reads no budget
+        assert run(argv + ["--budget", "1000"])[0] == 0
+        assert run(["count", "--p", "5", "--orders", "2,2,2,2"])[0] == 0
 
     def test_mismatched_lengths(self):
         code, _ = run(["search", "--p", "5", "--orders", "2,2,2,2",
@@ -491,6 +507,11 @@ class TestFamilyTransform:
          "sections[0]: field 'point'"),
         ({"sections": [{"num": "0", "order": 2}, {"point": 7, "num": "2", "order": 1}]},
          "sections[1]: field 'point'"),
+        # and the point at infinity has no num or den
+        ({"sections": [{"point": "inf", "num": "1", "order": 2}]},
+         "sections[0]: field 'num'"),
+        ({"sections": [{"num": "0", "order": 2}, {"point": "inf", "den": "1", "order": 2}]},
+         "sections[1]: field 'den'"),
     ])
     def test_family_schema_errors_name_the_field(self, tmp_path, changes, field):
         code, out = self._transform_payload(tmp_path, **changes)

@@ -16,7 +16,6 @@ from ramcount.counting import (
     n_four_closed,
     n_gen,
     n_gen_recursive,
-    n_three,
     validate_profile,
 )
 from ramcount.schubert import intersection_number
@@ -106,25 +105,25 @@ class TestValidate:
 
 class TestThreePoint:
     def test_high_is_one(self):
-        assert n_three(2, 2, 3, 5).value == 1
+        assert n_gen((2, 2, 3), 5).value == 1
 
     def test_at_or_below_degree_is_zero(self):
-        assert n_three(2, 2, 3, 3).value == 0
+        assert n_gen((2, 2, 3), 3).value == 0
 
     def test_degenerate_monomial(self):
-        assert n_three(1, 2, 2, 5).value == 1
+        assert n_gen((1, 2, 2), 5).value == 1
 
     def test_parity_invalid(self):
-        res = n_three(2, 2, 2, 5)
-        assert res.value == 0 and "odd" in res.reason
+        with pytest.raises(ValueError, match="odd"):
+            n_gen((2, 2, 2), 5)
 
     def test_low_tame_unknown(self):
         # (5, 5, 1) at p = 3: x^5 is a separable witness, the formula would
         # wrongly say 0, so the low range reports UNKNOWN
-        assert n_three(5, 5, 1, 3).value == UNKNOWN
+        assert n_gen((5, 5, 1), 3).value == UNKNOWN
 
     def test_wild_zero(self):
-        assert n_three(3, 3, 1, 3).value == 0
+        assert n_gen((3, 3, 1), 3).value == 0
 
     @pytest.mark.parametrize("p", [3, 5, 7, INFINITY])
     def test_agrees_with_n_gen(self, p):
@@ -132,11 +131,13 @@ class TestThreePoint:
         for orders in itertools.product(range(1, 9), repeat=3):
             if sum(e - 1 for e in orders) % 2:
                 continue
-            got, want = n_three(*orders, p), n_gen(orders, p)
-            assert (got.value, got.char_class, got.reason) == \
-                (want.value, want.char_class, want.reason), orders
             profile = validate_profile(orders, p)
-            if not profile.forced_zero and profile.char_class is not CharClass.LOW:
+            got = n_gen(orders, p)
+            if profile.wild or profile.oversized:
+                assert got.value == 0, orders
+            elif profile.char_class is CharClass.LOW:
+                assert got.value == UNKNOWN, orders
+            else:
                 assert got.value == _oracle_three_point(*orders, p), orders
             checked += 1
         assert checked == 256
@@ -280,7 +281,7 @@ class TestSymmetry:
         for orders in _sorted_profiles(4, 8) + _sorted_profiles(5, 6):
             for p in (3, 5, 7, 13, INFINITY):
                 prof = validate_profile(orders, p)
-                if prof.char_class is CharClass.LOW or prof.forced_zero:
+                if prof.char_class is CharClass.LOW or prof.wild or prof.oversized:
                     continue
                 base = n_gen_recursive(prof).value
                 seen = set()
@@ -380,6 +381,10 @@ class TestFourClosed:
 
     def test_out_of_hypotheses(self):
         assert n_four_closed(2, 2, 5, 5, 3).value == UNKNOWN
+        # every e_i = p: the formula's value would be max(0, 3 - 3) = 0
+        res = n_four_closed(3, 3, 3, 3, 3)
+        assert res.value == UNKNOWN
+        assert res.reason == "closed form requires all e_i < p"
 
     def test_oversized_gives_zero(self):
         # formula self-clamps when some e_i > d
@@ -393,6 +398,7 @@ class TestInvolutionReduce:
         red = involution_reduce(prof, 0, 1)
         assert red.orders == (3, 3, 2, 2)
         assert red.d == 4
+        assert involution_reduce(prof, 1, 0).orders == (3, 3, 2, 2)
 
     def test_twice_restores(self):
         prof = validate_profile((2, 3, 3, 4), 7)
@@ -403,7 +409,7 @@ class TestInvolutionReduce:
         for orders in _sorted_profiles(4, 6):
             for p in (5, 7, 11):
                 prof = validate_profile(orders, p)
-                if prof.char_class is CharClass.LOW or prof.forced_zero:
+                if prof.char_class is CharClass.LOW or prof.wild or prof.oversized:
                     continue
                 base = n_gen_recursive(prof).value
                 for i, j in itertools.combinations(range(4), 2):

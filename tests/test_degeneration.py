@@ -107,19 +107,20 @@ class TestPathologyFamily:
 
     def test_construction_and_t0(self):
         F, G = P(F9, 0, 1, 0, 0, 0, 1), Poly.one(F9)  # x^5 + x
-        fam = pathology_family(F, G)
+        fam, _ = pathology_family(F, G)
         assert fam.F.to_string() == "[(0),(01),(0),(00,02),(0),(01)]"
         member0 = fam.member(0)
         assert member0 == RatMap(F, G)
 
     def test_members_share_ramification(self):
         F, G = P(F9, 0, 1, 0, 0, 0, 1), Poly.one(F9)
-        fam = pathology_family(F, G)
+        fam, profile = pathology_family(F, G)
         profiles = set()
         for c in range(9):
             profiles.add(frozenset(ramification_profile(fam.member(c)).items()))
         assert len(profiles) == 1
         only = dict(profiles.pop())
+        assert only == dict(profile.items())  # the profile returned with fam
         assert only[ProjPoint.infinity(F9)] == 5
         finite_orders = [e for pt, e in only.items() if not pt.is_infinity]
         assert sorted(finite_orders) == [2, 2, 2, 2]
@@ -129,7 +130,7 @@ class TestPathologyFamily:
         for field, coeffs in ((F9, (0, 1, 0, 0, 0, 1)),          # x^5 + x
                               (F25, (0, 1, 0, 0, 0, 0, 0, 1)),   # x^7 + x
                               (F27, (0, 1, 0, 0, 0, 1))):        # x^5 + x
-            fam = pathology_family(P(field, *coeffs), Poly.one(field))
+            fam, _ = pathology_family(P(field, *coeffs), Poly.one(field))
             pencils = {fam.member(c).pencil_rows() for c in range(field.q)}
             assert len(pencils) == field.q
 
@@ -139,8 +140,7 @@ class TestPathologyFamily:
         # F_9, so for odd k only two of them (1 and 2) are F_q-rational; the
         # sections are infinity and the profile points fixed by x -> x^q
         field = finite_field(3, k)
-        fam, profile = degeneration._pathology_family(P(field, 0, 1, 0, 0, 0, 1),
-                                                      Poly.one(field))
+        fam, profile = pathology_family(P(field, 0, 1, 0, 0, 0, 1), Poly.one(field))
         ext = next(pt.field for pt, _ in profile.items())
         rational = {(pt.i, e) for pt, e in profile.items()
                     if not pt.is_infinity and ext.pow_i(pt.i, field.q) == pt.i}

@@ -389,6 +389,20 @@ class TestCensus:
         quad = count_maps_bruteforce(3, _four_simple_points(F25, 2), F25)
         assert quad.separable == 2
 
+    def test_rational_counts_below_n_gen_at_every_cross_ratio(self):
+        # (3, 3, 3, 3) at p = 13 (d = 5, HIGH, n_gen 3) at 0, inf, 1, lam
+        # for every lam: only the harmonic cross-ratios -1, 2, 1/2 carry an
+        # F_13-rational map, one each, so no configuration of the prime
+        # field attains n_gen rationally
+        from ramcount.counting import n_gen
+        F13 = finite_field(13)
+        assert n_gen((3, 3, 3, 3), 13).value == 3
+        separable = {}
+        for lam in range(2, 13):
+            assigns = _assigns(F13, (0, None, 1, lam), (3, 3, 3, 3))
+            separable[lam] = count_maps_bruteforce(5, assigns, F13, budget=10 ** 9).separable
+        assert separable == {lam: int(lam in (2, 7, 12)) for lam in range(2, 13)}
+
     def test_repeated_points_rejected(self):
         with pytest.raises(ValueError):
             count_maps_bruteforce(3, [(ProjPoint(F5, 0), 2), (ProjPoint(F5, 0), 2)], F5)
