@@ -189,50 +189,18 @@ def cmd_transform(args):
     return _emit(out.to_json(), args.format)
 
 
-def _table_heavy_parts(n_max, d_max):
-    """The table's profiles by their orders >= 2, as (heavy, d) in no
-    particular order.  A profile is nondecreasing orders with
-    3 <= n <= n_max entries, each at most d, whose total sum (e_i - 1) =
-    2(d - 1) is positive and fixes d <= d_max.  Order-1 entries add nothing
-    to that total, so a heavy part stands for the profiles (1, ..., 1) +
-    heavy with max(3, len(heavy)) <= n <= n_max.
-
-    The parts are walked depth first, with one lazy range of next orders
-    per level.  With T the running total and a = e - 1 for the last order
-    e, a part is a hit when T is even and 2a <= T (that is, e <= d).  A
-    next order a' + 1 can lead to a hit only if a' <= T (it is one itself
-    when a' + T is even: the only choice for the last free entry) or, with
-    two entries free, 2a' <= 2(d_max - 1) - T (one more entry then balances
-    it); each range ends there.  So the walk visits O(1) parts per hit,
-    and never holds d_max candidates at once.
-    """
-    if n_max < 3:
-        return
-    limit = 2 * (d_max - 1)
-    heavy, total = [], 0
-    frames = [iter(range(2, d_max + 1))]
-    while frames:
-        e = next(frames[-1], None)
-        if e is None:
-            frames.pop()
-            if heavy:
-                total -= heavy.pop() - 1
-            continue
-        heavy.append(e)
-        total += e - 1
-        if total % 2 == 0 and 2 * (e - 1) <= total:
-            yield tuple(heavy), 1 + total // 2
-        room, free = limit - total, n_max - len(heavy)
-        if free == 1:
-            nexts = range(e + (e - 1 + total) % 2, min(room, total) + 2, 2)
-        elif free:
-            nexts = range(e, min(room, max(total, room // 2)) + 2)
+def _heavy_parts(total, most, top):
+    """The partitions of total >= 1 into at most `most` parts a <= top, as
+    the nondecreasing orders a + 1.  The largest part comes first, and is at
+    least total / most, so that the rest fit below it."""
+    for a in range(-(-total // most), min(total, top) + 1):
+        if a == total:
+            yield (a + 1,)
+        elif most == 2:  # the second part is the rest, at most a
+            yield (total - a + 1, a + 1)
         else:
-            nexts = ()
-        if nexts:
-            frames.append(iter(nexts))
-        else:
-            total -= heavy.pop() - 1
+            for rest in _heavy_parts(total - a, most - 1, a):
+                yield rest + (a + 1,)
 
 
 def _table_cell(heavy, p):
@@ -257,33 +225,54 @@ def cmd_table(args):
     checks are closed4, the four-point closed form, and the paper's
     degeneration recursion, which the tests run against the table.
 
-    Before any row is built, the order entries the rows would print are
-    counted, O(1) per heavy part; past enumeration_budget() the table is
-    refused as soon as the walk reaches that count.
+    A profile of degree d has 3 <= n <= n_max orders e <= d with sum (e - 1)
+    = 2(d - 1) (Riemann-Hurwitz), so the heavy parts of degree d are the
+    partitions of 2(d - 1) into at most n_max parts e - 1 <= d - 1.  Before
+    any cell is computed, the order entries the rows would print are
+    counted, O(1) per heavy part; the table is refused as soon as the
+    degrees seen prove that count above enumeration_budget().
     """
+    seen = set()
     for p in args.p:
         check_prime(p)
-    primes = sorted(args.p)  # inf last
-    # a first walk only counts, so that a refusal holds no part in memory
+        if p in seen:
+            raise ValueError(f"p = {_p_str(p)} is listed twice")
+        seen.add(p)
+    primes = sorted(seen)  # inf last
+    degrees = range(2, args.d + 1) if args.n_max >= 3 else ()
+
+    def heavy_parts(d):
+        return _heavy_parts(2 * (d - 1), args.n_max, d - 1)
+
+    # a first pass only counts, so that a refusal computes no cell.  Adding 1
+    # to the two largest orders maps the heavy parts of degree d one to one
+    # to parts of degree d + 1 of the same length, so each degree prints at
+    # least as many entries as the one before: with at_d entries of degree d
+    # seen so far, the degrees d..d_max print at least (d_max - d + 1) at_d
     limit, entries = enumeration_budget(), 0
-    for heavy, _ in _table_heavy_parts(args.n_max, args.d):
-        low = max(3, len(heavy))
-        # the rows of low <= n <= n_max entries, once per prime
-        entries += len(primes) * (low + args.n_max) * (args.n_max + 1 - low) // 2
-        if entries > limit:
-            raise BudgetExceeded(f"table order entries exceed budget {limit}")
+    for d in degrees:
+        at_d = 0
+        for heavy in heavy_parts(d):
+            low = max(3, len(heavy))
+            # the rows of low <= n <= n_max entries, once per prime
+            at_d += len(primes) * (low + args.n_max) * (args.n_max + 1 - low) // 2
+            if entries + (args.d - d + 1) * at_d > limit:
+                raise BudgetExceeded(f"table order entries exceed budget {limit}")
+        entries += at_d
     groups = []
-    for heavy, d in _table_heavy_parts(args.n_max, args.d):
-        shared, cells = {}, []  # one cell per p <= d, and one for every p > d
-        for p in primes:
-            key = p if p <= d else INFINITY
-            if key not in shared:
-                shared[key] = _table_cell(heavy, key)
-            cells.append((_p_str(p), *shared[key]))
-        heavy_text = " ".join(map(str, heavy))
-        for n in range(max(3, len(heavy)), args.n_max + 1):
-            ones = n - len(heavy)
-            groups.append((n, "1 " * ones + heavy_text, (1,) * ones + heavy, d, cells))
+    for d in degrees:
+        for heavy in heavy_parts(d):
+            shared, cells = {}, []  # one cell per p <= d, and one for every p > d
+            for p in primes:
+                key = p if p <= d else INFINITY
+                if key not in shared:
+                    shared[key] = _table_cell(heavy, key)
+                cells.append((_p_str(p), *shared[key]))
+            heavy_text = " ".join(map(str, heavy))
+            for n in range(max(3, len(heavy)), args.n_max + 1):
+                ones = n - len(heavy)
+                groups.append((n, "1 " * ones + heavy_text, (1,) * ones + heavy, d,
+                               cells))
     groups.sort()
     rows = []
     for n, orders_text, orders, d, cells in groups:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import ramcount
 from ramcount import cli
-from ramcount.cli import _table_heavy_parts, main
+from ramcount.cli import _heavy_parts, main
 from ramcount.cli import run_argv as run
 from ramcount.counting import (
     INFINITY,
@@ -585,14 +586,36 @@ class TestTable:
                 yield orders, d
 
     @staticmethod
+    def _heavy(n_max, d_max):
+        # the table's heavy parts, degree by degree, as (heavy, d)
+        if n_max < 3:
+            return []
+        return [(heavy, d) for d in range(2, d_max + 1)
+                for heavy in _heavy_parts(2 * (d - 1), n_max, d - 1)]
+
+    @staticmethod
     def _rows(argv):
         code, out = run(["table"] + argv + ["--format", "json"])
         assert code == 0, out
         return json.loads(out)["rows"]
 
+    def test_heavy_parts_are_the_partitions(self):
+        # every partition of total into at most `most` parts a <= top, as
+        # nondecreasing orders a + 1, each once, against the filter
+        for most, top in itertools.product(range(1, 8), range(1, 12)):
+            want = {}
+            for n in range(1, most + 1):
+                for orders in itertools.combinations_with_replacement(
+                        range(2, top + 2), n):
+                    want.setdefault(sum(orders) - n, set()).add(orders)
+            for total in range(1, 13):
+                got = list(_heavy_parts(total, most, top))
+                assert len(got) == len(set(got)), (total, most, top)
+                assert set(got) == want.get(total, set()), (total, most, top)
+
     def test_profiles_match_the_filter(self):
         # the (orders, d) the table prints, padded with order-1 entries from
-        # the walk's heavy parts, against the filter; and the walk itself
+        # the heavy parts, against the filter; and the heavy parts themselves
         for n_max in range(-1, 8):
             for d_max in range(-1, 11):
                 rows = self._rows(["--p", "3", "--d", str(d_max),
@@ -602,7 +625,7 @@ class TestTable:
                 assert len(got) == len(set(got)), (n_max, d_max)
                 assert set(got) == want, (n_max, d_max)
                 assert all(r["n"] == len(orders) for r, (orders, _) in zip(rows, got))
-                heavy = list(_table_heavy_parts(n_max, d_max))
+                heavy = self._heavy(n_max, d_max)
                 assert len(heavy) == len(set(heavy)), (n_max, d_max)
                 assert set(heavy) == {(o[o.count(1):], d) for o, d in want}, \
                     (n_max, d_max)
@@ -612,10 +635,21 @@ class TestTable:
         # run of order-1 entries
         rows = self._rows(["--p", "inf", "--d", "8", "--n-max", "5"])
         assert len(rows) == 212
-        assert len(list(_table_heavy_parts(5, 8))) == 111
+        assert len(self._heavy(5, 8)) == 111
         code, out = run(["table", "--p", "3", "--d", "2", "--n-max", "1500"])
         assert code == 0
         assert out.count("\n") == 1499  # (1, ..., 1, 2, 2) for 3 <= n <= 1500
+
+    @pytest.mark.parametrize("ps, twice", [
+        ("3,3", "3"), ("inf,5,inf", "inf"), ("5,3,7,3", "3")])
+    def test_repeated_prime_is_refused(self, ps, twice):
+        # each (orders, p) is one row: a prime listed twice would print its
+        # rows twice
+        code, out = run(["table", "--p", ps, "--d", "3", "--n-max", "4"])
+        assert (code, out) == (1, f"error: p = {twice} is listed twice\n")
+        # before any walk: a table over the budget is refused for it too
+        code, out = run(["table", "--p", ps, "--d", str(10 ** 9), "--n-max", "4"])
+        assert (code, out) == (1, f"error: p = {twice} is listed twice\n")
 
     @staticmethod
     def _per_row(orders, d, p):
@@ -684,7 +718,7 @@ class TestTable:
         # inf is above every d: one count at inf per heavy part
         at_inf = [orders for orders, p in calls["n_gen_recursive"] if p == INFINITY]
         assert len(at_inf) == 111
-        assert set(at_inf) == {heavy for heavy, _ in _table_heavy_parts(5, 8)}
+        assert set(at_inf) == {heavy for heavy, _ in self._heavy(5, 8)}
         for name, seen in calls.items():
             assert len(seen) == len(set(seen)), name
 
@@ -705,9 +739,8 @@ class TestTable:
         monkeypatch.setenv("RAMCOUNT_BUDGET", str(entries - 1))
         assert run(["table"] + sweep) == \
             (2, f"error: table order entries exceed budget {entries - 1}\n")
-        # the walk neither holds d candidate orders nor visits parts that
-        # lead to no row, and the count keeps no part: so a huge degree is
-        # refused at the budget, fast and in little memory (10^4 heavy
+        # the count keeps no part and walks only the first degrees of a huge
+        # table: so it is refused fast and in little memory (10^4 heavy
         # parts, kept, would take about 2.4 MB)
         monkeypatch.setenv("RAMCOUNT_BUDGET", "30000")
         tracemalloc.start()
@@ -721,6 +754,90 @@ class TestTable:
         assert code == 2
         assert seconds < 5
         assert peak < 2 ** 20
+
+    def _walked_degrees(self, monkeypatch, n_max):
+        # the degrees whose heavy parts cmd_table asks for, in order
+        walked, heavy_parts = [], cli._heavy_parts
+
+        def record(total, most, top):
+            if most == n_max:  # not a call of the recursion itself
+                walked.append(top + 1)
+            return heavy_parts(total, most, top)
+        monkeypatch.setattr(cli, "_heavy_parts", record)
+        return walked
+
+    def test_budget_is_exact(self, monkeypatch):
+        # refused exactly when the printed entries, from the filter, pass
+        # the budget: a lower bound that trips early never refuses a table
+        # within it
+        for ps, d_max, n_max in itertools.product(
+                ("3", "5,7,inf"), (2, 4, 7), (3, 5, 7)):
+            argv = ["table", "--p", ps, "--d", str(d_max), "--n-max", str(n_max)]
+            entries = len(ps.split(",")) * sum(
+                len(orders) for orders, _ in self._oracle_profiles(n_max, d_max))
+            monkeypatch.setenv("RAMCOUNT_BUDGET", str(entries))
+            assert run(argv)[0] == 0, argv
+            monkeypatch.setenv("RAMCOUNT_BUDGET", str(entries - 1))
+            assert run(argv) == \
+                (2, f"error: table order entries exceed budget {entries - 1}\n"), argv
+
+    def test_refused_from_the_first_degrees(self, monkeypatch):
+        # the degrees seen bound the rest from below, so the count stops
+        # while its running total is still within the budget
+        walked = self._walked_degrees(monkeypatch, 5)
+        by_degree = {}
+        for orders, d in self._oracle_profiles(5, 8):
+            by_degree[d] = by_degree.get(d, 0) + len(orders)
+        budget = sum(by_degree.values()) // 3
+        monkeypatch.setenv("RAMCOUNT_BUDGET", str(budget))
+        assert run(["table", "--p", "3", "--d", "8", "--n-max", "5"]) == \
+            (2, f"error: table order entries exceed budget {budget}\n")
+        assert walked == [2, 3, 4]
+        assert sum(by_degree[d] for d in walked) <= budget
+
+    def test_a_million_degrees_are_refused_at_the_fifth(self, monkeypatch):
+        # degrees 2 to 4 print 18 entries; then four heavy parts of degree 5,
+        # 3 entries each, bound the 999,996 degrees left above 10^7.  A walk
+        # that counted every part up to the budget took 6 s
+        monkeypatch.delenv("RAMCOUNT_BUDGET", raising=False)
+        walked = self._walked_degrees(monkeypatch, 3)
+        start = time.perf_counter()
+        code, out = run(["table", "--p", "3", "--d", str(10 ** 6), "--n-max", "3"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "error: table order entries exceed budget 10000000\n")
+        assert walked == [2, 3, 4, 5]
+
+    def test_entries_never_decrease_with_the_degree(self):
+        # the fact the refusal rests on, from a table of partitions by
+        # number of parts (independent of the walk), which the heavy parts
+        # must also reproduce
+        for n_max in range(3, 11):
+            before = 0
+            for d in range(2, 31):
+                total = 2 * (d - 1)
+                ways = [[1] + [0] * total] + [[0] * (total + 1) for _ in range(n_max)]
+                for a in range(1, d):  # ways[k][s]: k parts <= a summing to s
+                    for k in range(1, n_max + 1):
+                        for s in range(a, total + 1):
+                            ways[k][s] += ways[k - 1][s - a]
+                at_d = sum(ways[k][total] * sum(range(max(3, k), n_max + 1))
+                           for k in range(1, n_max + 1))
+                assert at_d >= before, (n_max, d)
+                before = at_d
+                if d <= 16:
+                    lengths = Counter(map(len, _heavy_parts(total, n_max, d - 1)))
+                    assert lengths == {k: ways[k][total] for k in range(1, n_max + 1)
+                                       if ways[k][total]}, (n_max, d)
+
+    def test_no_degree_is_walked_below_three_orders(self, monkeypatch):
+        # no profile has fewer than three orders: the header alone, at once
+        def walk(total, most, top):
+            raise AssertionError(f"walked degree {top + 1}")
+        monkeypatch.setattr(cli, "_heavy_parts", walk)
+        start = time.perf_counter()
+        code, out = run(["table", "--p", "3", "--d", str(10 ** 9), "--n-max", "2"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, ",".join(cli.TABLE_COLUMNS) + "\n")
 
 
 def test_numpy_loaded_only_by_census():

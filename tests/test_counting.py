@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from itertools import accumulate
@@ -259,6 +260,57 @@ class TestFusionRule:
                 (profile.orders, p)
             mid += profile.char_class is CharClass.MID
         assert mid >= 5_000
+
+
+def _verlinde_terms(orders, p):
+    """The terms of the Verlinde formula for sl_2 at level p - 2 (Verlinde,
+    *Nucl. Phys. B* 300, 1988), the fusion multiplicity of V_0:
+    N = (2/p) sum_{l=1}^{p-1} sin(pi l/p)^(2-n) prod_i sin(pi e_i l/p).
+    Each term as (sign, log of its size), since the terms of a long profile
+    overflow a double."""
+    terms = []
+    for l in range(1, p):
+        sign, log = 1, (2 - len(orders)) * math.log(math.sin(math.pi * l / p))
+        for e, k in Counter(orders).items():
+            s = math.sin(math.pi * e * l / p)  # nonzero: p divides no e * l
+            sign *= (-1) ** k if s < 0 else 1
+            log += k * math.log(abs(s))
+        terms.append((sign, log))
+    return terms
+
+
+def _verlinde_log10(orders, p):
+    """log10 of the Verlinde sum, with its largest term factored out."""
+    terms = _verlinde_terms(orders, p)
+    top = max(log for _, log in terms)
+    rest = sum(sign * math.exp(log - top) for sign, log in terms)
+    return math.log10(2 / p) + top / math.log(10) + math.log10(rest)
+
+
+class TestVerlinde:
+    """The fold as a sum over the p - 1 characters of level p - 2, in
+    floating point: an oracle that reaches counts no recursion can."""
+
+    def test_small_profiles(self):
+        # 2,000 profiles of 3-9 orders in 1..p-1, p <= 13: the rounded sum
+        rng = random.Random(17)
+        checked = Counter()
+        for _ in range(2_000):
+            p = rng.choice((3, 5, 7, 11, 13))
+            profile = validate_profile(_random_profile(rng, p, rng.randint(3, 9)), p)
+            if profile.wild or profile.oversized or profile.char_class is CharClass.LOW:
+                continue
+            value = 2 / p * sum(sign * math.exp(log)
+                                for sign, log in _verlinde_terms(profile.orders, p))
+            assert round(value) == n_gen_recursive(profile).value, (profile.orders, p)
+            checked[profile.char_class] += 1
+        assert sum(checked.values()) >= 1_000 and min(checked.values()) >= 100, checked
+
+    @pytest.mark.parametrize("n, p", [(4000, 7), (3000, 11), (5000, 5)])
+    def test_long_profiles(self, n, p):
+        # about a thousand digits: within 10^-8 in log10
+        count = n_gen((2,) * n, p).value
+        assert abs(_verlinde_log10((2,) * n, p) - math.log10(count)) < 1e-8
 
 
 def _sorted_profiles(n, d_max):
