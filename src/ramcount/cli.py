@@ -22,9 +22,10 @@ from functools import lru_cache
 from .algebra import BudgetExceeded, Poly, enumeration_budget, finite_field
 from .counting import (
     INFINITY,
-    CharClass,
+    WILD_REASON,
     _four_closed,
     check_prime,
+    n_gen_cells,
     n_gen_recursive,
     validate_profile,
 )
@@ -35,7 +36,7 @@ from .pencil import (
     solve_three_point,
 )
 from .ratmap import ProjPoint
-from .schubert import intersection_number
+from .schubert import check_orders, intersection_number
 
 SCHEMA_VERSION = 1
 
@@ -203,25 +204,19 @@ def _heavy_parts(total, most, top):
                 yield rest + (a + 1,)
 
 
-def _table_cell(heavy, p):
-    """The profile, count and reason that every row (1, ..., 1) + heavy at
-    p shares: an order-1 entry imposes no condition.  Pass p = inf for
-    every p > d (HIGH)."""
-    profile = validate_profile(heavy, p)
-    result = n_gen_recursive(profile)
-    return profile, result.value, "wild excluded" if profile.wild else result.reason
-
-
 def cmd_table(args):
     """One row per (orders, p), sorted by n, then orders, then p.
 
-    n_gen_recursive runs once per heavy part (the orders >= 2) and prime,
-    in _table_cell; every row (1, ..., 1) + heavy reuses that cell, so the
-    rows themselves are formatting.  A MID row is the folded series, a LOW
-    row is unknown or wild.  For p > d (HIGH) and at inf the count is the
-    unfolded series, the intersection number, the same for every such p,
-    so one cell serves them all.  It also fills the inf row's schubert
-    column, whose match therefore holds by construction.  The independent
+    Every row (1, ..., 1) + heavy shares the cell of its heavy part (the
+    orders >= 2) at its prime, so the rows themselves are formatting.  For
+    p > d (HIGH) and at inf the count is the unfolded series, the
+    intersection number, the same for every such p, so one cell, keyed inf,
+    serves them all.  Each heavy part is validated once, and n_gen_cells
+    counts it at all its keys in one call: it builds the series product,
+    which no p changes, once, and reads each (1 - t)^(-r) tail from a dict
+    that this call keeps by (r, d, period).  A MID row is the folded
+    series, a LOW row is unknown or wild.  The inf row's schubert column is
+    its own count, so its match holds by construction; the independent
     checks are closed4, the four-point closed form, and the paper's
     degeneration recursion, which the tests run against the table.
 
@@ -259,15 +254,18 @@ def cmd_table(args):
             if entries + (args.d - d + 1) * at_d > limit:
                 raise BudgetExceeded(f"table order entries exceed budget {limit}")
         entries += at_d
-    groups = []
+    texts = [_p_str(p) for p in primes]
+    tails, groups = {}, []
     for d in degrees:
+        keys = [p if p <= d else INFINITY for p in primes]
+        distinct = list(dict.fromkeys(keys))  # each p <= d, and inf for every p > d
         for heavy in heavy_parts(d):
-            shared, cells = {}, []  # one cell per p <= d, and one for every p > d
-            for p in primes:
-                key = p if p <= d else INFINITY
-                if key not in shared:
-                    shared[key] = _table_cell(heavy, key)
-                cells.append((_p_str(p), *shared[key]))
+            check_orders(d, heavy)
+            shared = {key: (char_class.value, count,
+                            "wild excluded" if reason == WILD_REASON else reason)
+                      for key, (char_class, count, reason)
+                      in zip(distinct, n_gen_cells(heavy, d, distinct, tails))}
+            cells = [(text, key, *shared[key]) for text, key in zip(texts, keys)]
             heavy_text = " ".join(map(str, heavy))
             for n in range(max(3, len(heavy)), args.n_max + 1):
                 ones = n - len(heavy)
@@ -276,21 +274,19 @@ def cmd_table(args):
     groups.sort()
     rows = []
     for n, orders_text, orders, d, cells in groups:
-        for p_text, profile, count, reason in cells:
-            # every e_i <= d, and outside LOW every e_i < p: so only LOW rows
-            # are wild or UNKNOWN, and they have no cross-check.  For p > d
-            # the closed form's penalty d + 1 - p is at most 0, as at inf
+        for p_text, key, class_text, count, reason in cells:
+            # the inf row's schubert column is its own count, so its match
+            # holds by construction.  Every e_i <= d, and outside LOW every
+            # e_i < p: so only LOW rows are wild or UNKNOWN, and they have no
+            # cross-check.  For p > d the closed form's penalty d + 1 - p is
+            # at most 0, as at inf
+            schubert, match = (count, "true") if p_text == "inf" else ("", "")
             closed4 = ""
-            if n == 4 and profile.char_class is not CharClass.LOW:
-                closed4 = _four_closed(orders, profile.p, d)
-            schubert = count if p_text == "inf" else ""
-            checks = [v for v in (closed4, schubert) if v != ""]
-            match = ""
-            if checks:
-                match = "true" if all(v == count for v in checks) else "false"
-            rows.append([SCHEMA_VERSION, orders_text, n, d, p_text,
-                         profile.char_class.value, count, closed4, schubert,
-                         match, reason])
+            if n == 4 and class_text != "LOW":
+                closed4 = _four_closed(orders, key, d)
+                match = "true" if closed4 == count else "false"
+            rows.append([SCHEMA_VERSION, orders_text, n, d, p_text, class_text,
+                         count, closed4, schubert, match, reason])
     if args.format == "json":
         return json.dumps(
             {"schema": SCHEMA_VERSION,
@@ -373,7 +369,8 @@ def build_parser():
     sp.add_argument("--p", required=True, help="comma list of primes and/or 'inf'")
     sp.add_argument("--d", type=int, required=True, help="maximum degree")
     sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--format", default="csv", choices=("json", "text", "csv"))
+    sp.add_argument("--format", default="csv", choices=("json", "text", "csv"),
+                    help="text prints the CSV, byte for byte")
 
     return parser
 

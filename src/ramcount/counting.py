@@ -28,11 +28,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import is_prime
-from .schubert import _series_coefficient
+from .schubert import _series_dot, _series_product, _series_tail
 
 INFINITY = float("inf")
 
 UNKNOWN = "unknown"
+
+WILD_REASON = "wild excluded: some e_i divisible by p"
 
 
 class CharClass(Enum):
@@ -95,6 +97,12 @@ def _classify(top, p, d):
     return CharClass.LOW
 
 
+def _wild(orders, top, p):
+    """The orders divisible by p, given their largest, top: an order
+    divisible by p is at least p (never, for p = INFINITY)."""
+    return tuple(e for e in orders if e % p == 0) if top >= p else ()
+
+
 def check_prime(p):
     """The characteristic rule: raise ValueError unless p is a prime >= 3
     or INFINITY."""
@@ -115,8 +123,7 @@ def validate_profile(orders, p):
         raise ValueError(f"sum of (e_i - 1) = {total} is odd; no integer degree")
     d = 1 + total // 2
     top = max(orders)
-    # an order divisible by p is at least p (never, for p = INFINITY)
-    wild = tuple(e for e in orders if e % p == 0) if top >= p else ()
+    wild = _wild(orders, top, p)
     oversized = tuple(e for e in orders if e > d) if top > d else ()
     return RamProfile(p=p, orders=orders, d=d,
                       char_class=_classify(top, p, d),
@@ -131,23 +138,45 @@ def _recursion_steps(d, en1, en, p):
         yield dp, 2 * dp - 2 * d + en1 + en - 1
 
 
+def n_gen_cells(orders, d, primes, tails):
+    """(class, count, reason) of orders of degree d at each p of primes,
+    which check_prime accepts; UNKNOWN exactly in the untreated low range.
+    The series product, which no p changes, is built at most once, and each
+    (1 - t)^(-r) tail is kept in tails, the caller's dict, by (r, d, period).
+    """
+    top = max(orders)
+    product = None
+    cells = []
+    for p in primes:
+        char_class = _classify(top, p, d)
+        if _wild(orders, top, p):
+            cells.append((char_class, 0, WILD_REASON))
+        elif top > d:
+            cells.append((char_class, 0, "invalid instance: some e_i exceeds d"))
+        elif char_class is CharClass.LOW:
+            cells.append((char_class, UNKNOWN,
+                          "low characteristic: formulas do not apply"))
+        else:
+            if product is None:
+                product, r = _series_product(d, orders)
+            period = p if char_class is CharClass.MID else None
+            key = (r, d, period)
+            if key not in tails:
+                tails[key] = _series_tail(*key)
+            cells.append((char_class, _series_dot(product, tails[key], d, period), ""))
+    return cells
+
+
 def n_gen_recursive(profile):
-    """Count for a RamProfile; UNKNOWN exactly in the untreated low range."""
-    if profile.wild:
-        return CountResult(0, profile.char_class,
-                           reason="wild excluded: some e_i divisible by p")
-    if profile.oversized:
-        return CountResult(0, profile.char_class,
-                           reason="invalid instance: some e_i exceeds d")
-    if profile.char_class is CharClass.LOW:
-        return CountResult(UNKNOWN, CharClass.LOW,
-                           reason="low characteristic: formulas do not apply")
-    period = profile.p if profile.char_class is CharClass.MID else None
-    value = _series_coefficient(profile.d, profile.orders, period)
-    largest = sorted(profile.orders)[-2:]
-    trace = (tuple(_recursion_steps(profile.d, *largest, profile.p))
-             if profile.n >= 4 else ())
-    return CountResult(value, profile.char_class, trace=trace)
+    """Count for a RamProfile: n_gen_cells at its one prime, with the
+    recursion's trace."""
+    [(char_class, value, reason)] = n_gen_cells(profile.orders, profile.d,
+                                                (profile.p,), {})
+    trace = ()
+    if not reason and profile.n >= 4:
+        largest = sorted(profile.orders)[-2:]
+        trace = tuple(_recursion_steps(profile.d, *largest, profile.p))
+    return CountResult(value, char_class, trace=trace, reason=reason)
 
 
 def n_gen(orders, p):

@@ -37,7 +37,6 @@ because ``perfbench/tracing.py`` wraps it by name.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import accumulate
 
 
@@ -113,19 +112,23 @@ def intersection_number(d, orders):
     """
     orders = tuple(int(e) for e in orders)
     check_orders(d, orders)
-    return _series_coefficient(d, orders)
+    product, r = _series_product(d, orders)
+    return _series_dot(product, _series_tail(r, d), d)
 
 
-def _series_coefficient(d, orders, p=None):
-    """[t^(d-1)] R for R = (1 - t)^(1 - n') prod_(e_i >= 2) (1 - t^(e_i)),
-    or, given a period p, the folded sum over k in Z of [t^(d-1+kp)] R.
-
-    R has degree 2d - 1 and R[j] = -R[2d - 1 - j], so every coefficient the
-    fold reads has index at most d - 1, inside the truncated series.
-    """
+# R = (1 - t)^(-r) prod_(e_i >= 2) (1 - t^(e_i)), r = n' - 1, is read as the
+# dot product of the product, which no period changes, and the tail, which
+# depends on the orders only through r.  R has degree 2d - 1 and
+# R[j] = -R[2d - 1 - j], so every coefficient the fold reads has index at
+# most d - 1, inside the truncation.
+def _series_product(d, orders):
+    """prod_(e_i >= 2) (1 - t^(e_i)) truncated at t^(d-1), as a sparse
+    {degree: coefficient}, and r = n' - 1."""
     m = d - 1
-    multiplicity = Counter(e for e in orders if e >= 2)
-    # prod (1 - t^e)^k as a sparse {degree: coefficient}, truncated at t^m
+    multiplicity = {}
+    for e in orders:
+        if e >= 2:
+            multiplicity[e] = multiplicity.get(e, 0) + 1
     series = {0: 1}
     for e, k in multiplicity.items():
         factor, binom = [], 1  # (e j, (-1)^j C(k, j))
@@ -139,19 +142,28 @@ def _series_coefficient(d, orders, p=None):
                     break
                 product[deg + shift] = product.get(deg + shift, 0) + coeff * f
         series = product
-    # (1 - t)^(-r) = sum_j c_j t^j with c_(j+1) = c_j (r + j) / (j + 1),
-    # exact for every integer r (for r <= 0 the series is a polynomial)
-    r = sum(multiplicity.values()) - 1
+    return series, sum(multiplicity.values()) - 1
+
+
+def _series_tail(r, d, p=None):
+    """The c_j of (1 - t)^(-r) = sum_j c_j t^j for j <= d - 1, or, given a
+    period p, C_j = c_j + c_(j-p) + ...: c_(j+1) = c_j (r + j) / (j + 1) is
+    exact for every integer r (for r <= 0 the series is a polynomial)."""
     coeffs = [1]
-    for j in range(m):
+    for j in range(d - 1):
         coeffs.append(coeffs[j] * (r + j) // (j + 1))
-    # with C_j = c_j + c_(j-p) + ..., the terms at d-1-kp (k >= 0) add up to
-    # C_(m-deg), and those at d-1+kp (k >= 1) to minus C_(m+1-p-deg)
-    reflected = -1  # unfolded: no reflected terms
     if p is not None:
-        reflected = m + 1 - p
-        for j in range(p, m + 1):
+        for j in range(p, d):
             coeffs[j] += coeffs[j - p]
-    return sum(coeff * (coeffs[m - deg]
-                        - (coeffs[reflected - deg] if deg <= reflected else 0))
-               for deg, coeff in series.items())
+    return coeffs
+
+
+def _series_dot(product, tail, d, p=None):
+    """[t^(d-1)] R, or given a period p the fold sum_(k in Z) [t^(d-1+kp)] R
+    from the folded tail: the terms at d-1-kp (k >= 0) add up to C_(m-deg),
+    and those at d-1+kp (k >= 1) to minus C_(m+1-p-deg), with m = d - 1."""
+    m = d - 1
+    reflected = -1 if p is None else m + 1 - p  # unfolded: no reflected terms
+    return sum(coeff * (tail[m - deg]
+                        - (tail[reflected - deg] if deg <= reflected else 0))
+               for deg, coeff in product.items())

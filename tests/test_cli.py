@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ramcount
-from ramcount import cli
+from ramcount import cli, counting
 from ramcount.cli import _heavy_parts, main
 from ramcount.cli import run_argv as run
 from ramcount.counting import (
@@ -552,6 +552,33 @@ class TestTable:
         payload = json.loads(out)
         assert payload["schema"] == 1 and payload["rows"]
 
+    def test_text_format_is_the_csv(self, capsys):
+        # text has no line format of its own here: it prints the CSV, byte
+        # for byte, as README and --help say
+        argv = ["table", "--p", "3,5,inf", "--d", "6", "--n-max", "4"]
+        csv_out = run(argv)
+        assert csv_out[0] == 0 and csv_out[1].startswith("schema,orders,")
+        assert run(argv + ["--format", "text"]) == csv_out
+        assert run(argv + ["--format", "csv"]) == csv_out
+        assert run(["table", "--help"]) == (0, "")
+        assert "text prints the CSV, byte for byte" in " ".join(
+            capsys.readouterr().out.split())
+
+    def test_a_disagreeing_closed_form_reads_false(self, monkeypatch):
+        # match compares closed4 with the count: off by one, every closed4
+        # row reads false, and the others are unchanged
+        argv = ["--p", "3,7,inf", "--d", "6", "--n-max", "5"]
+        before = self._rows(argv)
+        monkeypatch.setattr(cli, "_four_closed",
+                            lambda orders, p, d: _four_closed(orders, p, d) + 1)
+        after = self._rows(argv)
+        assert any(r["closed4"] != "" for r in before)
+        for old, new in zip(before, after, strict=True):
+            if old["closed4"] == "":
+                assert new == old
+            else:
+                assert new["closed4"] == old["closed4"] + 1 and new["match"] == "false"
+
     def test_no_cross_check_failures(self):
         # every populated closed-form / Schubert column must agree
         code, out = run(["table", "--p", "3,5,7,11,13,inf", "--d", "8",
@@ -678,14 +705,20 @@ class TestTable:
 
     def test_rows_match_the_per_row_path(self):
         # each row reuses its heavy part's count; every column must be what
-        # the row's own orders give
-        rows = self._rows(["--p", "3,5,7,11,inf", "--d", "9", "--n-max", "6"])
-        assert len(rows) == 5 * len(list(self._oracle_profiles(6, 9)))
-        for r in rows:
-            orders = tuple(map(int, r["orders"].split()))
-            p = INFINITY if r["p"] == "inf" else int(r["p"])
-            want = self._per_row(orders, r["d"], p)
-            assert {k: r[k] for k in want} == want, r
+        # the row's own orders give.  The second table has MID cells at
+        # primes whose fold has reflected terms (d - 1 >= p)
+        for argv, primes, n_max, d_max in [
+                (["--p", "3,5,7,11,inf", "--d", "9", "--n-max", "6"], 5, 6, 9),
+                (["--p", "11,13,inf", "--d", "14", "--n-max", "4"], 3, 4, 14)]:
+            rows = self._rows(argv)
+            assert len(rows) == primes * len(list(self._oracle_profiles(n_max, d_max)))
+            assert any(r["class"] == "MID" and r["d"] - 1 >= int(r["p"])
+                       for r in rows), argv
+            for r in rows:
+                orders = tuple(map(int, r["orders"].split()))
+                p = INFINITY if r["p"] == "inf" else int(r["p"])
+                want = self._per_row(orders, r["d"], p)
+                assert {k: r[k] for k in want} == want, r
 
     @pytest.mark.parametrize("argv, digest", [
         # recorded from the per-row implementation, which ran the engines
@@ -701,35 +734,69 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
-        calls = {"validate_profile": [], "n_gen_recursive": []}
+        # each heavy part is validated and its series product built once
+        # for all its primes, each (1 - t)^(-r) tail once per call, and no
+        # cell builds a profile or goes through n_gen_recursive
+        calls = {"check_orders": [], "_series_product": [], "_series_tail": [],
+                 "n_gen_cells": [], "validate_profile": [], "n_gen_recursive": []}
 
-        def record(name, key):
-            engine = getattr(cli, name)
+        def record(module, name):
+            engine = getattr(module, name)
 
             def wrapper(*args):
-                calls[name].append(key(*args))
+                calls[name].append(args)
                 return engine(*args)
-            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        record("validate_profile", lambda orders, p: (tuple(orders), p))
-        record("n_gen_recursive", lambda profile: (profile.orders, profile.p))
-        rows = self._rows(["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"])
-        assert len(rows) == 4 * 212
-        # inf is above every d: one count at inf per heavy part
-        at_inf = [orders for orders, p in calls["n_gen_recursive"] if p == INFINITY]
-        assert len(at_inf) == 111
-        assert set(at_inf) == {heavy for heavy, _ in self._heavy(5, 8)}
-        for name, seen in calls.items():
-            assert len(seen) == len(set(seen)), name
+        for name in ("check_orders", "n_gen_cells", "validate_profile",
+                     "n_gen_recursive"):
+            record(cli, name)
+        for name in ("_series_product", "_series_tail"):
+            record(counting, name)
+        for _ in range(2):  # tails are kept by the call, not across calls
+            for seen in calls.values():
+                seen.clear()
+            rows = self._rows(["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"])
+            assert len(rows) == 4 * 212
+            heavy = set(self._heavy(5, 8))
+            # inf is above every d, so every heavy part has a HIGH cell
+            for name in ("check_orders", "_series_product"):
+                assert len(calls[name]) == 111, name
+                assert {(tuple(orders), d) for d, orders in calls[name]} == heavy
+            assert len(calls["n_gen_cells"]) == 111
+            for orders, d, keys, _ in calls["n_gen_cells"]:
+                assert keys == sorted({p if p <= d else INFINITY
+                                       for p in (3, 5, 7, INFINITY)})
+            tails = calls["_series_tail"]
+            assert tails and len(tails) == len(set(tails))
+            assert not calls["validate_profile"] and not calls["n_gen_recursive"]
 
     def test_size_budget(self, monkeypatch):
         # a long run of order-1 entries is refused from its one heavy part,
-        # (2, 2), before any row is built
-        monkeypatch.delenv("RAMCOUNT_BUDGET", raising=False)
-        start = time.perf_counter()
-        code, out = run(["table", "--p", "3", "--d", "2", "--n-max", "100000"])
-        assert time.perf_counter() - start < 1
-        assert code == 2
+        # (2, 2), before any row is built.  Built, the table would take GBs,
+        # so the call runs in a child under a 512 MiB address-space limit:
+        # there a missed refusal ends in MemoryError, not a swapping host
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        timed = ("import sys, time\n"
+                 "from ramcount.cli import run_argv\n"
+                 "start = time.perf_counter()\n"
+                 "code, out = run_argv(sys.argv[1:])\n"
+                 "print(code, time.perf_counter() - start)\n"
+                 "sys.stdout.write(out)\n")
+        env = {k: v for k, v in os.environ.items() if k != "RAMCOUNT_BUDGET"}
+        env["PYTHONPATH"] = str(Path(ramcount.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", timed, "table", "--p", "3", "--d", "2",
+             "--n-max", "100000"],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_memory)
+        assert child.returncode == 0, child.stderr
+        status, out = child.stdout.split("\n", 1)
+        code, seconds = status.split()
+        assert float(seconds) < 1
+        assert int(code) == 2
         assert out == "error: table order entries exceed budget 10000000\n"
         # the budget counts the order entries the rows print, every prime's
         sweep = ["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"]

@@ -168,6 +168,11 @@ class TestRecursion:
         assert payload["count"] == 2
         assert payload["trace"] == [{"dprime": 2, "e": 1}, {"dprime": 3, "e": 3}]
         assert payload["p"] == 5
+        # no series is read for a wild, oversized or LOW profile: no trace
+        for orders, p in [((3, 3, 3, 3), 3), ((2, 2, 2, 6), INFINITY),
+                          ((2, 2, 5, 5), 3)]:
+            res = n_gen(orders, p)
+            assert res.reason and res.trace == (), (orders, p)
 
     def test_degenerate_orders_inside(self):
         # order-1 entries are legitimate degenerate conditions
