@@ -36,7 +36,7 @@ from .pencil import (
     solve_three_point,
 )
 from .ratmap import ProjPoint
-from .schubert import check_orders, intersection_number
+from .schubert import intersection_number
 
 SCHEMA_VERSION = 1
 
@@ -211,14 +211,15 @@ def cmd_table(args):
     orders >= 2) at its prime, so the rows themselves are formatting.  For
     p > d (HIGH) and at inf the count is the unfolded series, the
     intersection number, the same for every such p, so one cell, keyed inf,
-    serves them all.  Each heavy part is validated once, and n_gen_cells
-    counts it at all its keys in one call: it builds the series product,
-    which no p changes, once, and reads each (1 - t)^(-r) tail from a dict
-    that this call keeps by (r, d, period).  A MID row is the folded
-    series, a LOW row is unknown or wild.  The inf row's schubert column is
-    its own count, so its match holds by construction; the independent
-    checks are closed4, the four-point closed form, and the paper's
-    degeneration recursion, which the tests run against the table.
+    serves them all.  The partition walk yields only valid orders, and
+    n_gen_cells counts each heavy part at all its keys in one call: it
+    builds the series product, which no p changes, once, and reads each
+    (1 - t)^(-r) tail from a dict kept for the degree by (r, period).  A
+    MID row is the folded series, a LOW row is unknown or wild.  The inf
+    row's schubert column is its own count, so its match holds by
+    construction; the independent checks are closed4, the four-point closed
+    form, and the paper's degeneration recursion, which the tests run
+    against the table.
 
     A profile of degree d has 3 <= n <= n_max orders e <= d with sum (e - 1)
     = 2(d - 1) (Riemann-Hurwitz), so the heavy parts of degree d are the
@@ -255,12 +256,12 @@ def cmd_table(args):
                 raise BudgetExceeded(f"table order entries exceed budget {limit}")
         entries += at_d
     texts = [_p_str(p) for p in primes]
-    tails, groups = {}, []
+    groups = []
     for d in degrees:
+        tails = {}
         keys = [p if p <= d else INFINITY for p in primes]
         distinct = list(dict.fromkeys(keys))  # each p <= d, and inf for every p > d
         for heavy in heavy_parts(d):
-            check_orders(d, heavy)
             shared = {key: (char_class.value, count,
                             "wild excluded" if reason == WILD_REASON else reason)
                       for key, (char_class, count, reason)

@@ -142,7 +142,8 @@ def n_gen_cells(orders, d, primes, tails):
     """(class, count, reason) of orders of degree d at each p of primes,
     which check_prime accepts; UNKNOWN exactly in the untreated low range.
     The series product, which no p changes, is built at most once, and each
-    (1 - t)^(-r) tail is kept in tails, the caller's dict, by (r, d, period).
+    (1 - t)^(-r) tail is kept in tails, the caller's dict for degree d, by
+    (r, period).
     """
     top = max(orders)
     product = None
@@ -160,10 +161,10 @@ def n_gen_cells(orders, d, primes, tails):
             if product is None:
                 product, r = _series_product(d, orders)
             period = p if char_class is CharClass.MID else None
-            key = (r, d, period)
-            if key not in tails:
-                tails[key] = _series_tail(*key)
-            cells.append((char_class, _series_dot(product, tails[key], d, period), ""))
+            if (r, period) not in tails:
+                tails[r, period] = _series_tail(r, d, period)
+            cells.append((char_class,
+                          _series_dot(product, tails[r, period], d, period), ""))
     return cells
 
 

@@ -37,6 +37,7 @@ because ``perfbench/tracing.py`` wraps it by name.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 
 
@@ -125,10 +126,7 @@ def _series_product(d, orders):
     """prod_(e_i >= 2) (1 - t^(e_i)) truncated at t^(d-1), as a sparse
     {degree: coefficient}, and r = n' - 1."""
     m = d - 1
-    multiplicity = {}
-    for e in orders:
-        if e >= 2:
-            multiplicity[e] = multiplicity.get(e, 0) + 1
+    multiplicity = Counter(e for e in orders if e >= 2)
     series = {0: 1}
     for e, k in multiplicity.items():
         factor, binom = [], 1  # (e j, (-1)^j C(k, j))

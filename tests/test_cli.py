@@ -734,11 +734,11 @@ class TestTable:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
-        # each heavy part is validated and its series product built once
-        # for all its primes, each (1 - t)^(-r) tail once per call, and no
-        # cell builds a profile or goes through n_gen_recursive
-        calls = {"check_orders": [], "_series_product": [], "_series_tail": [],
-                 "n_gen_cells": [], "validate_profile": [], "n_gen_recursive": []}
+        # each heavy part is counted, and its series product built, once for
+        # all its primes, each (1 - t)^(-r) tail once, and no cell builds a
+        # profile or goes through n_gen_recursive
+        calls = {"_series_product": [], "_series_tail": [], "n_gen_cells": [],
+                 "validate_profile": [], "n_gen_recursive": []}
 
         def record(module, name):
             engine = getattr(module, name)
@@ -748,8 +748,7 @@ class TestTable:
                 return engine(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("check_orders", "n_gen_cells", "validate_profile",
-                     "n_gen_recursive"):
+        for name in ("n_gen_cells", "validate_profile", "n_gen_recursive"):
             record(cli, name)
         for name in ("_series_product", "_series_tail"):
             record(counting, name)
@@ -760,10 +759,12 @@ class TestTable:
             assert len(rows) == 4 * 212
             heavy = set(self._heavy(5, 8))
             # inf is above every d, so every heavy part has a HIGH cell
-            for name in ("check_orders", "_series_product"):
-                assert len(calls[name]) == 111, name
-                assert {(tuple(orders), d) for d, orders in calls[name]} == heavy
+            assert len(calls["_series_product"]) == 111
+            assert {(tuple(orders), d)
+                    for d, orders in calls["_series_product"]} == heavy
             assert len(calls["n_gen_cells"]) == 111
+            assert {(tuple(orders), d)
+                    for orders, d, _, _ in calls["n_gen_cells"]} == heavy
             for orders, d, keys, _ in calls["n_gen_cells"]:
                 assert keys == sorted({p if p <= d else INFINITY
                                        for p in (3, 5, 7, INFINITY)})
