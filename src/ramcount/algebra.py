@@ -16,15 +16,19 @@ first arithmetic call, a log table, an exp table over a fixed generator g
 (doubled, so a sum of two logs indexes it directly) and a Zech table
 zech[i] = log(1 + g^i); every scalar op is a few lookups in them.  The raw
 routines (digit-by-digit addition, and a schoolbook product of coordinate
-vectors reduced by the modulus) build these tables and serve fields with
-q > 2^16.  Such a field builds its log and exp lists only when they are
-read, in O(q) time and memory; the census reads them for its length-q
-arrays.  The census does its numpy arithmetic on the base-p digits that
-decode returns (pencil._jet_classifier); this module does not import numpy.
-Apart from the raw product, which stays on digit lists because the tables
-are built from it and a Poly product over F_p is ~3x slower, Poly is the
-only polynomial arithmetic here.  Its sums, differences, scalings, products
-and divisions all run on one row kernel, FiniteField.axpy_i
+vectors reduced by the modulus) define these tables and serve fields with
+q > 2^16.  The exp table steps from one power to the next by the F_p-linear
+map a -> a * g, whose k rows y^j g come from the raw product, and the Zech
+table adds 1 to the constant digit alone.  A field with q > 2^16 builds its
+log and exp lists only when they are read, in O(q) time and memory; the
+census reads them for its length-q arrays.  The census does its numpy
+arithmetic on the base-p digits that decode returns
+(pencil._jet_classifier); this module does not import numpy.
+Apart from the raw product, which stays on digit lists because it defines
+the tables and a Poly product over F_p is ~3x slower, Poly is the only
+polynomial arithmetic here, and poly_powmod works on Poly's coefficient
+lists.  Their sums, differences, scalings, products, squares and divisions
+all run on one row kernel, FiniteField.axpy_i
 (acc[start + j] += c * vec[j]), called once per row; a difference is the
 row with c = -1, so the field has no subtraction.  On a tabulated field the
 kernel adds in the log domain, one Zech and one exp lookup per nonzero
@@ -35,14 +39,16 @@ F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
 into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
 with shifts a that leave every proper subfield at once: O(deg^2 log q)
 field operations, where a scan takes O(q deg).  splitting_field_roots
-splits each distinct-degree part of f over F_{q^K} on its own; a part of
-degree j > 1 is known to split there, so it goes to the splitter with no
-gcd.  The distinct-degree pass stops as soon as its answer is known: at
-step j, a remainder of degree below 2j is one irreducible factor.  Under a
-budget it also refuses early, once q^L > budget for the lcm L of the
-degrees found, or once q^j > budget at step j with a factor left; it
-refuses exactly when q^K > budget, and its message gives a lower bound on
-K.
+splits each distinct-degree part of f over F_{q^K} on its own.  A part of
+degree j > 1 is known to split there, so it needs no gcd, and the roots of
+each of its irreducible factors are one Frobenius orbit r, r^q, ...,
+r^{q^(j-1)}: the splitter descends to one root r, and the orbit's product
+is divided out of the part.  The distinct-degree pass stops as soon as its
+answer is known: at step j, a remainder of degree below 2j is one
+irreducible factor.  Under a budget it also refuses early, once
+q^L > budget for the lcm L of the degrees found, or once q^j > budget at
+step j with a factor left; it refuses exactly when q^K > budget, and its
+message gives a lower bound on K.
 
 FiniteField.embedding takes the least root of a modulus the same way: an
 element's image in an extension is its digit polynomial evaluated at that
@@ -204,11 +210,23 @@ class FiniteField:
 
     @cached_property
     def exp(self):
-        """exp[i] = g^i for the least generator g, for 0 <= i < 2(q-1)."""
+        """exp[i] = g^i for the least generator g, for 0 <= i < 2(q-1).
+
+        Each power is the last one times g.  Multiplication by g is
+        F_p-linear, so the digits of a * g are sum_j a_j (y^j g): the k rows
+        y^j g come from _mul_raw once, each packed into one integer with a
+        lane per digit, wide enough for a sum of k products of digits."""
+        p, k = self.p, self.k
         g = self._find_generator()
-        powers = [1]
+        width = (k * (p - 1) ** 2).bit_length()
+        mask, shifts = (1 << width) - 1, [t * width for t in range(k)]
+        rows = [sum(d << s for d, s in zip(self.decode(self._mul_raw(p ** j, g)), shifts))
+                for j in range(k)]
+        powers, digits = [1], self.decode(1)
         for _ in range(self.q - 2):
-            powers.append(self._mul_raw(powers[-1], g))
+            acc = sum(d * row for d, row in zip(digits, rows))
+            digits = [(acc >> s & mask) % p for s in shifts]
+            powers.append(self.encode(digits))
         return powers + powers
 
     @cached_property
@@ -222,11 +240,12 @@ class FiniteField:
     @cached_property
     def zech(self):
         """zech[i] = log(1 + g^i), or -1 where 1 + g^i = 0; doubled like exp,
-        so that any difference of two logs indexes it directly."""
-        log = self.log
+        so that any difference of two logs indexes it directly.  Adding 1
+        changes only the constant digit."""
+        log, p = self.log, self.p
         zech = []
         for a in self.exp[:self.q - 1]:
-            s = self._add_raw(1, a)
+            s = a + 1 if a % p != p - 1 else a + 1 - p
             zech.append(log[s] if s else -1)
         return zech + zech
 
@@ -283,7 +302,7 @@ class FiniteField:
                 else:
                     acc[j] = exp[lb]
 
-    # -- raw routines: they build the tables and serve fields with q > 2^16 --
+    # -- raw routines: they define the tables and serve fields with q > 2^16
 
     def _add_raw(self, a, b, sign=1):
         """Digit-by-digit a + sign * b."""
@@ -775,20 +794,44 @@ def nullspace(rows, field):
 # ---------------------------------------------------------------------------
 
 def poly_powmod(base, exp, mod):
-    """base^exp mod mod, by left-to-right square-and-multiply: a set bit
-    multiplies by the reduced base, which costs O(deg mod) when the base is
-    short, like x or x + a.  The monic modulus leaves the same remainders
-    and spares divrem an inverse."""
+    """base^exp mod mod, by left-to-right square-and-multiply on coefficient
+    lists: a set bit multiplies by the reduced base, which costs O(deg mod)
+    when the base is short, like x or x + a.  A square is its diagonal c^2
+    plus one row 2c * r[i+1:] per coefficient r[i].  A reduction is one row
+    per coefficient above the degree n of the monic modulus, which sets
+    x^n to minus its low part, negated once here: no quotient is built."""
+    field = base.field
     if not exp:
-        return Poly.one(base.field)
+        return Poly.one(field)
     mod = mod.monic()[0]
-    base = base % mod
-    result = base
+    n = mod.degree
+    axpy, mul = field.axpy_i, field.mul_i
+    low = [field.neg_i(c) for c in mod.coeffs[:-1]]
+
+    def reduced(out):
+        for i in range(len(out) - 1, n - 1, -1):
+            if out[i]:
+                axpy(out, i - n, out[i], low)
+        del out[n:]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    result = rbase = list((base % mod).coeffs)
     for bit in bin(exp)[3:]:
-        result = (result * result) % mod
+        out = [0] * (2 * len(result) - 1)
+        out[::2] = [mul(c, c) for c in result]
+        for i, c in enumerate(result[:-1]):
+            if c:
+                axpy(out, 2 * i + 1, mul(2, c), result[i + 1:])
+        result = reduced(out)
         if bit == "1":
-            result = (result * base) % mod
-    return result
+            out = [0] * (len(result) + len(rbase) - 1)
+            for i, c in enumerate(rbase):
+                if c:
+                    axpy(out, i, c, result)
+            result = reduced(out)
+    return Poly(field, result)
 
 
 def roots_with_multiplicity(fpoly):
@@ -807,40 +850,46 @@ def roots_with_multiplicity(fpoly):
 
 def _split_linear(g):
     """Roots of a monic squarefree g that is a product of linear factors
-    over its field F_q (q odd), by Cantor-Zassenhaus equal-degree splitting
-    (Math. Comp. 36, 1981): for a shift a, gcd((x + a)^{(q-1)/2} - 1, g)
-    collects the roots r with r + a a nonzero square.
-
-    The shifts a = i * step, from i = 1 on, run over every encoding, since
-    step is coprime to q.  For k > 1 the step is p + 1, the element y + 1,
-    so the first shifts, its multiples by F_p, lie in no proper subfield: a
-    shift a in a subfield F_s gives chi(r^s + a) = chi(r + a) and so never
-    separates roots conjugate over F_s, as the roots of a lifted polynomial
-    are.  Two distinct roots r, t stay together only when (r + a)(t + a) is
-    a nonzero square or zero, and as sum_a chi((a + r)(a + t)) = -1, at
-    least (q - 1)/2 of the q shifts separate them.  So q failed tries on
-    one factor mean that g was not a squarefree product of linear factors."""
-    field = g.field
-    q = field.q
-    step = field.p + 1 if field.k > 1 else 1
-    one = Poly.one(field)
+    over its field, split by _split_step down to linear factors."""
     roots = []
     todo = [(g, 1)] if g.degree > 0 else []
     while todo:
         g, start = todo.pop()
         if g.degree == 1:
-            roots.append(field.neg_i(g.coeffs[0]))
+            roots.append(g.field.neg_i(g.coeffs[0]))
             continue
-        for i in range(start, start + q):
-            shift = Poly(field, (i * step % q, 1))
-            h = poly_gcd(poly_powmod(shift, (q - 1) // 2, g) - one, g)
-            if 0 < h.degree < g.degree:
-                # this shift cannot split either part again: go on from the next
-                todo += [(h, i + 1), (g // h, i + 1)]
-                break
-        else:
-            raise ArithmeticError(f"{q} shifts failed to split a polynomial over {field}")
+        h, start = _split_step(g, start)
+        todo += [(h, start), (g // h, start)]
     return roots
+
+
+def _split_step(g, start):
+    """(h, i + 1) for the first shift index i >= start whose gcd h splits g,
+    0 < deg h < deg g; g is as in _split_linear, of degree >= 2, and the
+    shift at i cannot split either factor again.
+
+    This is Cantor-Zassenhaus equal-degree splitting (Math. Comp. 36, 1981)
+    over F_q (q odd): for a shift a, gcd((x + a)^{(q-1)/2} - 1, g) collects
+    the roots r with r + a a nonzero square.  The shifts a = i * step run
+    over every encoding, since step is coprime to q.  For k > 1 the step is
+    p + 1, the element y + 1, so the first shifts, its multiples by F_p, lie
+    in no proper subfield: a shift a in a subfield F_s gives chi(r^s + a) =
+    chi(r + a) and so never separates roots conjugate over F_s, as the roots
+    of a lifted polynomial are.  Two distinct roots r, t stay together only
+    when (r + a)(t + a) is a nonzero square or zero, and as
+    sum_a chi((a + r)(a + t)) = -1, at least (q - 1)/2 of the q shifts
+    separate them.  So q failed tries mean that g was not a squarefree
+    product of linear factors."""
+    field = g.field
+    q = field.q
+    step = field.p + 1 if field.k > 1 else 1
+    one = Poly.one(field)
+    for i in range(start, start + q):
+        shift = Poly(field, (i * step % q, 1))
+        h = poly_gcd(poly_powmod(shift, (q - 1) // 2, g) - one, g)
+        if 0 < h.degree < g.degree:
+            return h, i + 1
+    raise ArithmeticError(f"{q} shifts failed to split a polynomial over {field}")
 
 
 def _distinct_degree_parts(fpoly, budget=None):
@@ -922,10 +971,24 @@ def splitting_field_roots(fpoly, budget=None):
         if j == 1:
             # the roots lie in the base field: find them there, then embed
             found += [embed(r) for r, _ in roots_with_multiplicity(g)]
-        else:
-            # g_j is squarefree and splits over F_{q^K}, since j divides K:
-            # no gcd with x^{q^K} - x is needed
-            found += _split_linear(g.over(ext))
+            continue
+        # g_j is squarefree and splits over F_{q^K}, since j divides K, so
+        # no gcd with x^{q^K} - x is needed.  The roots of each irreducible
+        # factor are one orbit r, r^q, ..., r^{q^(j-1)}: split down the
+        # smaller factor to one root r, and divide its orbit's product out
+        g = g.over(ext)
+        while g.degree > 0:
+            h, start = g, 1
+            while h.degree > 1:
+                f, start = _split_step(h, start)
+                h = f if 2 * f.degree <= h.degree else h // f
+            orbit = [ext.neg_i(h.coeffs[0])]
+            while len(orbit) < j:
+                orbit.append(ext.pow_i(orbit[-1], field.q))
+            g, rem = g.divrem(reduce(Poly.__mul__, (Poly(ext, (ext.neg_i(r), 1)) for r in orbit)))
+            if rem:
+                raise ArithmeticError(f"a Frobenius orbit failed to divide a polynomial over {ext}")
+            found += orbit
     found.sort()
     roots = [(r, poly_valuation(lifted, r)) for r in found]
     total = sum(m for _, m in roots)

@@ -191,6 +191,22 @@ class TestField:
         assert "exp" not in vars(raw)  # the raw field never built tables
 
 
+    @pytest.mark.parametrize("p, k", [(67, 2), (251, 2), (3, 9), (7, 5), (13, 4)])
+    def test_tables_follow_the_raw_routines(self, p, k):
+        # wide digits and deep extensions: every table entry against the
+        # raw product and sum it stands for, in O(q) raw calls per field
+        field = FiniteField(p, k)
+        q, exp, log, zech = field.q, field.exp, field.log, field.zech
+        g = field._find_generator()
+        assert exp[0] == 1 and exp[1] == g
+        assert exp[q - 1:] == exp[:q - 1] and zech[q - 1:] == zech[:q - 1]
+        for i in range(q - 1):
+            assert field._mul_raw(exp[i], g) == exp[i + 1], i
+            assert log[exp[i]] == i, i
+            s = field._add_raw(1, exp[i])
+            assert zech[i] == (log[s] if s else -1), i
+
+
 class TestPolyArithmetic:
     def test_product_difference_of_squares(self):
         # (x+1)(x-1) = x^2 - 1 = x^2 + 4 over F5
@@ -674,6 +690,25 @@ class TestRootsAgainstScan:
         f = _irreducibles(3, 4, rng, 1)[0]
         _assert_roots_match(f.over(finite_field(3, 4)))
 
+    @pytest.mark.parametrize("p, k, j", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2),
+                                         (5, 1, 3), (3, 2, 2), (3, 2, 3)])
+    def test_parts_with_several_orbits(self, p, k, j):
+        # a distinct-degree part made of 2 or 3 irreducibles of degree j,
+        # so one part holds several Frobenius orbits; over F_9 an orbit is
+        # r, r^9, ..., which r -> r^3 would not close
+        rng = random.Random(1000 * p + 10 * k + j)
+        field = finite_field(p, k)
+        x = Poly.x(field)
+        for _ in range(4):
+            factors = rng.sample(_sieved_irreducibles(p, j, k), rng.randint(2, 3))
+            f = functools.reduce(Poly.__mul__, factors)
+            parts = dict(algebra._distinct_degree_parts(f))
+            assert parts == {j: f}
+            _assert_splitting_matches(f, max_q=3 ** 7)
+            # with a repeated linear factor and a repeated factor of degree j
+            _assert_splitting_matches(f * (x - Poly.one(field)) ** 2 * factors[0],
+                                      max_q=3 ** 7)
+
     def test_embeddings(self):
         # every proper subfield of every field with q <= 6561
         for p in (n for n in range(3, 82) if algebra.is_prime(n)):
@@ -688,9 +723,20 @@ class TestRootsAgainstScan:
                         assert [embed(a) for a in range(source.q)] == \
                             _scan_embedding(source, target), (source, target)
 
-    def test_powmod_matches_repeated_product(self):
-        rng = random.Random(31)
-        for field in (F5, F9):
+    def test_powmod_matches_repeated_product(self, monkeypatch):
+        # small exponents against the plain power, and the Cantor-Zassenhaus
+        # exponents (q^j - 1)/2 against square-and-multiply with Poly * and %,
+        # on a prime field, on F_9 and F_27, and on a raw F_27
+        def square_and_multiply(base, e, mod):
+            result = Poly.one(base.field)
+            for bit in bin(e)[2:]:
+                result = (result * result) % mod
+                if bit == "1":
+                    result = (result * base) % mod
+            return result
+
+        def check(field):
+            q = field.q
             for _ in range(40):
                 base, mod = _random_poly(field, rng, 5), _random_poly(field, rng, 4)
                 if mod.is_zero:
@@ -698,6 +744,16 @@ class TestRootsAgainstScan:
                 assert poly_powmod(base, 0, mod) == Poly.one(field)
                 for e in (1, 2, 5, 12):
                     assert poly_powmod(base, e, mod) == (base ** e) % mod
+                for e in ((q ** 2 - 1) // 2, (q ** 3 - 1) // 2):
+                    assert poly_powmod(base, e, mod) == square_and_multiply(base, e, mod)
+
+        rng = random.Random(31)
+        for field in (F5, F9, F27):
+            check(field)
+        _lower_table_limit(monkeypatch, 1)
+        raw = finite_field(3, 3)
+        check(raw)
+        assert "exp" not in vars(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -799,14 +855,15 @@ class TestRowKernel:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _sieved_irreducibles(p, j):
-    """Monic irreducibles of degree j over F_p: every monic polynomial of
-    degree j that is not a product of two monic ones of lower degree."""
-    fp = finite_field(p)
+def _sieved_irreducibles(p, j, k=1):
+    """Monic irreducibles of degree j over F_{p^k}: every monic polynomial
+    of degree j that is not a product of two monic ones of lower degree."""
+    fq = finite_field(p, k)
+    q = fq.q
 
     def monics(deg):
-        return [Poly(fp, [m // p ** i % p for i in range(deg)] + [1])
-                for m in range(p ** deg)]
+        return [Poly(fq, [m // q ** i % q for i in range(deg)] + [1])
+                for m in range(q ** deg)]
 
     reducible = {(a * b).coeffs for i in range(1, j // 2 + 1)
                  for a in monics(i) for b in monics(j - i)}
