@@ -18,8 +18,11 @@ zech[i] = log(1 + g^i); every scalar op is a few lookups in them.  The raw
 routines (digit-by-digit addition, and a schoolbook product of coordinate
 vectors reduced by the modulus) define these tables and serve fields with
 q > 2^16.  The exp table steps from one power to the next by the F_p-linear
-map a -> a * g, whose k rows y^j g come from the raw product, and the Zech
-table adds 1 to the constant digit alone.  A field with q > 2^16 builds its
+map a -> a * g, read off lookups: a splits into its low and high halves of
+digits, whose products with g are raw products made once per half and
+packed one digit to a lane, and two tables turn the sum of the two
+packings back into an encoding.  The Zech table adds 1 to the constant
+digit alone.  A field with q > 2^16 builds its
 log and exp lists only when they are read, in O(q) time and memory; the
 census reads them for its length-q arrays.  The census does its numpy
 arithmetic on the base-p digits that decode returns
@@ -34,6 +37,13 @@ row with c = -1, so the field has no subtraction.  On a tabulated field the
 kernel adds in the log domain, one Zech and one exp lookup per nonzero
 product, and a field with q > 2^16 rebinds it to the raw routines.
 
+There is one remainder path, _reducer: it scales the divisor's low part by
+-1/lead once, so x^n = low modulo a divisor of degree n, and clears a
+coefficient list from the top with one row per coefficient above degree n,
+writing a quotient only for a caller that asks.  Poly.divrem, % and //,
+poly_powmod's reductions and poly_gcd, which runs Euclid on coefficient
+lists and makes its result monic once, at the end, all reduce through it.
+
 Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
 into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
@@ -43,12 +53,14 @@ splits each distinct-degree part of f over F_{q^K} on its own.  A part of
 degree j > 1 is known to split there, so it needs no gcd, and the roots of
 each of its irreducible factors are one Frobenius orbit r, r^q, ...,
 r^{q^(j-1)}: the splitter descends to one root r, and the orbit's product
-is divided out of the part.  The distinct-degree pass stops as soon as its
-answer is known: at step j, a remainder of degree below 2j is one
-irreducible factor.  Under a budget it also refuses early, once
-q^L > budget for the lcm L of the degrees found, or once q^j > budget at
-step j with a factor left; it refuses exactly when q^K > budget, and its
-message gives a lower bound on K.
+is divided out of the part, and one valuation gives the multiplicity of
+the whole orbit.  The distinct-degree pass stops as soon as its answer is
+known: at step j, a remainder of degree below 2j is one irreducible
+factor.  Under a budget it also refuses early, with K_max the largest m
+with q^m <= budget, computed once: once L > K_max for the lcm L of the
+degrees found, or, before step j's power, once the degree left is no sum
+of degrees >= j that fit with L under K_max.  It refuses exactly when
+q^K > budget, and its message gives a lower bound on K.
 
 FiniteField.embedding takes the least root of a modulus the same way: an
 element's image in an extension is its digit polynomial evaluated at that
@@ -213,20 +225,42 @@ class FiniteField:
         """exp[i] = g^i for the least generator g, for 0 <= i < 2(q-1).
 
         Each power is the last one times g.  Multiplication by g is
-        F_p-linear, so the digits of a * g are sum_j a_j (y^j g): the k rows
-        y^j g come from _mul_raw once, each packed into one integer with a
-        lane per digit, wide enough for a sum of k products of digits."""
+        F_p-linear, so with h = k // 2 and a = lo + p^h hi, a * g is
+        lo * g + (p^h hi) * g.  Both terms come from _mul_raw once per lo
+        and per hi, p^h + p^(k-h) raw products, packed into integers with
+        one lane per digit, wide enough for a sum of two digits; two more
+        tables map the low h and the high k - h lanes of such a sum to
+        their part of the encoding.  A step is then a divmod, two lookups,
+        an add, a mask and a shift, and two lookups."""
         p, k = self.p, self.k
         g = self._find_generator()
-        width = (k * (p - 1) ** 2).bit_length()
-        mask, shifts = (1 << width) - 1, [t * width for t in range(k)]
-        rows = [sum(d << s for d, s in zip(self.decode(self._mul_raw(p ** j, g)), shifts))
-                for j in range(k)]
-        powers, digits = [1], self.decode(1)
+        h, width = k // 2, (2 * (p - 1)).bit_length()
+        shifts = [t * width for t in range(k)]
+
+        def packed(a):
+            return sum(d << s for d, s in zip(self.decode(a), shifts))
+
+        def lanes_to_encoding(count, weight):
+            # entry v: sum over lanes t < count of (lane t of v mod p) p^t,
+            # times weight; lane t is bits [t * width, (t + 1) * width)
+            table = [0]
+            for t in range(count):
+                table = [v + x % p * weight * p ** t
+                         for x in range(1 << width) for v in table]
+            return table
+
+        low = p ** h
+        lo_g = [packed(self._mul_raw(lo, g)) for lo in range(low)]
+        hi_g = [packed(self._mul_raw(low * hi, g)) for hi in range(self.q // low)]
+        low_lanes, high_lanes = lanes_to_encoding(h, 1), lanes_to_encoding(k - h, low)
+        shift = h * width
+        mask = (1 << shift) - 1
+        powers, a = [1], 1
         for _ in range(self.q - 2):
-            acc = sum(d * row for d, row in zip(digits, rows))
-            digits = [(acc >> s & mask) % p for s in shifts]
-            powers.append(self.encode(digits))
+            hi, lo = divmod(a, low)
+            s = lo_g[lo] + hi_g[hi]
+            a = low_lanes[s & mask] + high_lanes[s >> shift]
+            powers.append(a)
         return powers + powers
 
     @cached_property
@@ -554,33 +588,17 @@ class Poly:
     def divrem(self, other):
         """(q, r) with self = q*other + r and deg r < deg other."""
         self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        inv_lead = 1 if dv[-1] == 1 else f.inv_i(dv[-1])
-        if len(rem) - 1 < dd:
-            return Poly.zero(f), self
-        axpy, mul, neg = f.axpy_i, f.mul_i, f.neg_i
-        # the row at i clears rem[i], which is never read again, so the
-        # rows leave out the divisor's leading coefficient
-        low = dv[:-1]
-        quot = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                c = mul(c, inv_lead)
-                quot[i - dd] = c
-                axpy(rem, i - dd, neg(c), low)
-        return Poly(f, quot), Poly(f, rem[:dd])
+        quot = [0] * (len(self.coeffs) - len(other.coeffs) + 1)
+        rem = _reducer(f, other.coeffs)(list(self.coeffs), quot)
+        return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other):
         return self.divrem(other)[0]
 
     def __mod__(self, other):
-        return self.divrem(other)[1]
+        self._check(other)
+        return Poly(self.field, _reducer(self.field, other.coeffs)(list(self.coeffs)))
 
     def monic(self):
         """(self/lc, lc)."""
@@ -626,11 +644,55 @@ class Poly:
 # module-level polynomial operations
 # ---------------------------------------------------------------------------
 
+def _reducer(field, divisor):
+    """Reduction modulo divisor, a coefficient sequence with a nonzero last
+    entry, as a function remainder(rem, quot=None) -> rem.
+
+    Modulo divisor, x^n = low, where n = deg divisor and low is the low
+    part scaled by -1/lead, once, here.  remainder clears the coefficient
+    list rem in place from the top, with one axpy_i row c * low at i - n
+    for each coefficient c of x^i, i >= n, and returns it cut to the
+    remainder, without trailing zeros.  The row at i leaves rem[i] stale,
+    but it is never read again.  Given a list quot of length
+    len(rem) - n + 1, it also writes the quotient into it: c per row,
+    scaled by 1/lead once at the end."""
+    if not divisor:
+        raise ZeroDivisionError("polynomial division by zero")
+    n, axpy = len(divisor) - 1, field.axpy_i
+    inv = 1 if divisor[-1] == 1 else field.inv_i(divisor[-1])
+    low = [0] * n
+    axpy(low, 0, field.neg_i(inv), divisor[:-1])
+
+    def remainder(rem, quot=None):
+        for i in range(len(rem) - 1, n - 1, -1):
+            c = rem[i]
+            if c:
+                if quot is not None:
+                    quot[i - n] = c
+                axpy(rem, i - n, c, low)
+        del rem[n:]
+        while rem and not rem[-1]:
+            rem.pop()
+        if quot is not None and inv != 1:
+            scaled = [0] * len(quot)
+            axpy(scaled, 0, inv, quot)
+            quot[:] = scaled
+        return rem
+
+    return remainder
+
+
 def poly_gcd(a, b):
-    """Monic gcd."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()[0] if not a.is_zero else a
+    """Monic gcd, by Euclid on coefficient lists, made monic once at the
+    end; a nonzero constant remainder ends it at 1."""
+    a._check(b)
+    field = a.field
+    r0, r1 = list(a.coeffs), list(b.coeffs)
+    while r1:
+        if len(r1) == 1:
+            return Poly.one(field)
+        r0, r1 = r1, _reducer(field, r1)(r0)
+    return Poly(field, r0).monic()[0]
 
 
 def poly_xgcd(a, b):
@@ -797,40 +859,28 @@ def poly_powmod(base, exp, mod):
     """base^exp mod mod, by left-to-right square-and-multiply on coefficient
     lists: a set bit multiplies by the reduced base, which costs O(deg mod)
     when the base is short, like x or x + a.  A square is its diagonal c^2
-    plus one row 2c * r[i+1:] per coefficient r[i].  A reduction is one row
-    per coefficient above the degree n of the monic modulus, which sets
-    x^n to minus its low part, negated once here: no quotient is built."""
+    plus one row 2c * r[i+1:] per coefficient r[i].  Every reduction runs
+    on mod's _reducer, so no quotient is built."""
     field = base.field
     if not exp:
         return Poly.one(field)
-    mod = mod.monic()[0]
-    n = mod.degree
+    base._check(mod)
+    remainder = _reducer(field, mod.coeffs)
     axpy, mul = field.axpy_i, field.mul_i
-    low = [field.neg_i(c) for c in mod.coeffs[:-1]]
-
-    def reduced(out):
-        for i in range(len(out) - 1, n - 1, -1):
-            if out[i]:
-                axpy(out, i - n, out[i], low)
-        del out[n:]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    result = rbase = list((base % mod).coeffs)
+    result = rbase = remainder(list(base.coeffs))
     for bit in bin(exp)[3:]:
         out = [0] * (2 * len(result) - 1)
         out[::2] = [mul(c, c) for c in result]
         for i, c in enumerate(result[:-1]):
             if c:
                 axpy(out, 2 * i + 1, mul(2, c), result[i + 1:])
-        result = reduced(out)
+        result = remainder(out)
         if bit == "1":
             out = [0] * (len(result) + len(rbase) - 1)
             for i, c in enumerate(rbase):
                 if c:
                     axpy(out, i, c, result)
-            result = reduced(out)
+            result = remainder(out)
     return Poly(field, result)
 
 
@@ -898,29 +948,39 @@ def _distinct_degree_parts(fpoly, budget=None):
     j, so it is squarefree.
 
     Works directly on non-squarefree input: gcd with x^{q^j} - x picks up
-    every degree-j factor once, and repeated gcd-division strips that degree
-    to full multiplicity before moving on.  At step j every factor left in
-    work has degree >= j, so a work of degree below 2j is one irreducible
-    factor, and the pass stops there.
+    every degree-j factor once, and exact division by g_j, then repeated
+    gcd-division, strips that degree to full multiplicity before moving on.
+    At step j every factor left in work has degree >= j, so a work of
+    degree below 2j is one irreducible factor, and the pass stops there.
 
     With a budget, the splitting field F_{q^K}, K the lcm of the part
-    degrees, must have at most budget elements.  The pass raises
-    BudgetExceeded as soon as that is known to fail: when q to the lcm of
-    the degrees found so far exceeds the budget, or when q^j does while
-    work still has a factor, whose degree is then >= j.
+    degrees, must have at most budget elements: K <= K_max, the largest m
+    with q^m <= budget.  The pass raises BudgetExceeded as soon as that is
+    known to fail: when the lcm L of the degrees found so far exceeds
+    K_max, or, before the power of step j, when the least multiple of L
+    over which work could split, given that its factors have degree >= j,
+    does (_least_split_degree).  K is a multiple of both, so the message's
+    bound is a lower bound on K.
     """
     field = fpoly.field
     work = fpoly.monic()[0]
     parts = []
     x = frob = Poly.x(field)
     j, ext_deg = 0, 1
+    if budget is not None:
+        max_ext = 0
+        while field.q ** (max_ext + 1) <= budget:
+            max_ext += 1
     while work.degree > 0:
         j += 1
-        if work.degree < 2 * j:
-            g, j, work = work, work.degree, Poly.one(field)
-        elif budget is not None and field.q ** j > budget:
-            _refuse(field, j, budget)
+        n = work.degree
+        if n < 2 * j:
+            g, j = work, n
         else:
+            if budget is not None:
+                need = _least_split_degree(n, j, ext_deg)
+                if need > max_ext:
+                    _refuse(field, need, budget)
             # x^{q^j} mod work: work only loses factors, so the previous
             # power reduced mod the new work is still right
             frob = poly_powmod(frob, field.q, work)
@@ -929,14 +989,31 @@ def _distinct_degree_parts(fpoly, budget=None):
                 continue
         parts.append((j, g))
         ext_deg = math.lcm(ext_deg, j)
-        if budget is not None and field.q ** ext_deg > budget:
+        if budget is not None and ext_deg > max_ext:
             _refuse(field, ext_deg, budget)
-        while True:
-            h = poly_gcd(work, g)
-            if h.degree == 0:
-                break
+        work = work // g
+        h = poly_gcd(work, g)
+        while h.degree > 0:
             work = work // h
+            h = poly_gcd(work, g)
     return parts
+
+
+def _least_split_degree(n, j, ext_deg):
+    """The least multiple L of ext_deg over which a polynomial of degree n
+    whose irreducible factors all have degree >= j can split: the least L
+    such that n is a sum of divisors >= j of L, with repeats.  L =
+    lcm(ext_deg, n) always is, so the search ends there at the latest."""
+    ext = ext_deg
+    while True:
+        sums = [True] + [False] * n
+        for i in range(j, min(ext, n) + 1):
+            if ext % i == 0:
+                for s in range(i, n + 1):
+                    sums[s] = sums[s] or sums[s - i]
+        if sums[n]:
+            return ext
+        ext += ext_deg
 
 
 def _refuse(field, ext_deg, budget):
@@ -956,7 +1033,8 @@ def splitting_field_roots(fpoly, budget=None):
     splits into linear factors, roots in encoding order.  The distinct-degree
     pass refuses a K with q^K > enumeration_budget(budget), as early as it
     can tell.  Each squarefree distinct-degree part is lifted and split on
-    its own; the multiplicities are read off the lifted fpoly."""
+    its own; the multiplicities are read off the lifted fpoly, once per
+    Frobenius orbit."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
@@ -966,31 +1044,36 @@ def splitting_field_roots(fpoly, budget=None):
     ext = field.extension(math.lcm(*(j for j, _ in parts)))
     embed = field.embedding(ext)
     lifted = fpoly.over(ext)
-    found = []
+    roots = []
     for j, g in parts:
         if j == 1:
             # the roots lie in the base field: find them there, then embed
-            found += [embed(r) for r, _ in roots_with_multiplicity(g)]
-            continue
-        # g_j is squarefree and splits over F_{q^K}, since j divides K, so
-        # no gcd with x^{q^K} - x is needed.  The roots of each irreducible
-        # factor are one orbit r, r^q, ..., r^{q^(j-1)}: split down the
-        # smaller factor to one root r, and divide its orbit's product out
-        g = g.over(ext)
-        while g.degree > 0:
-            h, start = g, 1
-            while h.degree > 1:
-                f, start = _split_step(h, start)
-                h = f if 2 * f.degree <= h.degree else h // f
-            orbit = [ext.neg_i(h.coeffs[0])]
-            while len(orbit) < j:
-                orbit.append(ext.pow_i(orbit[-1], field.q))
-            g, rem = g.divrem(reduce(Poly.__mul__, (Poly(ext, (ext.neg_i(r), 1)) for r in orbit)))
-            if rem:
-                raise ArithmeticError(f"a Frobenius orbit failed to divide a polynomial over {ext}")
-            found += orbit
-    found.sort()
-    roots = [(r, poly_valuation(lifted, r)) for r in found]
+            orbits = [[embed(r)] for r, _ in roots_with_multiplicity(g)]
+        else:
+            # g_j is squarefree and splits over F_{q^K}, since j divides K,
+            # so no gcd with x^{q^K} - x is needed.  The roots of each
+            # irreducible factor are one orbit r, r^q, ..., r^{q^(j-1)}:
+            # split down the smaller factor to one root r, and divide its
+            # orbit's product out
+            orbits, g = [], g.over(ext)
+            while g.degree > 0:
+                h, start = g, 1
+                while h.degree > 1:
+                    f, start = _split_step(h, start)
+                    h = f if 2 * f.degree <= h.degree else h // f
+                orbit = [ext.neg_i(h.coeffs[0])]
+                while len(orbit) < j:
+                    orbit.append(ext.pow_i(orbit[-1], field.q))
+                g, rem = g.divrem(reduce(Poly.__mul__, (Poly(ext, (ext.neg_i(r), 1)) for r in orbit)))
+                if rem:
+                    raise ArithmeticError(f"a Frobenius orbit failed to divide a polynomial over {ext}")
+                orbits.append(orbit)
+        for orbit in orbits:
+            # fpoly is over F_q, so its order is the same at every root of
+            # an orbit: one valuation serves the whole orbit
+            mult = poly_valuation(lifted, orbit[0])
+            roots += [(r, mult) for r in orbit]
+    roots.sort()
     total = sum(m for _, m in roots)
     if total != fpoly.degree:
         raise ArithmeticError("polynomial failed to split over computed field")

@@ -191,17 +191,31 @@ class TestField:
         assert "exp" not in vars(raw)  # the raw field never built tables
 
 
-    @pytest.mark.parametrize("p, k", [(67, 2), (251, 2), (3, 9), (7, 5), (13, 4)])
+    @pytest.mark.parametrize("p, k", [(67, 2), (251, 2), (3, 9), (7, 5), (13, 4),
+                                      (65521, 1), (3, 10), (5, 5)])
     def test_tables_follow_the_raw_routines(self, p, k):
-        # wide digits and deep extensions: every table entry against the
-        # raw product and sum it stands for, in O(q) raw calls per field
+        # wide digits, deep extensions, one lane (F_65521), five lanes a
+        # half (F_{3^10}) and halves of unequal length (F_{5^5}): every table
+        # entry against the raw product and sum it stands for, in O(q) raw
+        # calls per field.  Times g is F_p-linear, so it is tabulated from
+        # the k raw products p^t * g by raw sums, one per element and one
+        # per multiple d p^t * g, and a seeded sample of entries is also
+        # checked against _mul_raw directly
         field = FiniteField(p, k)
         q, exp, log, zech = field.q, field.exp, field.log, field.zech
         g = field._find_generator()
+        times_g = [0]
+        for t in range(k):
+            multiples = [field._mul_raw(p ** t, g)]
+            while len(multiples) < p - 1:
+                multiples.append(field._add_raw(multiples[-1], multiples[0]))
+            times_g += [field._add_raw(times_g[r], m) for m in multiples for r in range(p ** t)]
         assert exp[0] == 1 and exp[1] == g
         assert exp[q - 1:] == exp[:q - 1] and zech[q - 1:] == zech[:q - 1]
-        for i in range(q - 1):
+        for i in random.Random(q).sample(range(q - 1), 200):
             assert field._mul_raw(exp[i], g) == exp[i + 1], i
+        for i in range(q - 1):
+            assert times_g[exp[i]] == exp[i + 1], i
             assert log[exp[i]] == i, i
             s = field._add_raw(1, exp[i])
             assert zech[i] == (log[s] if s else -1), i
@@ -709,6 +723,23 @@ class TestRootsAgainstScan:
             _assert_splitting_matches(f * (x - Poly.one(field)) ** 2 * factors[0],
                                       max_q=3 ** 7)
 
+    @pytest.mark.parametrize("p, k, degrees", [(3, 1, (2, 2)), (3, 1, (2, 3)), (3, 1, (3, 3)),
+                                               (5, 1, (2, 2)), (5, 1, (3, 3)), (3, 2, (2, 2)),
+                                               (3, 2, (3, 3))])
+    def test_orbit_multiplicities(self, p, k, degrees):
+        # two distinct irreducibles at multiplicities 1 and 3 (= p over F_3
+        # and F_9), times a squared linear factor: every root of an orbit
+        # carries its irreducible's multiplicity
+        rng = random.Random(1000 * p + 10 * k + sum(degrees))
+        field = finite_field(p, k)
+        for _ in range(3):
+            a, b = rng.sample(_sieved_irreducibles(p, degrees[0], k), 2) \
+                if degrees[0] == degrees[1] else \
+                (rng.choice(_sieved_irreducibles(p, j, k)) for j in degrees)
+            linear = Poly(field, (rng.randrange(field.q), 1))
+            _assert_splitting_matches(a * b ** 3 * linear ** 2, max_q=3 ** 7)
+            _assert_splitting_matches(a ** 3 * b * linear ** 2, max_q=3 ** 7)
+
     def test_embeddings(self):
         # every proper subfield of every field with q <= 6561
         for p in (n for n in range(3, 82) if algebra.is_prime(n)):
@@ -937,3 +968,131 @@ class TestDistinctDegreeStop:
         assert len(calls) <= max_ext
         bound = int(re.search(r"m >= (\d+)", str(refusal.value)).group(1))
         assert max_ext < bound <= 14  # a lower bound on the degree needed
+
+    def test_refusal_before_a_power_no_degree_can_fit(self, monkeypatch):
+        # over F_5 with budget 200, K_max = 3; x + 1 is found at step 1.
+        # Times an irreducible quadratic and cubic, work has degree 5 at
+        # step 2, and 5 = 2 + 3 or 5 splits over F_{5^6} or F_{5^5} at the
+        # least: refused before step 2's power, with m >= 5.  With the cubic
+        # squared, step 2 finds the quadratic (L = 2), and work of degree 6
+        # at step 3 is 3 + 3 or 6: F_{5^6} at the least, refused before
+        # step 3's power, with m >= 6.  A rule on q^j alone took one more
+        # power in each case
+        fp = finite_field(5)
+        linear, quadratic = Poly(fp, (1, 1)), Poly(fp, finite_field(5, 2).modulus)
+        cubic = Poly(fp, finite_field(5, 3).modulus)
+        calls = []
+
+        def counting_powmod(*args):
+            calls.append(args)
+            return poly_powmod(*args)
+
+        monkeypatch.setattr(algebra, "poly_powmod", counting_powmod)
+        for f, powers, bound in ((linear * quadratic * cubic, 1, 5),
+                                 (linear * quadratic * cubic ** 2, 2, 6)):
+            calls.clear()
+            with pytest.raises(BudgetExceeded,
+                               match=rf"F_\{{5\^m\}} with m >= {bound} exceeds budget 200$"):
+                splitting_field_roots(f, 200)
+            assert len(calls) == powers, f
+
+    @pytest.mark.parametrize("n, j, ext_deg, least", [
+        (5, 2, 1, 5), (6, 3, 2, 6), (14, 3, 1, 7), (12, 2, 1, 2), (7, 2, 1, 6),
+        (9, 2, 3, 3), (4, 1, 4, 4), (10, 4, 1, 5), (8, 3, 5, 15)])
+    def test_least_split_degree(self, n, j, ext_deg, least):
+        # 7 = 2 + 2 + 3 (L = 6) beats 7 (L = 7); 9 = 3 + 3 + 3 with
+        # L = 3; 10 = 5 + 5 beats 4 + 6 and 10; 8 = 3 + 5 needs
+        # lcm(5, 3, 5) = 15, which beats 8 (L = 40)
+        assert algebra._least_split_degree(n, j, ext_deg) == least
+
+
+# ---------------------------------------------------------------------------
+# the remainder path against schoolbook division
+# ---------------------------------------------------------------------------
+
+def _schoolbook_divrem(a, b):
+    """Oracle for Poly.divrem: long division with the scalar ops alone, one
+    quotient coefficient c = rem[i] / lead per step, then rem -= c x^(i-n) b."""
+    f = a.field
+    rem, n = list(a.coeffs), b.degree
+    inv = f.inv_i(b.leading())
+    quot = [0] * max(len(rem) - n, 0)
+    for i in range(len(rem) - 1, n - 1, -1):
+        c = f.mul_i(rem[i], inv)
+        quot[i - n] = c
+        for t, d in enumerate(b.coeffs):
+            rem[i - n + t] = f.add_i(rem[i - n + t], f.neg_i(f.mul_i(c, d)))
+    return Poly(f, quot), Poly(f, rem[:n])
+
+
+def _schoolbook_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, _schoolbook_divrem(a, b)[1]
+    if a.is_zero:
+        return a
+    inv = a.field.inv_i(a.leading())
+    return Poly(a.field, [a.field.mul_i(c, inv) for c in a.coeffs])
+
+
+REMAINDER_FIELDS = pytest.mark.parametrize("field", [
+    F7, F9, finite_field(7, 3), _raw_field(7, 2)], ids=["F7", "F9", "F343", "raw-F49"])
+
+
+class TestRemainderPath:
+    @REMAINDER_FIELDS
+    def test_division_matches_schoolbook(self, field):
+        # non-monic and constant divisors, dividends shorter than the
+        # divisor, and zero dividends
+        rng = random.Random(field.q + 71)
+        for _ in range(120):
+            a = _random_poly(field, rng, rng.choice((0, 3, 9)))
+            if rng.random() < 0.1:
+                a = Poly.zero(field)
+            b = _random_poly(field, rng, rng.choice((0, 1, 4, 6)))
+            if b.is_zero:
+                continue
+            quot, rem = _schoolbook_divrem(a, b)
+            assert a.divrem(b) == (quot, rem), (a, b)
+            assert a % b == rem and a // b == quot, (a, b)
+            if a.degree < b.degree:
+                assert (quot, rem) == (Poly.zero(field), a)
+
+    @REMAINDER_FIELDS
+    def test_gcd_is_the_monic_common_factor(self, field):
+        rng = random.Random(field.q + 73)
+        for _ in range(40):
+            c, u, v = (_random_poly(field, rng, 4) for _ in range(3))
+            if c.is_zero or u.is_zero or v.is_zero:
+                continue
+            a, b = c * u, c * v
+            g = poly_gcd(a, b)
+            assert g == _schoolbook_gcd(a, b), (a, b)
+            assert g.leading() == 1 and (a % g).is_zero and (b % g).is_zero
+            assert (g % c.monic()[0]).is_zero
+        # coprime: products of distinct linear factors, scaled off monic
+        for _ in range(20):
+            roots = rng.sample(range(field.q), 6)
+            a, b = (functools.reduce(Poly.__mul__, (Poly(field, (field.neg_i(r), 1)) for r in rs),
+                                     Poly.constant(field, rng.randrange(1, field.q)))
+                    for rs in (roots[:3], roots[3:]))
+            assert poly_gcd(a, b) == Poly.one(field)
+        assert poly_gcd(Poly.zero(field), Poly.zero(field)) == Poly.zero(field)
+
+    @REMAINDER_FIELDS
+    def test_powmod_with_a_non_monic_modulus(self, field):
+        rng = random.Random(field.q + 79)
+
+        def square_and_multiply(base, e, mod):
+            result = Poly.one(field)
+            for bit in bin(e)[2:]:
+                result = _schoolbook_divrem(result * result, mod)[1]
+                if bit == "1":
+                    result = _schoolbook_divrem(result * base, mod)[1]
+            return result
+
+        for _ in range(15):
+            base, mod = _random_poly(field, rng, 5), _random_poly(field, rng, 4)
+            if mod.is_zero or mod.leading() == 1:
+                continue
+            for e in (1, 2, 7, field.q, (field.q - 1) // 2):
+                assert poly_powmod(base, e, mod) == square_and_multiply(base, e, mod), (base, mod, e)
