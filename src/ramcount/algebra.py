@@ -22,11 +22,11 @@ map a -> a * g, read off lookups: a splits into its low and high halves of
 digits, whose products with g are raw products made once per half and
 packed one digit to a lane, and two tables turn the sum of the two
 packings back into an encoding.  The Zech table adds 1 to the constant
-digit alone.  A field with q > 2^16 builds its
-log and exp lists only when they are read, in O(q) time and memory; the
-census reads them for its length-q arrays.  The census does its numpy
-arithmetic on the base-p digits that decode returns
-(pencil._jet_classifier); this module does not import numpy.
+digit alone.  A field with q > 2^16 builds its log and exp lists only when
+they are read, in O(q) time and memory; the census reads them for its
+length-q arrays.  The census does its numpy arithmetic on the base-p
+digits that decode returns (pencil._jet_classifier); this module does not
+import numpy.
 Apart from the raw product, which stays on digit lists because it defines
 the tables and a Poly product over F_p is ~3x slower, Poly is the only
 polynomial arithmetic here, and poly_powmod works on Poly's coefficient
