@@ -234,6 +234,11 @@ class FiniteField:
         an add, a mask and a shift, and two lookups."""
         p, k = self.p, self.k
         g = self._find_generator()
+        if k == 1:  # the high half would be the whole element: step a -> a g
+            powers = [1]
+            for _ in range(p - 2):
+                powers.append(powers[-1] * g % p)
+            return powers + powers
         h, width = k // 2, (2 * (p - 1)).bit_length()
         shifts = [t * width for t in range(k)]
 

@@ -45,14 +45,12 @@ class CharClass(Enum):
 
 @dataclass(frozen=True)
 class RamProfile:
-    """A counting instance: characteristic, ramification orders, degree."""
+    """A validated counting instance: characteristic, ramification orders
+    and their degree.  A count's class and reason are in its CountResult."""
 
     p: object  # prime int or INFINITY
     orders: tuple
     d: int
-    char_class: CharClass
-    wild: tuple = ()       # orders divisible by p (count 0 by Riemann-Hurwitz)
-    oversized: tuple = ()  # orders exceeding d (no valid instance, count 0)
 
     @property
     def n(self):
@@ -98,9 +96,9 @@ def _classify(top, p, d):
 
 
 def _wild(orders, top, p):
-    """The orders divisible by p, given their largest, top: an order
-    divisible by p is at least p (never, for p = INFINITY)."""
-    return tuple(e for e in orders if e % p == 0) if top >= p else ()
+    """Whether some order is divisible by p, given their largest, top: such
+    an order is at least p (never, for p = INFINITY)."""
+    return top >= p and any(e % p == 0 for e in orders)
 
 
 def check_prime(p):
@@ -111,7 +109,8 @@ def check_prime(p):
 
 
 def validate_profile(orders, p):
-    """Build a RamProfile; raises on structurally invalid input."""
+    """Build a RamProfile, with d from sum (e_i - 1) = 2(d - 1); raises
+    ValueError on no orders, an order below 1, a bad p or an odd sum."""
     orders = tuple(map(int, orders))
     if not orders:
         raise ValueError("orders must be nonempty")
@@ -121,13 +120,7 @@ def validate_profile(orders, p):
     total = sum(orders) - len(orders)
     if total % 2 != 0:
         raise ValueError(f"sum of (e_i - 1) = {total} is odd; no integer degree")
-    d = 1 + total // 2
-    top = max(orders)
-    wild = _wild(orders, top, p)
-    oversized = tuple(e for e in orders if e > d) if top > d else ()
-    return RamProfile(p=p, orders=orders, d=d,
-                      char_class=_classify(top, p, d),
-                      wild=wild, oversized=oversized)
+    return RamProfile(p=p, orders=orders, d=1 + total // 2)
 
 
 def _recursion_steps(d, en1, en, p):
@@ -187,14 +180,12 @@ def n_gen(orders, p):
 
 def n_four_closed(e1, e2, e3, e4, p):
     """Closed form for four points:
-    max(0, min_i{e_i, d+1-e_i} - max(0, d+1-p))."""
-    try:
-        profile = validate_profile((e1, e2, e3, e4), p)
-    except ValueError as exc:
-        return CountResult(0, CharClass.LOW, reason=str(exc))
-    value = _four_closed(profile.orders, profile.p, profile.d)
+    max(0, min_i{e_i, d+1-e_i} - max(0, d+1-p)); raises as n_gen does."""
+    profile = validate_profile((e1, e2, e3, e4), p)
+    value = _four_closed(profile.orders, p, profile.d)
     reason = "closed form requires all e_i < p" if value == UNKNOWN else ""
-    return CountResult(value, profile.char_class, reason=reason)
+    return CountResult(value, _classify(max(profile.orders), p, profile.d),
+                       reason=reason)
 
 
 def _four_closed(orders, p, d):

@@ -172,10 +172,10 @@ def test_criterion_3_formula_triangle():
     four_checked = 0
     for orders, d in _four_point_profiles(12):
         for p in primes + (INFINITY,):
-            profile = validate_profile(orders, p)
-            if profile.char_class is CharClass.LOW or profile.wild or profile.oversized:
+            result = n_gen_recursive(validate_profile(orders, p))
+            if result.reason:  # wild, oversized or LOW
                 continue
-            rec = n_gen_recursive(profile).value
+            rec = result.value
             closed = n_four_closed(*orders, p).value
             assert rec == closed, (orders, p, rec, closed)
             four_checked += 1
@@ -208,9 +208,10 @@ def test_criterion_4_involution_invariance():
     for orders, d in _four_point_profiles(12):
         for p in primes:
             profile = validate_profile(orders, p)
-            if profile.char_class is CharClass.LOW or profile.wild or profile.oversized:
+            result = n_gen_recursive(profile)
+            if result.reason:  # wild, oversized or LOW
                 continue
-            base = n_gen_recursive(profile).value
+            base = result.value
             for i, j in itertools.combinations(range(4), 2):
                 reduced = involution_reduce(profile, i, j)
                 assert n_gen_recursive(reduced).value == base, (orders, p, i, j)
@@ -404,9 +405,10 @@ def test_criterion_8_census_genericity():
     for orders, p, k in suite:
         field = finite_field(p, k)
         profile = validate_profile(orders, p)
-        assert profile.char_class in (CharClass.MID, CharClass.HIGH)
+        result = n_gen_recursive(profile)
+        assert result.char_class in (CharClass.MID, CharClass.HIGH)
         assert gaussian_binomial_pencils(profile.d, field.q) <= 10 ** 6
-        expected = n_gen_recursive(profile).value
+        expected = result.value
         outcomes = {}
         modal_reports = []
         for seed in seeds:

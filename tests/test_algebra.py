@@ -220,6 +220,21 @@ class TestField:
             s = field._add_raw(1, exp[i])
             assert zech[i] == (log[s] if s else -1), i
 
+    def test_prime_field_powers_take_no_raw_product_each(self):
+        # for k = 1 the high half of an element is the whole element, so the
+        # lane tables would cost one raw product per element: a prime field
+        # steps a -> a g mod p, and only the generator search multiplies raw
+        field = FiniteField(65519)  # not the cached instance: its tables are cold
+        raw, calls = field._mul_raw, []
+        field._mul_raw = lambda a, b: calls.append((a, b)) or raw(a, b)
+        exp = field.exp
+        assert len(calls) < field.q // 100
+        g, p = exp[1], field.p
+        assert g == FiniteField(p)._find_generator()
+        assert len(exp) == 2 * (p - 1)
+        for i in random.Random(p).sample(range(2 * (p - 1)), 500):
+            assert exp[i] == pow(g, i, p), i
+
 
 class TestPolyArithmetic:
     def test_product_difference_of_squares(self):

@@ -685,21 +685,22 @@ class TestTable:
         n = len(orders)
         if p > d:
             profile = validate_profile(orders, INFINITY)
-            count, reason = intersection_number(d, orders), ""
+            char_class, count, reason = CharClass.HIGH, intersection_number(d, orders), ""
         else:
             profile = validate_profile(orders, p)
             result = n_gen_recursive(profile)
-            count = result.value
-            reason = "wild excluded" if profile.wild else result.reason
+            char_class, count = result.char_class, result.value
+            wild = any(e % p == 0 for e in orders)
+            reason = "wild excluded" if wild else result.reason
         closed4 = ""
-        if n == 4 and profile.char_class is not CharClass.LOW:
+        if n == 4 and char_class is not CharClass.LOW:
             closed4 = _four_closed(profile.orders, profile.p, profile.d)
         schubert = intersection_number(d, orders) if p == INFINITY else ""
         checks = [v for v in (closed4, schubert) if v != ""]
         match = ""
         if checks:
             match = "true" if all(v == count for v in checks) else "false"
-        return {"class": profile.char_class.value, "count": count,
+        return {"class": char_class.value, "count": count,
                 "closed4": closed4, "schubert": schubert, "match": match,
                 "reason": reason}
 
@@ -732,6 +733,35 @@ class TestTable:
         code, out = run(["table"] + argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p, orders, json_line, text_line", [
+        # recorded when RamProfile still carried the class and the wild and
+        # oversized orders: one profile per outcome of count
+        ("7", "2,2,3",
+         '{"class":"HIGH","count":1,"d":3,"orders":[2,2,3],"p":7,"schema":1,"trace":[]}',
+         "N_gen(2, 2, 3) at p=7 [HIGH] = 1"),
+        # MID with reflected fold terms: d - 1 = 6 >= p
+        ("5", ",".join(["2"] * 12),
+         '{"class":"MID","count":89,"d":7,"orders":[2,2,2,2,2,2,2,2,2,2,2,2],"p":5,'
+         '"schema":1,"trace":[{"dprime":6,"e":1},{"dprime":7,"e":3}]}',
+         "N_gen(2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2) at p=5 [MID] = 89"),
+        ("3", "2,2,5,5",
+         '{"class":"LOW","count":"unknown","d":6,"orders":[2,2,5,5],"p":3,'
+         '"reason":"low characteristic: formulas do not apply","schema":1,"trace":[]}',
+         "N_gen(2, 2, 5, 5) at p=3 [LOW] = unknown"),
+        ("3", "3,3,1",
+         '{"class":"LOW","count":0,"d":3,"orders":[3,3,1],"p":3,'
+         '"reason":"wild excluded: some e_i divisible by p","schema":1,"trace":[]}',
+         "N_gen(3, 3, 1) at p=3 [LOW] = 0"),
+        ("7", "2,2,5",
+         '{"class":"HIGH","count":0,"d":4,"orders":[2,2,5],"p":7,'
+         '"reason":"invalid instance: some e_i exceeds d","schema":1,"trace":[]}',
+         "N_gen(2, 2, 5) at p=7 [HIGH] = 0"),
+    ])
+    def test_count_pinned_output(self, p, orders, json_line, text_line):
+        argv = ["count", "--p", p, "--orders", orders]
+        assert run(argv) == (0, json_line + "\n")
+        assert run(argv + ["--format", "text"]) == (0, text_line + "\n")
 
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
         # each heavy part is counted, and its series product built, once for

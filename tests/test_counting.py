@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -11,7 +12,9 @@ from ramcount.cli import run_argv
 from ramcount.counting import (
     INFINITY,
     UNKNOWN,
+    WILD_REASON,
     CharClass,
+    RamProfile,
     _recursion_steps,
     involution_reduce,
     n_four_closed,
@@ -64,18 +67,47 @@ def _random_profile(rng, p, n):
     return orders
 
 
+OVERSIZED_REASON = "invalid instance: some e_i exceeds d"
+
+
 class TestValidate:
+    def test_fields_are_the_input(self):
+        # the class and the wild and oversized orders are the count's, not
+        # the profile's
+        assert [f.name for f in dataclasses.fields(RamProfile)] == ["p", "orders", "d"]
+        prof = validate_profile(["2", 2, 3.0], 7)
+        assert (prof.p, prof.orders, prof.d, prof.n) == (7, (2, 2, 3), 3, 3)
+
     def test_high(self):
         prof = validate_profile((2, 2, 3), 7)
-        assert prof.d == 3 and prof.char_class is CharClass.HIGH
+        assert prof.d == 3 and n_gen_recursive(prof).char_class is CharClass.HIGH
 
     def test_mid(self):
         prof = validate_profile((2, 2, 2, 2), 3)
-        assert prof.d == 3 and prof.char_class is CharClass.MID
+        assert prof.d == 3 and n_gen_recursive(prof).char_class is CharClass.MID
 
     def test_low(self):
         prof = validate_profile((2, 2, 5, 5), 3)
-        assert prof.char_class is CharClass.LOW
+        assert n_gen_recursive(prof).char_class is CharClass.LOW
+
+    def test_class_at_the_boundaries(self):
+        # p = d + 1 is HIGH; at p = d orders below p are MID, and an order
+        # equal to p is wild, which is LOW
+        assert n_gen((2,) * 6, 5).char_class is CharClass.HIGH  # d = 4
+        assert n_gen((2,) * 8, 5).char_class is CharClass.MID   # d = 5
+        assert n_gen((5, 5, 1), 5).char_class is CharClass.LOW  # d = 5
+
+    @pytest.mark.parametrize("orders, p, message", [
+        ((), 5, "orders must be nonempty"),
+        ((0, 2, 2, 2), 5, "every ramification order must be >= 1"),
+        ((2, 2, 3), 2, "p must be a prime >= 3 or INFINITY, got 2"),
+        ((2, 2, 3), 9, "p must be a prime >= 3 or INFINITY, got 9"),
+        ((2, 2, 3), 7.0, "p must be a prime >= 3 or INFINITY, got 7.0"),
+        ((2, 2, 2), 5, "sum of (e_i - 1) = 3 is odd; no integer degree")])
+    def test_error_messages(self, orders, p, message):
+        with pytest.raises(ValueError) as info:
+            validate_profile(orders, p)
+        assert str(info.value) == message
 
     def test_parity_error(self):
         with pytest.raises(ValueError):
@@ -90,18 +122,17 @@ class TestValidate:
             validate_profile((2, 2, 3), 2)
 
     def test_wild_flag(self):
-        prof = validate_profile((3, 3, 1), 3)
-        assert prof.wild == (3, 3)
-        assert n_gen_recursive(prof).value == 0
+        res = n_gen((3, 3, 1), 3)
+        assert (res.value, res.char_class, res.reason) == (0, CharClass.LOW, WILD_REASON)
 
     def test_oversized_flag(self):
-        prof = validate_profile((2, 2, 5), 7)  # d = 4 < 5
-        assert prof.oversized == (5,)
-        assert n_gen_recursive(prof).value == 0
+        res = n_gen((2, 2, 5), 7)  # d = 4 < 5
+        assert (res.value, res.char_class, res.reason) == \
+            (0, CharClass.HIGH, OVERSIZED_REASON)
 
     def test_infinity(self):
         prof = validate_profile((2, 2, 3), INFINITY)
-        assert prof.char_class is CharClass.HIGH
+        assert n_gen_recursive(prof).char_class is CharClass.HIGH
 
 
 class TestThreePoint:
@@ -132,11 +163,13 @@ class TestThreePoint:
         for orders in itertools.product(range(1, 9), repeat=3):
             if sum(e - 1 for e in orders) % 2:
                 continue
-            profile = validate_profile(orders, p)
+            d = 1 + sum(e - 1 for e in orders) // 2
             got = n_gen(orders, p)
-            if profile.wild or profile.oversized:
-                assert got.value == 0, orders
-            elif profile.char_class is CharClass.LOW:
+            if p != INFINITY and any(e % p == 0 for e in orders):
+                assert (got.value, got.reason) == (0, WILD_REASON), orders
+            elif max(orders) > d:
+                assert (got.value, got.reason) == (0, OVERSIZED_REASON), orders
+            elif got.char_class is CharClass.LOW:
                 assert got.value == UNKNOWN, orders
             else:
                 assert got.value == _oracle_three_point(*orders, p), orders
@@ -261,9 +294,10 @@ class TestFusionRule:
         for _ in range(8_000):
             p = rng.choice((3, 5, 7, 11, 13))
             profile = validate_profile(_random_profile(rng, p, rng.randint(3, 9)), p)
-            assert _oracle_fusion(profile.orders, p) == n_gen_recursive(profile).value, \
+            result = n_gen_recursive(profile)
+            assert _oracle_fusion(profile.orders, p) == result.value, \
                 (profile.orders, p)
-            mid += profile.char_class is CharClass.MID
+            mid += result.char_class is CharClass.MID
         assert mid >= 5_000
 
 
@@ -303,12 +337,13 @@ class TestVerlinde:
         for _ in range(2_000):
             p = rng.choice((3, 5, 7, 11, 13))
             profile = validate_profile(_random_profile(rng, p, rng.randint(3, 9)), p)
-            if profile.wild or profile.oversized or profile.char_class is CharClass.LOW:
+            result = n_gen_recursive(profile)
+            if result.reason:  # wild, oversized or LOW
                 continue
             value = 2 / p * sum(sign * math.exp(log)
                                 for sign, log in _verlinde_terms(profile.orders, p))
-            assert round(value) == n_gen_recursive(profile).value, (profile.orders, p)
-            checked[profile.char_class] += 1
+            assert round(value) == result.value, (profile.orders, p)
+            checked[result.char_class] += 1
         assert sum(checked.values()) >= 1_000 and min(checked.values()) >= 100, checked
 
     @pytest.mark.parametrize("n, p", [(4000, 7), (3000, 11), (5000, 5)])
@@ -337,10 +372,10 @@ class TestSymmetry:
         # in the order given, so every permutation is a different recursion
         for orders in _sorted_profiles(4, 8) + _sorted_profiles(5, 6):
             for p in (3, 5, 7, 13, INFINITY):
-                prof = validate_profile(orders, p)
-                if prof.char_class is CharClass.LOW or prof.wild or prof.oversized:
+                result = n_gen(orders, p)
+                if result.reason:  # wild, oversized or LOW
                     continue
-                base = n_gen_recursive(prof).value
+                base = result.value
                 seen = set()
                 for perm in itertools.permutations(orders):
                     if perm in seen:
@@ -355,12 +390,13 @@ class TestSymmetry:
         rng = random.Random(5)
         orders = [2] * 41 + [3, 4]  # 41: sum(e - 1) must be even
         prof = validate_profile(orders, p)
-        counts = {n_gen(orders, p).value}
+        result = n_gen_recursive(prof)
+        counts = {result.value}
         for _ in range(5):
             rng.shuffle(orders)
             counts.add(_oracle_ngen(tuple(orders), p))
         assert len(counts) == 1
-        if prof.char_class is CharClass.HIGH:
+        if result.char_class is CharClass.HIGH:
             assert counts == {intersection_number(prof.d, orders)}
 
 
@@ -375,16 +411,17 @@ class TestAgainstRecursion:
             p = rng.choice((3, 5, 7, 11, 13))
             profile = validate_profile(
                 _random_profile(rng, p, rng.randint(3, 9)), p)
-            got = n_gen_recursive(profile).value
-            if profile.oversized:
-                assert got == 0
+            result = n_gen_recursive(profile)
+            got = result.value
+            if max(profile.orders) > profile.d:
+                assert (got, result.reason) == (0, OVERSIZED_REASON)
                 seen["oversized"] += 1
                 continue
             assert got == _oracle_ngen(profile.orders, p), (profile.orders, p)
-            seen[profile.char_class] += 1
+            seen[result.char_class] += 1
             seen["p = d"] += p == profile.d
             seen["order 1"] += 1 in profile.orders
-            if profile.char_class is CharClass.MID:
+            if result.char_class is CharClass.MID:
                 schubert = intersection_number(profile.d, profile.orders)
                 assert got <= schubert, (profile.orders, p)
                 seen["folded"] += got < schubert
@@ -398,9 +435,10 @@ class TestAgainstRecursion:
             p = rng.choice((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
             profile = validate_profile(
                 _random_profile(rng, p, rng.randint(10, 40)), p)
-            if profile.oversized:
+            result = n_gen_recursive(profile)
+            if result.reason:  # orders below p: only an oversized one
                 continue
-            got = n_gen_recursive(profile).value
+            got = result.value
             assert got == _oracle_ngen(profile.orders, p), (profile.orders, p)
             folded += got < intersection_number(profile.d, profile.orders)
         assert folded >= 100
@@ -448,6 +486,31 @@ class TestFourClosed:
         res = n_four_closed(1, 1, 2, 6, 7)  # d = 4 < 6
         assert res.value == 0
 
+    def test_agrees_with_n_gen(self):
+        # every four-point profile of degree <= 10: the same class, and
+        # where n_gen counts by the series the same value.  Either term of
+        # the bound can bind: (2, 3, 3, 6) at d = 6 by d + 1 - e, (2, 4, 4, 4)
+        # by e
+        checked = Counter()
+        for orders in _sorted_profiles(4, 10):
+            for p in (3, 5, 7, 11, 13, INFINITY):
+                want, got = n_gen(orders, p), n_four_closed(*orders, p)
+                assert got.char_class is want.char_class, (orders, p)
+                checked[want.char_class] += 1
+                if want.reason:  # wild or LOW: no value to compare
+                    continue
+                assert (got.value, got.reason) == (want.value, ""), (orders, p)
+        assert min(checked.values()) >= 30, checked
+
+    @pytest.mark.parametrize("orders, p, message", [
+        ((2, 2, 2, 2), 2, "p must be a prime >= 3 or INFINITY, got 2"),
+        ((2, 2, 2, 3), INFINITY, "sum of \\(e_i - 1\\) = 5 is odd")])
+    def test_invalid_input_raises_as_n_gen_does(self, orders, p, message):
+        with pytest.raises(ValueError, match=message):
+            n_gen(orders, p)
+        with pytest.raises(ValueError, match=message):
+            n_four_closed(*orders, p)
+
 
 class TestInvolutionReduce:
     def test_example(self):
@@ -466,9 +529,10 @@ class TestInvolutionReduce:
         for orders in _sorted_profiles(4, 6):
             for p in (5, 7, 11):
                 prof = validate_profile(orders, p)
-                if prof.char_class is CharClass.LOW or prof.wild or prof.oversized:
+                result = n_gen_recursive(prof)
+                if result.reason:  # wild, oversized or LOW
                     continue
-                base = n_gen_recursive(prof).value
+                base = result.value
                 for i, j in itertools.combinations(range(4), 2):
                     red = involution_reduce(prof, i, j)
                     assert n_gen_recursive(red).value == base
