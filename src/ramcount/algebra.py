@@ -62,9 +62,11 @@ degrees found, or, before step j's power, once the degree left is no sum
 of degrees >= j that fit with L under K_max.  It refuses exactly when
 q^K > budget, and its message gives a lower bound on K.
 
-FiniteField.embedding takes the least root of a modulus the same way: an
-element's image in an extension is its digit polynomial evaluated at that
-cached root.  Poly.over, which applies the embedding coefficientwise, is
+FiniteField.embedding needs one root of its modulus in the target.  The
+modulus is irreducible of degree k, so there it is k distinct linear
+factors: _split_linear alone splits it, with no gcd or valuation, and the
+least root is cached.  An element's image is its digit polynomial evaluated
+at that root.  Poly.over, which applies the embedding coefficientwise, is
 the one way a polynomial is carried into an extension field.
 
 p = 2 is rejected at construction.
@@ -432,8 +434,8 @@ class FiniteField:
         if target == self or self.k == 1:
             return lambda a: a
         if target not in self._embedding_roots:
-            self._embedding_roots[target] = roots_with_multiplicity(
-                Poly(target, self.modulus))[0][0]
+            self._embedding_roots[target] = min(
+                _split_linear(Poly(target, self.modulus)))
         root, add, mul = self._embedding_roots[target], target.add_i, target.mul_i
         return lambda a: reduce(lambda acc, d: add(mul(acc, root), d), reversed(self.decode(a)), 0)
 

@@ -208,18 +208,15 @@ def cmd_table(args):
     """One row per (orders, p), sorted by n, then orders, then p.
 
     Every row (1, ..., 1) + heavy shares the cell of its heavy part (the
-    orders >= 2) at its prime, so the rows themselves are formatting.  For
-    p > d (HIGH) and at inf the count is the unfolded series, the
-    intersection number, the same for every such p, so one cell, keyed inf,
-    serves them all.  The partition walk yields only valid orders, and
-    n_gen_cells counts each heavy part at all its keys in one call: it
-    builds the series product, which no p changes, once, and reads each
-    (1 - t)^(-r) tail from a dict kept for the degree by (r, period).  A
-    MID row is the folded series, a LOW row is unknown or wild.  The inf
-    row's schubert column is its own count, so its match holds by
-    construction; the independent checks are closed4, the four-point closed
-    form, and the paper's degeneration recursion, which the tests run
-    against the table.
+    orders >= 2) at its prime, so the rows themselves are formatting.  The
+    partition walk yields only valid orders, and one n_gen_cells call per
+    degree counts each of its heavy parts at every prime: the unfolded
+    series, the intersection number, once for all p > d (HIGH) and inf,
+    and each tail once for the degree.  A MID row is the folded series, a
+    LOW row is unknown or wild.  The inf row's schubert column is its own
+    count, so its match holds by construction; the independent checks are
+    closed4, the four-point closed form, and the paper's degeneration
+    recursion, which the tests run against the table.
 
     A profile of degree d has 3 <= n <= n_max orders e <= d with sum (e - 1)
     = 2(d - 1) (Riemann-Hurwitz), so the heavy parts of degree d are the
@@ -258,15 +255,10 @@ def cmd_table(args):
     texts = [_p_str(p) for p in primes]
     groups = []
     for d in degrees:
-        tails = {}
-        keys = [p if p <= d else INFINITY for p in primes]
-        distinct = list(dict.fromkeys(keys))  # each p <= d, and inf for every p > d
-        for heavy in heavy_parts(d):
-            shared = {key: (char_class.value, count,
-                            "wild excluded" if reason == WILD_REASON else reason)
-                      for key, (char_class, count, reason)
-                      in zip(distinct, n_gen_cells(heavy, d, distinct, tails))}
-            cells = [(text, key, *shared[key]) for text, key in zip(texts, keys)]
+        for heavy, cells in n_gen_cells(heavy_parts(d), d, primes):
+            cells = [(char_class.value, count,
+                      "wild excluded" if reason == WILD_REASON else reason)
+                     for char_class, count, reason in cells]
             heavy_text = " ".join(map(str, heavy))
             for n in range(max(3, len(heavy)), args.n_max + 1):
                 ones = n - len(heavy)
@@ -275,7 +267,7 @@ def cmd_table(args):
     groups.sort()
     rows = []
     for n, orders_text, orders, d, cells in groups:
-        for p_text, key, class_text, count, reason in cells:
+        for p, p_text, (class_text, count, reason) in zip(primes, texts, cells):
             # the inf row's schubert column is its own count, so its match
             # holds by construction.  Every e_i <= d, and outside LOW every
             # e_i < p: so only LOW rows are wild or UNKNOWN, and they have no
@@ -284,7 +276,7 @@ def cmd_table(args):
             schubert, match = (count, "true") if p_text == "inf" else ("", "")
             closed4 = ""
             if n == 4 and class_text != "LOW":
-                closed4 = _four_closed(orders, key, d)
+                closed4 = _four_closed(orders, p, d)
                 match = "true" if closed4 == count else "false"
             rows.append([SCHEMA_VERSION, orders_text, n, d, p_text, class_text,
                          count, closed4, schubert, match, reason])

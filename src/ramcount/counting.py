@@ -131,41 +131,46 @@ def _recursion_steps(d, en1, en, p):
         yield dp, 2 * dp - 2 * d + en1 + en - 1
 
 
-def n_gen_cells(orders, d, primes, tails):
-    """(class, count, reason) of orders of degree d at each p of primes,
-    which check_prime accepts; UNKNOWN exactly in the untreated low range.
-    The series product, which no p changes, is built at most once, and each
-    (1 - t)^(-r) tail is kept in tails, the caller's dict for degree d, by
-    (r, period).
+def n_gen_cells(parts, d, primes):
+    """Yield (orders, cells) for each orders of parts, all of degree d: one
+    (class, count, reason) per p of primes, which check_prime accepts;
+    UNKNOWN exactly in the untreated low range.  A part's series product,
+    which no p changes, is built at most once, and its value once per
+    period: every p > d (HIGH) shares the unfolded value, the intersection
+    number.  Each (1 - t)^(-r) tail is built once per call, by (r, period).
     """
-    top = max(orders)
-    product = None
-    cells = []
-    for p in primes:
-        char_class = _classify(top, p, d)
-        if _wild(orders, top, p):
-            cells.append((char_class, 0, WILD_REASON))
-        elif top > d:
-            cells.append((char_class, 0, "invalid instance: some e_i exceeds d"))
-        elif char_class is CharClass.LOW:
-            cells.append((char_class, UNKNOWN,
-                          "low characteristic: formulas do not apply"))
-        else:
-            if product is None:
-                product, r = _series_product(d, orders)
-            period = p if char_class is CharClass.MID else None
-            if (r, period) not in tails:
-                tails[r, period] = _series_tail(r, d, period)
-            cells.append((char_class,
-                          _series_dot(product, tails[r, period], d, period), ""))
-    return cells
+    tails = {}
+    for orders in parts:
+        top = max(orders)
+        values = {}
+        cells = []
+        for p in primes:
+            char_class = _classify(top, p, d)
+            if _wild(orders, top, p):
+                cells.append((char_class, 0, WILD_REASON))
+            elif top > d:
+                cells.append((char_class, 0, "invalid instance: some e_i exceeds d"))
+            elif char_class is CharClass.LOW:
+                cells.append((char_class, UNKNOWN,
+                              "low characteristic: formulas do not apply"))
+            else:
+                period = p if char_class is CharClass.MID else None
+                if period not in values:
+                    if not values:
+                        product, r = _series_product(d, orders)
+                    if (r, period) not in tails:
+                        tails[r, period] = _series_tail(r, d, period)
+                    values[period] = _series_dot(product, tails[r, period], d,
+                                                 period)
+                cells.append((char_class, values[period], ""))
+        yield orders, cells
 
 
 def n_gen_recursive(profile):
     """Count for a RamProfile: n_gen_cells at its one prime, with the
     recursion's trace."""
-    [(char_class, value, reason)] = n_gen_cells(profile.orders, profile.d,
-                                                (profile.p,), {})
+    [(_, [(char_class, value, reason)])] = n_gen_cells(
+        [profile.orders], profile.d, [profile.p])
     trace = ()
     if not reason and profile.n >= 4:
         largest = sorted(profile.orders)[-2:]

@@ -755,8 +755,13 @@ class TestRootsAgainstScan:
             _assert_splitting_matches(a * b ** 3 * linear ** 2, max_q=3 ** 7)
             _assert_splitting_matches(a ** 3 * b * linear ** 2, max_q=3 ** 7)
 
-    def test_embeddings(self):
-        # every proper subfield of every field with q <= 6561
+    def test_embeddings(self, monkeypatch):
+        # every proper subfield of every field with q <= 6561, from a fresh
+        # source: its modulus splits into distinct linear factors over the
+        # target, so the root is split out with no gcd or valuation
+        def refuse(fpoly):
+            raise AssertionError(f"roots_with_multiplicity({fpoly}) called")
+        monkeypatch.setattr(algebra, "roots_with_multiplicity", refuse)
         for p in (n for n in range(3, 82) if algebra.is_prime(n)):
             for m in range(2, 9):
                 if p ** m > 6561:
@@ -764,10 +769,15 @@ class TestRootsAgainstScan:
                 target = finite_field(p, m)
                 for k in range(1, m):
                     if m % k == 0:
-                        source = finite_field(p, k)
+                        source = FiniteField(p, k)
                         embed = source.embedding(target)
                         assert [embed(a) for a in range(source.q)] == \
                             _scan_embedding(source, target), (source, target)
+                        if k > 1:
+                            modulus = Poly(target, source.modulus)
+                            least = next(a for a in range(target.q)
+                                         if modulus(a) == 0)
+                            assert source._embedding_roots == {target: least}
 
     def test_powmod_matches_repeated_product(self, monkeypatch):
         # small exponents against the plain power, and the Cantor-Zassenhaus

@@ -764,43 +764,60 @@ class TestTable:
         assert run(argv + ["--format", "text"]) == (0, text_line + "\n")
 
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
-        # each heavy part is counted, and its series product built, once for
-        # all its primes, each (1 - t)^(-r) tail once, and no cell builds a
-        # profile or goes through n_gen_recursive
-        calls = {"_series_product": [], "_series_tail": [], "n_gen_cells": [],
-                 "validate_profile": [], "n_gen_recursive": []}
+        # one n_gen_cells call per degree counts its heavy parts at every
+        # prime: each part's series product is built once, its value once per
+        # period (every p > d shares the unfolded one), each (1 - t)^(-r)
+        # tail once, and no cell builds a profile or goes through
+        # n_gen_recursive
+        log, degrees, parts = [], [], []
 
         def record(module, name):
             engine = getattr(module, name)
 
             def wrapper(*args):
-                calls[name].append(args)
+                log.append((name, args))
                 return engine(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("n_gen_cells", "validate_profile", "n_gen_recursive"):
+        for name in ("validate_profile", "n_gen_recursive"):
             record(cli, name)
-        for name in ("_series_product", "_series_tail"):
+        for name in ("_series_product", "_series_tail", "_series_dot"):
             record(counting, name)
+        engine = cli.n_gen_cells
+
+        def n_gen_cells(heavy_parts, d, primes):
+            degrees.append((d, list(primes)))
+            for heavy, cells in engine(heavy_parts, d, primes):
+                parts.append((heavy, d))
+                yield heavy, cells
+        monkeypatch.setattr(cli, "n_gen_cells", n_gen_cells)
+        heavy = self._heavy(5, 8)
+        assert len(heavy) == 111
         for _ in range(2):  # tails are kept by the call, not across calls
-            for seen in calls.values():
+            for seen in (log, degrees, parts):
                 seen.clear()
             rows = self._rows(["--p", "3,5,7,inf", "--d", "8", "--n-max", "5"])
             assert len(rows) == 4 * 212
-            heavy = set(self._heavy(5, 8))
-            # inf is above every d, so every heavy part has a HIGH cell
-            assert len(calls["_series_product"]) == 111
-            assert {(tuple(orders), d)
-                    for d, orders in calls["_series_product"]} == heavy
-            assert len(calls["n_gen_cells"]) == 111
-            assert {(tuple(orders), d)
-                    for orders, d, _, _ in calls["n_gen_cells"]} == heavy
-            for orders, d, keys, _ in calls["n_gen_cells"]:
-                assert keys == sorted({p if p <= d else INFINITY
-                                       for p in (3, 5, 7, INFINITY)})
-            tails = calls["_series_tail"]
+            assert degrees == [(d, [3, 5, 7, INFINITY]) for d in range(2, 9)]
+            assert parts == heavy
+            # inf is above every d, so every heavy part has a HIGH cell; a
+            # part's dots follow its product.  A MID period is a p <= d above
+            # every order
+            products, tails, dots = [], [], Counter()
+            for name, args in log:
+                assert name.startswith("_series"), name
+                if name == "_series_product":
+                    products.append((tuple(args[1]), args[0]))
+                elif name == "_series_tail":
+                    tails.append(args)
+                else:
+                    dots[products[-1], args[3]] += 1
+            assert products == heavy
             assert tails and len(tails) == len(set(tails))
-            assert not calls["validate_profile"] and not calls["n_gen_recursive"]
+            assert dots == Counter(
+                ((orders, d), period) for orders, d in heavy
+                for period in [None] + [p for p in (3, 5, 7)
+                                        if max(orders) < p <= d])
 
     def test_size_budget(self, monkeypatch):
         # a long run of order-1 entries is refused from its one heavy part,

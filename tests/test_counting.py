@@ -8,6 +8,7 @@ from itertools import accumulate
 
 import pytest
 
+from ramcount import counting
 from ramcount.cli import run_argv
 from ramcount.counting import (
     INFINITY,
@@ -19,6 +20,7 @@ from ramcount.counting import (
     involution_reduce,
     n_four_closed,
     n_gen,
+    n_gen_cells,
     n_gen_recursive,
     validate_profile,
 )
@@ -463,6 +465,23 @@ class TestAgainstRecursion:
                 assert row["schubert"] == _oracle_ngen(orders, INFINITY), row
                 seen["inf"] += 1
         assert min(seen.values()) >= 80, seen  # every class and inf row
+
+
+class TestCells:
+    def test_primes_above_d_share_one_high_value(self, monkeypatch):
+        # every p > d reads the unfolded series, so 11, 13 and inf at d = 4
+        # give one HIGH count, the recursion's, from one dot product
+        dots, dot = [], counting._series_dot
+
+        def record(*args):
+            dots.append(args)
+            return dot(*args)
+        monkeypatch.setattr(counting, "_series_dot", record)
+        orders = (2,) * 6
+        [(part, cells)] = n_gen_cells([orders], 4, [11, 13, INFINITY])
+        assert part == orders
+        assert cells == [(CharClass.HIGH, _oracle_ngen(orders, INFINITY), "")] * 3
+        assert cells[0][1] == 5 and len(dots) == 1
 
 
 class TestFourClosed:
