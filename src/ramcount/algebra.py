@@ -4,7 +4,12 @@ Fields are represented as F_p[y]/(modulus) with a deterministically chosen
 modulus, so results are bit-identical across runs: the monic irreducible
 polynomial of degree k with the least encoding.  The search tests each
 candidate as a Poly over finite_field(p), whose own modulus is y, so a
-prime field needs no search.  Elements are encoded as
+prime field needs no search.  The first p candidates are the binomials
+x^k + c, and it skips them when none can be irreducible: some prime
+dividing k does not divide p - 1, or 4 | k and p = 3 mod 4.  The
+characteristic is tested by trial division by the primes to 41, then by
+Miller-Rabin to those 13 bases, exact below psi_13 ~ 3.3e24; a larger p
+with no factor <= 41 is refused.  Elements are encoded as
 integers in [0, q): the base-p digits of the encoding are the coordinates
 with respect to the basis 1, y, ..., y^{k-1} (constant digit least
 significant).  Polynomials are dense coefficient tuples, low degree first,
@@ -109,19 +114,53 @@ def enumeration_budget(budget=None):
     return value
 
 
+# Miller-Rabin to the bases 2, 3, ..., 41, the first 13 primes, is exact
+# below psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
+    """Trial division by the primes to 41, then Miller-Rabin to those 13
+    bases; ValueError for an n >= psi_13 with no factor <= 41."""
     if n < 2:
         return False
-    if n < 4:
+    for r in _SMALL_PRIMES:
+        if n % r == 0:
+            return n == r
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"primality is decided below {_PRIME_TEST_LIMIT}")
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    factors, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 def _lexleast_modulus(p, k):
@@ -129,11 +168,15 @@ def _lexleast_modulus(p, k):
 
     A monic f of degree k is irreducible iff its distinct-degree parts are
     [(k, f)].  k = 1 gives x, which is what lets the search run on Poly over
-    finite_field(p) without recursing."""
+    finite_field(p) without recursing.  The binomials x^k + c, the first p
+    candidates, are skipped when none is irreducible (Lidl and Niederreiter,
+    Finite Fields, Theorem 3.75)."""
     if k == 1:
         return (0, 1)
     fp = finite_field(p)
-    for m in range(p ** k):
+    no_binomial = (any((p - 1) % r for r in _prime_factors(k))
+                   or (k % 4 == 0 and p % 4 == 3))
+    for m in range(p if no_binomial else 0, p ** k):
         f = Poly(fp, [m // p ** i % p for i in range(k)] + [1])
         if _distinct_degree_parts(f) == [(k, f)]:
             return f.coeffs
@@ -400,16 +443,7 @@ class FiniteField:
 
     def _find_generator(self):
         order = self.q - 1
-        factors = []
-        n, d = order, 2
-        while d * d <= n:
-            if n % d == 0:
-                factors.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            factors.append(n)
+        factors = _prime_factors(order)
         for g in range(1, self.q):
             if all(self._pow_raw(g, order // f) != 1 for f in factors):
                 return g
@@ -661,7 +695,7 @@ def _reducer(field, divisor):
     for each coefficient c of x^i, i >= n, and returns it cut to the
     remainder, without trailing zeros.  The row at i leaves rem[i] stale,
     but it is never read again.  Given a list quot of length
-    len(rem) - n + 1, it also writes the quotient into it: c per row,
+    len(rem) - n, it also writes the quotient into it: c per row,
     scaled by 1/lead once at the end."""
     if not divisor:
         raise ZeroDivisionError("polynomial division by zero")

@@ -32,6 +32,7 @@ from dataclasses import dataclass, fields
 from .algebra import (
     Poly,
     bezout_inseparable,
+    finite_field,
     poly_gcd,
     poly_valuation,
     roots_with_multiplicity,
@@ -313,8 +314,6 @@ class MapFamily:
         """The family of a family-file object.  Every field is checked
         before any is parsed, so the ValueError for a bad file names the
         first field that is missing, of the wrong type or out of range."""
-        from .algebra import finite_field
-
         def need(obj, key, kind, where=""):
             if key not in obj:
                 raise ValueError(f"family JSON: {where}missing field {key!r}")

@@ -215,18 +215,6 @@ class RatMap:
         num, _, den = text.partition("/")
         return cls(Poly.from_string(field, num), Poly.from_string(field, den))
 
-    # -- pencil view ---------------------------------------------------------
-
-    def pencil_rows(self):
-        """Canonical RREF of the 2 x (d+1) coefficient matrix: the map modulo
-        automorphism of the image (a point of G(1, d))."""
-        from .pencil import Pencil  # pencil imports this module
-        return Pencil.from_polys(self.F, self.G, self.degree).rows
-
-    def aut_equivalent(self, other):
-        """Equal modulo automorphism of the image P^1."""
-        return self.degree == other.degree and self.pencil_rows() == other.pencil_rows()
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, point):

@@ -233,7 +233,7 @@ def test_criterion_5_pathology_family():
         member = fam.member(c)
         prof = ramification_profile(member)
         profiles.add(frozenset(prof.items()))
-        pencils.add(member.pencil_rows())
+        pencils.add(Pencil.from_polys(member.F, member.G, member.degree))
     assert len(pencils) == 9
     assert len(profiles) == 1
     prof = dict(profiles.pop())

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -234,6 +235,78 @@ class TestField:
         assert len(exp) == 2 * (p - 1)
         for i in random.Random(p).sample(range(2 * (p - 1)), 500):
             assert exp[i] == pow(g, i, p), i
+
+
+class TestPrimality:
+    def test_agrees_with_a_sieve_below_a_million(self):
+        n = 10 ** 6
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for r in range(2, math.isqrt(n) + 1):
+            if sieve[r]:
+                sieve[r * r::r] = bytearray(len(range(r * r, n, r)))
+        assert [m for m in range(n) if algebra.is_prime(m) != sieve[m]] == []
+
+    def test_strong_pseudoprimes(self, monkeypatch):
+        # psi_12 is a strong pseudoprime to every base below 41, and the
+        # second fools the primes to 31; neither has a factor <= 41
+        psi12 = 318_665_857_834_031_151_167_461
+        assert not algebra.is_prime(psi12)
+        assert not algebra.is_prime(3_825_123_056_546_413_051)
+        monkeypatch.setattr(algebra, "_SMALL_PRIMES", algebra._SMALL_PRIMES[:-1])
+        assert algebra.is_prime(psi12)  # so base 41 is what refuses it
+
+    def test_large_primes(self):
+        assert algebra.is_prime(2 ** 61 - 1) and algebra.is_prime(2 ** 31 - 1)
+        assert not algebra.is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+
+    def test_undecided_at_the_limit(self):
+        limit = algebra._PRIME_TEST_LIMIT
+        assert not algebra.is_prime(limit - 1)  # even, below the limit
+        assert not algebra.is_prime(3 * limit)  # a small factor still decides
+        for n in (limit, 47 * limit):  # psi_13 itself is composite
+            with pytest.raises(ValueError, match=f"^cannot decide whether {n} is prime: "
+                                                 f"primality is decided below {limit}$"):
+                algebra.is_prime(n)
+
+    def test_prime_factors(self):
+        for n in range(1, 3000):
+            factors = algebra._prime_factors(n)
+            assert factors == sorted(set(factors)) and all(map(algebra.is_prime, factors))
+            rest = n
+            for r in factors:
+                while rest % r == 0:
+                    rest //= r
+            assert rest == 1, n
+
+
+class TestModulusSearch:
+    PAIRS = [(p, k) for p in range(3, 84) if algebra.is_prime(p)
+             for k in range(2, 9) if p ** k <= 3 * 10 ** 6]
+
+    def test_binomials_skipped_exactly_when_none_is_irreducible(self, monkeypatch):
+        # against the scan from x^k: the same modulus, and the search tries
+        # the p binomials x^k + c only when one of them is irreducible
+        assert len(self.PAIRS) == 72
+        parts, tried = algebra._distinct_degree_parts, []
+        monkeypatch.setattr(algebra, "_distinct_degree_parts",
+                            lambda f: tried.append(f) or parts(f))
+        for p, k in self.PAIRS:
+            fp = finite_field(p)
+            candidates = (Poly(fp, [m // p ** i % p for i in range(k)] + [1])
+                          for m in range(p ** k))
+            least = next(m for m, f in enumerate(candidates) if parts(f) == [(k, f)])
+            tried.clear()
+            modulus = algebra._lexleast_modulus(p, k)
+            assert modulus == tuple(least // p ** i % p for i in range(k)) + (1,), (p, k)
+            assert len(tried) == least + 1 - (p if least >= p else 0), (p, k)
+
+    @pytest.mark.parametrize("p, k", [(65537, 3), (65519, 3), (65537, 5),
+                                      (65519, 5), (32771, 3), (65537, 6)])
+    def test_fields_with_no_irreducible_binomial_build_fast(self, p, k):
+        start = time.perf_counter()
+        field = FiniteField(p, k)
+        assert time.perf_counter() - start < 1
+        assert field.modulus[-1] == 1 and any(field.modulus[1:-1])
 
 
 class TestPolyArithmetic:

@@ -1,3 +1,4 @@
+import ast
 import decimal
 import hashlib
 import itertools
@@ -113,6 +114,23 @@ class TestCount:
         payload = run_json(["count", "--p", "inf", "--orders", ",".join(["2"] * 1100)])
         assert payload["count"] == math.comb(1100, 550) // 551
 
+    def test_large_prime_answers_fast(self):
+        # 2^61 - 1 is proved prime by Miller-Rabin, not by trial division
+        start = time.perf_counter()
+        code, out = run(["count", "--p", str(2 ** 61 - 1), "--orders", "2,2,2,2",
+                         "--format", "text"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (0, "N_gen(2, 2, 2, 2) at p=2305843009213693951 [HIGH] = 2\n")
+
+    def test_primality_beyond_its_limit_refused(self):
+        limit = 3_317_044_064_679_887_385_961_981  # psi_13, composite
+        assert run(["count", "--p", str(limit), "--orders", "2,2,2,2"]) == (
+            1, f"error: cannot decide whether {limit} is prime: "
+               f"primality is decided below {limit}\n")
+        # a factor <= 41 still decides, with the usual message
+        assert run(["count", "--p", str(3 * limit), "--orders", "2,2,2,2"]) == (
+            1, f"error: p must be a prime >= 3 or INFINITY, got {3 * limit}\n")
+
 
 class TestSchubert:
     def test_catalan_at_d_600(self):
@@ -227,6 +245,12 @@ class TestSearch:
                        "--points", "0,1"])
         assert code == 1
 
+    @pytest.mark.parametrize("point", ["000", "0a"])
+    def test_point_must_be_k_digits(self, point):
+        assert run(["search", "--p", "3", "--k", "2", "--orders", "2,2,2,2",
+                    "--points", f"{point},inf,01,10"]) == (
+            1, f"error: element {point!r} must be at most 2 base-3 digits\n")
+
     def test_field_beyond_the_sampling_range_is_refused(self):
         # 3^40 > sys.maxsize: random.sample cannot draw from range(q)
         code, out = run(["search", "--p", "3", "--k", "40", "--orders", "2,2,3"])
@@ -301,6 +325,14 @@ class TestFamilyTransform:
         assert run(["family", "--p", "3", "--f", "0,0,0,0,1"]) == \
             (1, "error: finite ramification order 4 at 0 is not < p\n")
 
+    def test_family_over_a_field_with_no_irreducible_binomial(self):
+        # 3 does not divide 65537 - 1, so no x^3 + c is irreducible: the
+        # modulus search skips them, and x over F_{65537^3} is refused at once
+        start = time.perf_counter()
+        assert run(["family", "--p", "65537", "--k", "3", "--f", "0,1"]) == \
+            (1, "error: order at infinity must exceed p: got 1 <= 65537\n")
+        assert time.perf_counter() - start < 1
+
     @staticmethod
     def _quintic(k):
         return ["family", "--p", "3", "--k", str(k), "--f", "0,1,0,0,0,1",
@@ -373,6 +405,20 @@ class TestFamilyTransform:
         assert code == 1
         assert out.startswith("error: limit law failed: ") and out.count("\n") == 1
         assert "e_infinity = 2 != 2m-1 = 5" in out
+
+    def test_transform_analyze_warns_on_marked_orders_and_collisions(self, tmp_path):
+        # README's quartet with an order 3 = p at 0, and t and 2t, which also
+        # meet 0 at t = 0: the failed limit laws are warnings, not an error
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(dict(README_QUARTET, sections=[
+            {"num": "0", "order": 3}, {"point": "inf", "order": 2},
+            {"num": "0,1", "order": 1}, {"num": "0,2", "order": 1}])))
+        payload = run_json(["transform", "--family", str(path), "--analyze"])
+        assert payload["hypotheses_ok"] is False
+        assert payload["warnings"] == [
+            "marked order 3 is not < p", "a marked section meets infinity",
+            "more than two sections collide", "e_infinity = 4 != 2m-1 = 5",
+            "degree bookkeeping 2d~-2 = 2d-2+e_inf-1 failed"]
 
     def test_other_arithmetic_errors_propagate(self, tmp_path, monkeypatch):
         # only the limit-law refusal is an input error: a fault in the
@@ -967,6 +1013,41 @@ def test_numpy_loaded_only_by_census():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+def _sibling_modules(node):
+    """The ramcount modules that an import node reads."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif node.level == 1:
+        names = [f"ramcount.{node.module or a.name}" for a in node.names]
+    else:
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("ramcount.")}
+
+
+def test_imports_run_down_the_stack():
+    # algebra <- schubert, counting, ratmap <- pencil, degeneration <- cli:
+    # the package's own imports form a DAG, ratmap reads algebra alone, and
+    # the only imports inside a function are pencil's numpy, which keep
+    # numpy out of count
+    package = Path(ramcount.__file__).parent
+    deps, nested = {}, set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        deps[path.stem] = set().union(*(_sibling_modules(node) for node in ast.walk(tree)
+                                        if isinstance(node, (ast.Import, ast.ImportFrom))))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {(path.stem, ast.unparse(node)) for node in ast.walk(func)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert deps["ratmap"] == {"algebra"}
+    assert nested == {("pencil", "import numpy as np")}
+    done = set()
+    while len(done) < len(deps):  # peel off the modules whose imports are done
+        ready = {name for name, needs in deps.items() if name not in done and needs <= done}
+        assert ready, {name: deps[name] - done for name in deps if name not in done}
+        done |= ready
 
 
 def test_census_tables_are_linear_in_q():
