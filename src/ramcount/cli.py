@@ -210,20 +210,20 @@ def cmd_table(args):
     Every row (1, ..., 1) + heavy shares the cell of its heavy part (the
     orders >= 2) at its prime, so the rows themselves are formatting.  The
     partition walk yields only valid orders, and one n_gen_cells call per
-    degree counts each of its heavy parts at every prime: the unfolded
-    series, the intersection number, once for all p > d (HIGH) and inf,
-    and each tail once for the degree.  A MID row is the folded series, a
-    LOW row is unknown or wild.  The inf row's schubert column is its own
-    count, so its match holds by construction; the independent checks are
-    closed4, the four-point closed form, and the paper's degeneration
-    recursion, which the tests run against the table.
+    degree counts each of its heavy parts at every prime: the series folded
+    with period d + 1, the intersection number, once for all p > d (HIGH)
+    and inf, and each tail once for the degree.  A MID row is the series
+    folded with period p, a LOW row is unknown or wild.  The inf row's
+    schubert column is its own count, so its match holds by construction;
+    the independent checks are closed4, the four-point closed form, and the
+    paper's degeneration recursion, which the tests run against the table.
 
     A profile of degree d has 3 <= n <= n_max orders e <= d with sum (e - 1)
     = 2(d - 1) (Riemann-Hurwitz), so the heavy parts of degree d are the
-    partitions of 2(d - 1) into at most n_max parts e - 1 <= d - 1.  Before
-    any cell is computed, the order entries the rows would print are
-    counted, O(1) per heavy part; the table is refused as soon as the
-    degrees seen prove that count above enumeration_budget().
+    partitions of 2(d - 1) into at most n_max parts e - 1 <= d - 1, walked
+    once.  Before any cell is computed, the order entries the rows would
+    print are counted, O(1) per heavy part; the table is refused as soon as
+    the degrees seen prove that count above enumeration_budget().
     """
     seen = set()
     for p in args.p:
@@ -234,28 +234,28 @@ def cmd_table(args):
     primes = sorted(seen)  # inf last
     degrees = range(2, args.d + 1) if args.n_max >= 3 else ()
 
-    def heavy_parts(d):
-        return _heavy_parts(2 * (d - 1), args.n_max, d - 1)
-
-    # a first pass only counts, so that a refusal computes no cell.  Adding 1
-    # to the two largest orders maps the heavy parts of degree d one to one
-    # to parts of degree d + 1 of the same length, so each degree prints at
-    # least as many entries as the one before: with at_d entries of degree d
-    # seen so far, the degrees d..d_max print at least (d_max - d + 1) at_d
-    limit, entries = enumeration_budget(), 0
+    # a first pass walks and counts, so that a refusal computes no cell.
+    # Adding 1 to the two largest orders maps the heavy parts of degree d one
+    # to one to parts of degree d + 1 of the same length, so each degree
+    # prints at least as many entries as the one before: with at_d entries of
+    # degree d seen so far, the degrees d..d_max print at least
+    # (d_max - d + 1) at_d
+    limit, entries, parts_by_degree = enumeration_budget(), 0, []
     for d in degrees:
-        at_d = 0
-        for heavy in heavy_parts(d):
+        at_d, parts = 0, []
+        for heavy in _heavy_parts(2 * (d - 1), args.n_max, d - 1):
+            parts.append(heavy)
             low = max(3, len(heavy))
             # the rows of low <= n <= n_max entries, once per prime
             at_d += len(primes) * (low + args.n_max) * (args.n_max + 1 - low) // 2
             if entries + (args.d - d + 1) * at_d > limit:
                 raise BudgetExceeded(f"table order entries exceed budget {limit}")
         entries += at_d
+        parts_by_degree.append((d, parts))
     texts = [_p_str(p) for p in primes]
     groups = []
-    for d in degrees:
-        for heavy, cells in n_gen_cells(heavy_parts(d), d, primes):
+    for d, parts in parts_by_degree:
+        for heavy, cells in n_gen_cells(parts, d, primes):
             cells = [(char_class.value, count,
                       "wild excluded" if reason == WILD_REASON else reason)
                      for char_class, count, reason in cells]
@@ -271,8 +271,8 @@ def cmd_table(args):
             # the inf row's schubert column is its own count, so its match
             # holds by construction.  Every e_i <= d, and outside LOW every
             # e_i < p: so only LOW rows are wild or UNKNOWN, and they have no
-            # cross-check.  For p > d the closed form's penalty d + 1 - p is
-            # at most 0, as at inf
+            # cross-check.  For p > d the closed form's penalty
+            # d + 1 - min(p, d + 1) is 0, as at inf
             schubert, match = (count, "true") if p_text == "inf" else ("", "")
             closed4 = ""
             if n == 4 and class_text != "LOW":

@@ -3,9 +3,11 @@ points, in the mid and high characteristic ranges.
 
 The count is the Schubert series R(t) = (1 - t)^(1 - n') prod_(e_i >= 2)
 (1 - t^(e_i)), n' the number of orders e_i >= 2, folded modulo p:
-N_gen = sum_(k in Z) [t^(d-1+kp)] R.  For p > d (or characteristic 0, the
-INFINITY sentinel) only k = 0 is in range and this is the intersection
-number (``schubert``).
+N_gen = sum_(k in Z) [t^(d-1+kp)] R, read with period min(p, d + 1).  For
+p > d (or characteristic 0, the INFINITY sentinel) only k = 0 is in range
+and this is the intersection number (``schubert``).  The count compares
+INFINITY as the number it is; only validation (``check_prime``) and output
+name it.
 
 The fold is the paper's count.  The paper counts by a degeneration
 recursion over the degree d' of one component (``_recursion_steps``).  With
@@ -88,7 +90,7 @@ class CountResult:
 
 def _classify(top, p, d):
     """The class of a profile of degree d whose largest order is top."""
-    if p == INFINITY or p > d:
+    if p > d:
         return CharClass.HIGH
     if top < p:
         return CharClass.MID
@@ -126,7 +128,7 @@ def validate_profile(orders, p):
 def _recursion_steps(d, en1, en, p):
     """The (d', e) pairs of the recursion's summation range."""
     lo = max(d - en1 + 1, d - en + 1)
-    hi = d if p == INFINITY else min(d, p + d - en1 - en)
+    hi = min(d, p + d - en1 - en)
     for dp in range(lo, hi + 1):
         yield dp, 2 * dp - 2 * d + en1 + en - 1
 
@@ -136,8 +138,9 @@ def n_gen_cells(parts, d, primes):
     (class, count, reason) per p of primes, which check_prime accepts;
     UNKNOWN exactly in the untreated low range.  A part's series product,
     which no p changes, is built at most once, and its value once per
-    period: every p > d (HIGH) shares the unfolded value, the intersection
-    number.  Each (1 - t)^(-r) tail is built once per call, by (r, period).
+    period min(p, d + 1): every p > d (HIGH), inf too, has period d + 1,
+    whose fold has only k = 0, the intersection number.  Each (1 - t)^(-r)
+    tail is built once per call, by (r, period).
     """
     tails = {}
     for orders in parts:
@@ -154,14 +157,13 @@ def n_gen_cells(parts, d, primes):
                 cells.append((char_class, UNKNOWN,
                               "low characteristic: formulas do not apply"))
             else:
-                period = p if char_class is CharClass.MID else None
+                period = min(p, d + 1)
                 if period not in values:
                     if not values:
                         product, r = _series_product(d, orders)
                     if (r, period) not in tails:
                         tails[r, period] = _series_tail(r, d, period)
-                    values[period] = _series_dot(product, tails[r, period], d,
-                                                 period)
+                    values[period] = _series_dot(product, tails[r, period], d)
                 cells.append((char_class, values[period], ""))
         yield orders, cells
 
@@ -196,11 +198,10 @@ def n_four_closed(e1, e2, e3, e4, p):
 def _four_closed(orders, p, d):
     """n_four_closed's value on four valid orders of degree d: UNKNOWN
     unless every e_i < p."""
-    if p != INFINITY and any(e >= p for e in orders):
+    if any(e >= p for e in orders):
         return UNKNOWN
     bound = min(min(orders), min(d + 1 - e for e in orders))
-    penalty = 0 if p == INFINITY else max(0, d + 1 - p)
-    return max(0, bound - penalty)
+    return max(0, bound - (d + 1 - min(p, d + 1)))
 
 
 def involution_reduce(profile, i, j):

@@ -610,7 +610,15 @@ def analyze_limit(fam):
 
     The loop ends: each step divides the Wronskian by t^v with v >= 1, which
     the transform asserts, so there are at most val_t(W) steps.  A family
-    whose generic fiber is inseparable is refused by its first step."""
+    whose generic fiber is inseparable is refused by its first step.
+
+    After a step, p <= m <= d, so the "outside [p, d]" check only guards the
+    law.  m <= d as G0 is nonzero.  A step's special pair is g (Fb, Gb) with
+    Fb/Gb inseparable and nonconstant, so of degree at least p; the first
+    pair has degree at most d, so deg g <= d - p.  The new denominator at
+    t = 0 is g (asserted), which normalizing the basis keeps, so the next
+    step's g divides it.  The tame reduction never raises the denominator's
+    degree: it swaps only to a smaller member.  So deg G0 <= d - p."""
     p = fam.field.p
     d = fam.degree
     hypotheses_ok, warnings, collision = _check_hypotheses(fam)

@@ -114,14 +114,14 @@ def intersection_number(d, orders):
     orders = tuple(int(e) for e in orders)
     check_orders(d, orders)
     product, r = _series_product(d, orders)
-    return _series_dot(product, _series_tail(r, d), d)
+    return _series_dot(product, _series_tail(r, d, d + 1), d)
 
 
 # R = (1 - t)^(-r) prod_(e_i >= 2) (1 - t^(e_i)), r = n' - 1, is read as the
 # dot product of the product, which no period changes, and the tail, which
-# depends on the orders only through r.  R has degree 2d - 1 and
-# R[j] = -R[2d - 1 - j], so every coefficient the fold reads has index at
-# most d - 1, inside the truncation.
+# depends on the orders only through r and carries the whole fold.  R has
+# degree 2d - 1 and R[j] = -R[2d - 1 - j], so the fold's terms above t^(d-1)
+# are reflected below it, into the truncation, by _series_tail.
 def _series_product(d, orders):
     """prod_(e_i >= 2) (1 - t^(e_i)) truncated at t^(d-1), as a sparse
     {degree: coefficient}, and r = n' - 1."""
@@ -143,25 +143,25 @@ def _series_product(d, orders):
     return series, sum(multiplicity.values()) - 1
 
 
-def _series_tail(r, d, p=None):
-    """The c_j of (1 - t)^(-r) = sum_j c_j t^j for j <= d - 1, or, given a
-    period p, C_j = c_j + c_(j-p) + ...: c_(j+1) = c_j (r + j) / (j + 1) is
-    exact for every integer r (for r <= 0 the series is a polynomial)."""
+def _series_tail(r, d, period):
+    """The c_j of (1 - t)^(-r) = sum_j c_j t^j for j <= d - 1, folded with
+    period p: wrapped, C_j = c_j + c_(j-p) + ..., then reflected, C_j minus
+    C_(j+1-p) for j >= p - 1, so that the dot with the product is the fold.
+    c_(j+1) = c_j (r + j) / (j + 1) is exact for every integer r (for r <= 0
+    the series is a polynomial).  Period d + 1 leaves the series unfolded."""
     coeffs = [1]
     for j in range(d - 1):
         coeffs.append(coeffs[j] * (r + j) // (j + 1))
-    if p is not None:
-        for j in range(p, d):
-            coeffs[j] += coeffs[j - p]
+    for j in range(period, d):
+        coeffs[j] += coeffs[j - period]
+    for j in range(d - 1, period - 2, -1):  # from the top: each read is a C
+        coeffs[j] -= coeffs[j + 1 - period]
     return coeffs
 
 
-def _series_dot(product, tail, d, p=None):
-    """[t^(d-1)] R, or given a period p the fold sum_(k in Z) [t^(d-1+kp)] R
-    from the folded tail: the terms at d-1-kp (k >= 0) add up to C_(m-deg),
-    and those at d-1+kp (k >= 1) to minus C_(m+1-p-deg), with m = d - 1."""
-    m = d - 1
-    reflected = -1 if p is None else m + 1 - p  # unfolded: no reflected terms
-    return sum(coeff * (tail[m - deg]
-                        - (tail[reflected - deg] if deg <= reflected else 0))
-               for deg, coeff in product.items())
+def _series_dot(product, tail, d):
+    """sum_(k in Z) [t^(d-1+kp)] R from the tail of period p: the terms at
+    d-1-kp (k >= 0) add up to the wrapped C_(m-deg), and those at d-1+kp
+    (k >= 1) to minus C_(m+1-p-deg), with m = d - 1, as _series_tail
+    reflects them."""
+    return sum(coeff * tail[d - 1 - deg] for deg, coeff in product.items())

@@ -812,17 +812,17 @@ class TestTable:
     def test_engines_run_once_per_heavy_part_and_prime(self, monkeypatch):
         # one n_gen_cells call per degree counts its heavy parts at every
         # prime: each part's series product is built once, its value once per
-        # period (every p > d shares the unfolded one), each (1 - t)^(-r)
-        # tail once, and no cell builds a profile or goes through
-        # n_gen_recursive
+        # period (every p > d shares period d + 1), each (1 - t)^(-r) tail
+        # once, and no cell builds a profile or goes through n_gen_recursive
         log, degrees, parts = [], [], []
 
         def record(module, name):
             engine = getattr(module, name)
 
             def wrapper(*args):
-                log.append((name, args))
-                return engine(*args)
+                out = engine(*args)
+                log.append((name, args, out))
+                return out
             monkeypatch.setattr(module, name, wrapper)
 
         for name in ("validate_profile", "n_gen_recursive"):
@@ -847,23 +847,26 @@ class TestTable:
             assert degrees == [(d, [3, 5, 7, INFINITY]) for d in range(2, 9)]
             assert parts == heavy
             # inf is above every d, so every heavy part has a HIGH cell; a
-            # part's dots follow its product.  A MID period is a p <= d above
-            # every order
+            # part's dots follow its product, and each dot reads the period
+            # of the tail it was given.  A MID period is a p <= d above every
+            # order
             products, tails, dots = [], [], Counter()
-            for name, args in log:
+            for name, args, out in log:
                 assert name.startswith("_series"), name
                 if name == "_series_product":
                     products.append((tuple(args[1]), args[0]))
                 elif name == "_series_tail":
-                    tails.append(args)
+                    tails.append((args, out))
                 else:
-                    dots[products[-1], args[3]] += 1
+                    [period] = [a[2] for a, tail in tails if tail is args[1]]
+                    dots[products[-1], period] += 1
             assert products == heavy
-            assert tails and len(tails) == len(set(tails))
+            tail_args = [args for args, _ in tails]
+            assert tail_args and len(tail_args) == len(set(tail_args))
             assert dots == Counter(
                 ((orders, d), period) for orders, d in heavy
-                for period in [None] + [p for p in (3, 5, 7)
-                                        if max(orders) < p <= d])
+                for period in [d + 1] + [p for p in (3, 5, 7)
+                                         if max(orders) < p <= d])
 
     def test_size_budget(self, monkeypatch):
         # a long run of order-1 entries is refused from its one heavy part,

@@ -350,9 +350,20 @@ class TestVerlinde:
 
     @pytest.mark.parametrize("n, p", [(4000, 7), (3000, 11), (5000, 5)])
     def test_long_profiles(self, n, p):
-        # about a thousand digits: within 10^-8 in log10
+        # about a thousand digits, from hundreds of wraps and reflections:
+        # within 10^-8 in log10, and exactly the fusion multiplicity
         count = n_gen((2,) * n, p).value
         assert abs(_verlinde_log10((2,) * n, p) - math.log10(count)) < 1e-8
+        assert count == _oracle_fusion((2,) * n, p)
+
+    def test_simple_points_at_five_are_fibonacci(self):
+        # at level 3 the fundamental's fusion powers give V_0 with
+        # multiplicity F_(n-1): N_gen((2,)*n, 5) is the Fibonacci number
+        fib = [0, 1]
+        for n in range(4, 401, 2):
+            while len(fib) < n:
+                fib.append(fib[-1] + fib[-2])
+            assert n_gen((2,) * n, 5).value == fib[n - 1], n
 
 
 def _sorted_profiles(n, d_max):

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 import ramcount.degeneration as degeneration
-from ramcount.algebra import Poly, finite_field, poly_gcd
+from ramcount.algebra import Poly, finite_field, frobenius_power, poly_gcd
 from ramcount.degeneration import (
     FamilyPoly,
     MapFamily,
@@ -561,7 +562,6 @@ class TestRandomInsepLimits:
             D = Poly(field, [rng.randrange(9) for _ in range(rng.randrange(1, 3))])
             if ra.is_zero or rb.is_zero:
                 continue
-            from ramcount.algebra import frobenius_power, poly_gcd
             A, B = frobenius_power(ra), frobenius_power(rb)
             if poly_gcd(A, B).degree != 0:
                 continue
@@ -576,3 +576,37 @@ class TestRandomInsepLimits:
                 report = analyze_limit(fam)
                 assert 1 <= report.iterations <= fam.wronskian().t_valuation()
                 built += 1
+
+    def test_limit_m_between_p_and_d(self):
+        # analyze_limit's docstring proves p <= m <= d after a step, so its
+        # check "m = ... outside [p, d]" never fires.  Special fibers g (A, B)
+        # with A/B inseparable, plus t and t^2 terms; some families take two
+        # steps, where each g divides the last
+        rng = random.Random(44)
+
+        def poly(field, most):
+            return Poly(field, [rng.randrange(field.p) for _ in range(rng.randrange(1, most))])
+        steps = Counter()
+        while sum(steps.values()) < 300:
+            field = finite_field(rng.choice((3, 5, 7)))
+            p = field.p
+            A, B, g = (frobenius_power(poly(field, 3)), frobenius_power(poly(field, 3)),
+                       poly(field, 3))
+            if A.is_zero or B.is_zero or g.is_zero:
+                continue
+            F, G = FamilyPoly.lift(A * g), FamilyPoly.lift(B * g)
+            for k in range(1, rng.randint(1, 2) + 1):
+                tk = Poly(field, (0,) * k + (1,))
+                F = F + FamilyPoly.lift(poly(field, 6)).scale_t(tk)
+                G = G + FamilyPoly.lift(poly(field, 4)).scale_t(tk)
+            try:
+                fam = MapFamily(F, G)
+            except ValueError:  # a shared factor over k(t)
+                continue
+            if not fam.generic_separable() or fam.special_fiber_separable():
+                continue
+            report = analyze_limit(fam)  # no sections: a failed law warns
+            assert report.iterations >= 1
+            steps[report.iterations] += 1
+            assert p <= report.m <= fam.degree, (p, F.to_string(), G.to_string(), report)
+        assert steps[2] >= 3, steps
