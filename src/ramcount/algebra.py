@@ -89,7 +89,7 @@ NEG_INFINITY = float("-inf")
 _TABLE_LIMIT = 1 << 16
 
 # The one size limit: pencils in a census, order entries in a table,
-# elements of a splitting field.
+# entries of the three-point system, elements of a splitting field.
 DEFAULT_BUDGET = 10 ** 7
 
 

@@ -149,9 +149,13 @@ def solve_three_point(d, e1, e2, e3, field):
 
     The 2d + 1 equations in 2d + 2 unknowns cut out a projective space P^m,
     m >= 0; when m = 0 the unique pencil is returned together with its
-    separability.
+    separability.  Its (2d + 1)(2d + 2) entries are charged to
+    ``enumeration_budget()`` before any row is built.
     """
     check_orders(d, (e1, e2, e3))
+    entries, limit = (2 * d + 1) * (2 * d + 2), enumeration_budget()
+    if entries > limit:
+        raise BudgetExceeded(f"{entries} system entries exceed budget {limit}")
     zero, inf, one = ProjPoint(field, 0), ProjPoint.infinity(field), ProjPoint(field, 1)
     blank = (0,) * (d + 1)
     rows = [jet + blank for jet in vanishing_jet_matrix(field, d, zero, e1)]

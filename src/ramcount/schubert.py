@@ -28,47 +28,18 @@ lies in 1..d.  ``check_orders`` is its one statement; the census and the
 three-point solver in ``pencil`` call it too, so all three refuse a bad
 instance with the same message.
 
-``pieri_multiply`` is the Pieri rule on class sums: multiplying by a
-special class raises a + b by a fixed amount, so a product of special
-classes lives in one degree s = a + b at a time and is a list of
-coefficients indexed by b (with a = s - b).  No count uses it; it stays
-because ``perfbench/tracing.py`` wraps it by name.
+``pieri_multiply`` is the Pieri rule term by term.  No count uses it; it
+stays because ``perfbench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
-
-
-def _check_class(cls, d):
-    a, b = cls
-    if not (d - 1 >= a >= b >= 0):
-        raise ValueError(f"class {cls} outside the 2 x {d - 1} box")
 
 
 def _check_order(e, d):
     if not 1 <= e <= d:
         raise ValueError(f"order e = {e} outside 1..d")
-
-
-def _pieri_step(coeffs, s, e, d):
-    """Multiply the degree-s class sum coeffs (coeffs[b] is the coefficient
-    of (s - b, b), for b = 0..s//2) by the special class (e-1, 0).
-
-    (a, b) contributes to (a', b') when a' + b' = s + e - 1, d-1 >= a' >= a
-    and a >= b' >= b, so the new coefficient of b' is the sum of coeffs[b]
-    over max(0, b' - e + 1) <= b <= min(b', s - b').
-    """
-    step = e - 1
-    t = s + step
-    prefix = [0, *accumulate(coeffs)]
-    out = [0] * (t // 2 + 1)
-    for bp in range(max(0, t - (d - 1)), t // 2 + 1):
-        lo, hi = max(0, bp - step), min(bp, s - bp)
-        if hi >= lo:
-            out[bp] = prefix[hi + 1] - prefix[lo]
-    return out
 
 
 def pieri_multiply(class_sum, e, d):
@@ -79,18 +50,14 @@ def pieri_multiply(class_sum, e, d):
     nonzero ones are returned.
     """
     _check_order(e, d)
-    by_degree = {}
+    out = Counter()
     for (a, b), coeff in class_sum.items():
-        _check_class((a, b), d)
-        coeffs = by_degree.setdefault(a + b, [0] * ((a + b) // 2 + 1))
-        coeffs[b] += coeff
-    out = {}
-    for s, coeffs in by_degree.items():
-        t = s + e - 1
-        for b, coeff in enumerate(_pieri_step(coeffs, s, e, d)):
-            if coeff:
-                out[(t - b, b)] = coeff
-    return out
+        if not d - 1 >= a >= b >= 0:
+            raise ValueError(f"class {(a, b)} outside the 2 x {d - 1} box")
+        t = a + b + e - 1
+        for bp in range(max(b, t - (d - 1)), min(a, b + e - 1) + 1):
+            out[(t - bp, bp)] += coeff
+    return {cls: coeff for cls, coeff in out.items() if coeff}
 
 
 def check_orders(d, orders):

@@ -199,6 +199,22 @@ class TestSolve3:
         assert (payload["m"], payload["count"]) == (1, 0)
         assert payload["pencil"] is None and payload["separable"] is None
 
+    def test_over_budget_system_exits_2(self, monkeypatch, capsys):
+        # d = 5: the system has (2d + 1)(2d + 2) = 132 entries
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "100")
+        argv = ["solve3", "--p", "3", "--orders", "1,5,5"]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr() == ("", "error: 132 system entries exceed budget 100\n")
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "200")
+        assert run_json(argv)["count"] == 1
+
+    def test_order_above_d_exits_1_within_any_budget(self, monkeypatch):
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "1")
+        assert run(["solve3", "--p", "3", "--orders", "1,7,3"]) == (
+            1, "error: order e = 7 outside 1..d\n")
+
 
 class TestSearch:
     def test_explicit_points(self):

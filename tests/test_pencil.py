@@ -164,6 +164,24 @@ class TestThreePointSolver:
         with pytest.raises(ValueError):
             solve_three_point(3, 5, 1, 2, F5)
 
+    def test_system_entries_are_charged_to_the_budget(self, monkeypatch):
+        # d = 5: (2d + 1)(2d + 2) = 132 entries, refused before any row is built
+        def no_rows(*args):
+            raise AssertionError("built a row of an over-budget system")
+
+        with monkeypatch.context() as patch:
+            patch.setenv("RAMCOUNT_BUDGET", "131")
+            patch.setattr(pencil_module, "vanishing_jet_matrix", no_rows)
+            with pytest.raises(BudgetExceeded, match=r"^132 system entries exceed budget 131$"):
+                solve_three_point(5, 1, 5, 5, F3)
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "132")
+        assert solve_three_point(5, 1, 5, 5, F3).count == 1
+
+    def test_invalid_orders_are_refused_before_the_budget(self, monkeypatch):
+        monkeypatch.setenv("RAMCOUNT_BUDGET", "1")
+        with pytest.raises(ValueError, match=r"^order e = 7 outside 1\.\.d$"):
+            solve_three_point(5, 1, 7, 3, F3)
+
 
 class TestDegreeRule:
     """The Schubert number, the census and the three-point solver refuse a
