@@ -48,6 +48,8 @@ coefficient list from the top with one row per coefficient above degree n,
 writing a quotient only for a caller that asks.  Poly.divrem, % and //,
 poly_powmod's reductions and poly_gcd, which runs Euclid on coefficient
 lists and makes its result monic once, at the end, all reduce through it.
+The one extended Euclid, euclid_remainders, is a generator: poly_xgcd
+runs it to the end, and pencil.solve_three_point stops it early.
 
 Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
@@ -736,24 +738,29 @@ def poly_gcd(a, b):
     return Poly(field, r0).monic()[0]
 
 
+def euclid_remainders(a, b):
+    """Each nonzero remainder of Euclid on (a, b), r_0 = a, r_1 = b, ...,
+    as (r_i, t_i) with t_i its cofactor of b: r_i = s_i*a + t_i*b."""
+    field = a.field
+    r0, r1, t0, t1 = a, b, Poly.zero(field), Poly.one(field)
+    if r0:
+        yield r0, t0
+    while r1:
+        yield r1, t1
+        q, r = r0.divrem(r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+
+
 def poly_xgcd(a, b):
-    """(g, u, v) with g monic, u*a + v*b = g, standard degree bounds."""
+    """(g, u, v) with g monic, u*a + v*b = g, standard degree bounds; u is
+    (g - v*b)/a, since Euclid tracks only the cofactor of b."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    g, lc = r0.monic()
-    if lc != 1:
-        inv = f.inv_i(lc)
-        s0, t0 = s0.scale(inv), t0.scale(inv)
-    return g, s0, t0
+    for g, v in euclid_remainders(a, b):
+        pass
+    g, lc = g.monic()
+    v = v.scale(a.field.inv_i(lc))
+    return g, (g - v * b) // a if a else Poly.zero(a.field), v
 
 
 def poly_valuation(fpoly, a):
@@ -873,23 +880,6 @@ def rref(rows, field):
         if r == len(rows):
             break
     return [tuple(row) for row in rows], pivots
-
-
-def nullspace(rows, field):
-    """Basis of the right kernel of a matrix with at least one row, as
-    encoded vectors."""
-    ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg_i(red[r][fc])
-        basis.append(tuple(vec))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def build_parser():
     sp.add_argument("--orders", required=True)
     add_format(sp)
 
-    sp = sub.add_parser("solve3", help="three-point linear solver at (0, inf, 1)")
+    sp = sub.add_parser("solve3", help="three-point solver at (0, inf, 1)")
     sp.set_defaults(handler=cmd_solve3)
     sp.add_argument("--p", required=True)
     sp.add_argument("--k", type=int, default=1)

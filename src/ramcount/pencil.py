@@ -1,5 +1,5 @@
-"""Pencils of polynomials: the three-point linear solver and the
-brute-force census of Schubert problems over F_q.
+"""Pencils of polynomials: the three-point solver, by one truncated
+Euclid, and the brute-force census of Schubert problems over F_q.
 
 A pencil is stored as the reduced row echelon form of its 2 x (d+1)
 coefficient matrix, the unique canonical representative of the subspace;
@@ -28,7 +28,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .algebra import BudgetExceeded, Poly, enumeration_budget, nullspace, rref
+from .algebra import BudgetExceeded, Poly, enumeration_budget, euclid_remainders, rref
 from .ratmap import ProjPoint, RatMap, is_separable, ram_index
 from .schubert import check_orders
 
@@ -143,30 +143,33 @@ class ThreePointSolution:
 
 
 def solve_three_point(d, e1, e2, e3, field):
-    """Solve the normalized three-point system on the stacked coefficients
-    (F | G): the census's jet conditions for F at 0 to order e1, G at
-    infinity to order e2, and F - G at 1 to order e3.
+    """The pencils <F, G> with F of order e1 at 0, G of order e2 at
+    infinity and F - G of order e3 at 1 form a P^m, m >= 0; when m = 0 the
+    unique pencil is returned with its separability.
 
-    The 2d + 1 equations in 2d + 2 unknowns cut out a projective space P^m,
-    m >= 0; when m = 0 the unique pencil is returned together with its
-    separability.  Its (2d + 1)(2d + 2) entries are charged to
-    ``enumeration_budget()`` before any row is built.
+    So F = x^e1 * a with deg a <= M = d - e1, deg G <= L = d - e2 and
+    x^e1 * a = G mod (x - 1)^e3, where L + M + 1 = e3: the [L/M] Pade
+    problem, solved by rational reconstruction (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 5).  Euclid on (x - 1)^e3 and
+    x^e1 mod (x - 1)^e3 stops at its first remainder r with deg r <= L,
+    never zero since x and x - 1 are coprime; with t the cofactor of x^e1,
+    the solutions are u * (t, r) with deg u <= m = min(L - deg r,
+    M - deg t).  The O(d^2) work is bounded by the dense system's
+    (2d + 1)(2d + 2) entries, charged to ``enumeration_budget()`` before
+    any polynomial is built.
     """
     check_orders(d, (e1, e2, e3))
     entries, limit = (2 * d + 1) * (2 * d + 2), enumeration_budget()
     if entries > limit:
         raise BudgetExceeded(f"{entries} system entries exceed budget {limit}")
-    zero, inf, one = ProjPoint(field, 0), ProjPoint.infinity(field), ProjPoint(field, 1)
-    blank = (0,) * (d + 1)
-    rows = [jet + blank for jet in vanishing_jet_matrix(field, d, zero, e1)]
-    rows += [blank + jet for jet in vanishing_jet_matrix(field, d, inf, e2)]
-    rows += [jet + tuple(map(field.neg_i, jet))
-             for jet in vanishing_jet_matrix(field, d, one, e3)]
-    kernel = nullspace(rows, field)
-    m = len(kernel) - 1
+    modulus = Poly.from_ints(field, (-1, 1)) ** e3
+    steps = euclid_remainders(modulus, Poly.one(field).shift(e1) % modulus)
+    r, t = next((r, t) for r, t in steps if r.degree <= d - e2)
+    m = min(d - e2 - r.degree, d - e1 - t.degree)
     if m:
         return ThreePointSolution(m=m, pencil=None, separable=None, count=0)
-    pencil = Pencil(field, d, (kernel[0][:d + 1], kernel[0][d + 1:]))
+    pencil = Pencil.from_polys(t.shift(e1), r, d)
+    zero, inf, one = ProjPoint(field, 0), ProjPoint.infinity(field), ProjPoint(field, 1)
     _, _, sep, counted = _classify_pencil(pencil, ((zero, e1), (inf, e2), (one, e3)), d)
     return ThreePointSolution(m=0, pencil=pencil, separable=sep, count=int(counted))
 

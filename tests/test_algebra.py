@@ -18,7 +18,6 @@ from ramcount.algebra import (
     distinct_degree_profile,
     finite_field,
     frobenius_power,
-    nullspace,
     poly_gcd,
     poly_is_inseparable,
     poly_powmod,
@@ -29,6 +28,7 @@ from ramcount.algebra import (
     rref,
     splitting_field_roots,
 )
+from dense_three_point import nullspace
 
 F3 = finite_field(3)
 F5 = finite_field(5)

@@ -1,6 +1,8 @@
+import collections
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,6 +21,8 @@ from ramcount.pencil import (
 )
 from ramcount.ratmap import ProjPoint, RatMap
 from ramcount.schubert import intersection_number
+
+from dense_three_point import dense_three_point
 
 F3 = finite_field(3)
 F5 = finite_field(5)
@@ -165,17 +169,47 @@ class TestThreePointSolver:
             solve_three_point(3, 5, 1, 2, F5)
 
     def test_system_entries_are_charged_to_the_budget(self, monkeypatch):
-        # d = 5: (2d + 1)(2d + 2) = 132 entries, refused before any row is built
-        def no_rows(*args):
-            raise AssertionError("built a row of an over-budget system")
+        # d = 5: (2d + 1)(2d + 2) = 132 entries, refused before the first
+        # step, the power of x - 1, builds any polynomial
+        class NoPoly:
+            def __getattr__(self, name):
+                raise AssertionError("built a polynomial of an over-budget system")
 
         with monkeypatch.context() as patch:
             patch.setenv("RAMCOUNT_BUDGET", "131")
-            patch.setattr(pencil_module, "vanishing_jet_matrix", no_rows)
+            patch.setattr(pencil_module, "Poly", NoPoly())
             with pytest.raises(BudgetExceeded, match=r"^132 system entries exceed budget 131$"):
                 solve_three_point(5, 1, 5, 5, F3)
         monkeypatch.setenv("RAMCOUNT_BUDGET", "132")
         assert solve_three_point(5, 1, 5, 5, F3).count == 1
+
+    def test_matches_the_dense_system(self):
+        # every triple of orders with d <= 14 over F_3, F_5, F_7, d <= 12
+        # over F_11, d <= 10 over F_13 and F_9, d <= 8 over F_25: the same
+        # m, and for m = 0 the same pencil, as the kernel of the dense
+        # (2d + 1) x (2d + 2) jet system; 434 of them have m >= 1
+        start = time.perf_counter()
+        dims = collections.Counter()
+        for field, d_max in ((F3, 14), (F5, 14), (finite_field(7), 14), (finite_field(11), 12),
+                             (finite_field(13), 10), (F9, 10), (F25, 8)):
+            for d in range(1, d_max + 1):
+                for e1, e2 in itertools.product(range(1, d + 1), repeat=2):
+                    e3 = 2 * d + 1 - e1 - e2
+                    if 1 <= e3 <= d:
+                        sol = solve_three_point(d, e1, e2, e3, field)
+                        assert (sol.m, sol.pencil) == dense_three_point(d, e1, e2, e3, field), (
+                            field, d, (e1, e2, e3))
+                        dims[sol.m] += 1
+        assert dims == {0: 2170, 1: 340, 2: 74, 3: 19, 4: 1}
+        assert time.perf_counter() - start < 15
+
+    def test_large_degree_within_the_default_budget(self):
+        # 9,995,082 system entries, within the default budget: eliminating
+        # the dense system took 48 s on 2 cores
+        start = time.perf_counter()
+        sol = solve_three_point(1580, 1, 1580, 1580, F3)
+        assert (sol.m, sol.count) == (0, 1)
+        assert time.perf_counter() - start < 5
 
     def test_invalid_orders_are_refused_before_the_budget(self, monkeypatch):
         monkeypatch.setenv("RAMCOUNT_BUDGET", "1")

@@ -149,6 +149,8 @@ class TestAgainstOracle:
             pieri_multiply({(3, 0): 1}, 2, 3)
         with pytest.raises(ValueError):
             pieri_multiply({(0, 1): 1}, 2, 3)
+        with pytest.raises(ValueError):
+            pieri_multiply({(0, -1): 1}, 2, 3)  # only b >= 0 rejects it
 
     def test_full_expansion_every_profile_up_to_d8(self):
         rng = random.Random(6)
