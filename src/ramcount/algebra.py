@@ -55,19 +55,23 @@ Roots are split out, never scanned for.  The roots of f in its own field
 F_q are those of g = gcd(x^q - x, f), and roots_with_multiplicity splits g
 into linear factors by Cantor-Zassenhaus, gcd((x + a)^{(q-1)/2} - 1, g),
 with shifts a that leave every proper subfield at once: O(deg^2 log q)
-field operations, where a scan takes O(q deg).  splitting_field_roots
-splits each distinct-degree part of f over F_{q^K} on its own.  A part of
-degree j > 1 is known to split there, so it needs no gcd, and the roots of
-each of its irreducible factors are one Frobenius orbit r, r^q, ...,
-r^{q^(j-1)}: the splitter descends to one root r, and the orbit's product
-is divided out of the part, and one valuation gives the multiplicity of
-the whole orbit.  The distinct-degree pass stops as soon as its answer is
-known: at step j, a remainder of degree below 2j is one irreducible
-factor.  Under a budget it also refuses early, with K_max the largest m
-with q^m <= budget, computed once: once L > K_max for the lcm L of the
-degrees found, or, before step j's power, once the degree left is no sum
-of degrees >= j that fit with L under K_max.  It refuses exactly when
-q^K > budget, and its message gives a lower bound on K.
+field operations, where a scan takes O(q deg).  The distinct-degree pass
+strips f to full multiplicity one degree j at a time, and it reads off
+that gcd-and-divide loop the classes (j, m, g): g is the squarefree
+product of the irreducible factors of degree j and multiplicity exactly
+m.  splitting_field_roots splits each class over F_{q^K} on its own, and
+every root takes its class's m, so no multiplicity is computed in the
+extension.  A class of degree j > 1 is known to split there, so it needs
+no gcd, and the roots of each of its irreducible factors are one
+Frobenius orbit r, r^q, ..., r^{q^(j-1)}: the splitter descends to one
+root r, and the orbit's product is divided out of the class.  The
+distinct-degree pass stops as soon as its answer is known: at step j, a
+remainder of degree below 2j is one irreducible factor.  Under a budget
+it also refuses early, with K_max the largest m with q^m <= budget,
+computed once: once L > K_max for the lcm L of the degrees found, or,
+before step j's power, once the degree left is no sum of degrees >= j
+that fit with L under K_max.  It refuses exactly when q^K > budget, and
+its message gives a lower bound on K.
 
 FiniteField.embedding needs one root of its modulus in the target.  The
 modulus is irreducible of degree k, so there it is k distinct linear
@@ -168,9 +172,10 @@ def _prime_factors(n):
 def _lexleast_modulus(p, k):
     """Monic irreducible of degree k over F_p with least integer encoding.
 
-    A monic f of degree k is irreducible iff its distinct-degree parts are
-    [(k, f)].  k = 1 gives x, which is what lets the search run on Poly over
-    finite_field(p) without recursing.  The binomials x^k + c, the first p
+    A monic f of degree k is irreducible iff its distinct-degree classes
+    are [(k, 1, f)]: one factor, of degree k and multiplicity 1.  k = 1
+    gives x, which is what lets the search run on Poly over finite_field(p)
+    without recursing.  The binomials x^k + c, the first p
     candidates, are skipped when none is irreducible (Lidl and Niederreiter,
     Finite Fields, Theorem 3.75)."""
     if k == 1:
@@ -180,7 +185,7 @@ def _lexleast_modulus(p, k):
                    or (k % 4 == 0 and p % 4 == 3))
     for m in range(p if no_binomial else 0, p ** k):
         f = Poly(fp, [m // p ** i % p for i in range(k)] + [1])
-        if _distinct_degree_parts(f) == [(k, f)]:
+        if _distinct_degree_parts(f) == [(k, 1, f)]:
             return f.coeffs
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 
@@ -974,14 +979,17 @@ def _split_step(g, start):
 
 
 def _distinct_degree_parts(fpoly, budget=None):
-    """[(j, g_j)] for each degree j of an irreducible factor, ascending:
-    g_j is the product of the distinct monic irreducible factors of degree
-    j, so it is squarefree.
+    """[(j, m, g)] for each degree j and multiplicity m of an irreducible
+    factor, ascending in (j, m): g is the product of the distinct monic
+    irreducible factors of degree j and multiplicity exactly m, so it is
+    squarefree.
 
     Works directly on non-squarefree input: gcd with x^{q^j} - x picks up
-    every degree-j factor once, and exact division by g_j, then repeated
-    gcd-division, strips that degree to full multiplicity before moving on.
-    At step j every factor left in work has degree >= j, so a work of
+    every degree-j factor once, as g, and exact division by g leaves each of
+    them m - 1 times in work.  Then h = gcd(work, g) holds the factors of
+    multiplicity > m, so g // h is class m; dividing work by h and going on
+    with g = h, m + 1 strips that degree to full multiplicity before moving
+    on.  At step j every factor left in work has degree >= j, so a work of
     degree below 2j is one irreducible factor, and the pass stops there.
 
     With a budget, the splitting field F_{q^K}, K the lcm of the part
@@ -1018,15 +1026,15 @@ def _distinct_degree_parts(fpoly, budget=None):
             g = poly_gcd(frob - x, work)
             if g.degree == 0:
                 continue
-        parts.append((j, g))
         ext_deg = math.lcm(ext_deg, j)
         if budget is not None and ext_deg > max_ext:
             _refuse(field, ext_deg, budget)
-        work = work // g
-        h = poly_gcd(work, g)
-        while h.degree > 0:
-            work = work // h
+        work, m = work // g, 1
+        while g.degree > 0:
             h = poly_gcd(work, g)
+            if h.degree < g.degree:
+                parts.append((j, m, g // h))
+            work, g, m = work // h, h, m + 1
     return parts
 
 
@@ -1054,56 +1062,44 @@ def _refuse(field, ext_deg, budget):
         f"exceeds budget {budget}")
 
 
-def distinct_degree_profile(fpoly):
-    """Sorted degrees of the irreducible factors (multiplicities ignored)."""
-    return [j for j, _ in _distinct_degree_parts(fpoly)] or [1]
-
-
 def splitting_field_roots(fpoly, budget=None):
     """(ext_field, [(root, mult)]) over the smallest F_{q^K} where fpoly
     splits into linear factors, roots in encoding order.  The distinct-degree
     pass refuses a K with q^K > enumeration_budget(budget), as early as it
-    can tell.  Each squarefree distinct-degree part is lifted and split on
-    its own; the multiplicities are read off the lifted fpoly, once per
-    Frobenius orbit."""
+    can tell.  Each of its squarefree (degree, multiplicity) classes is
+    lifted and split on its own, and every root takes its class's
+    multiplicity."""
     field = fpoly.field
     if fpoly.is_zero:
         raise ValueError("cannot split the zero polynomial")
     if fpoly.degree == 0:
         return field, []
     parts = _distinct_degree_parts(fpoly, enumeration_budget(budget))
-    ext = field.extension(math.lcm(*(j for j, _ in parts)))
+    ext = field.extension(math.lcm(*(j for j, _, _ in parts)))
     embed = field.embedding(ext)
-    lifted = fpoly.over(ext)
     roots = []
-    for j, g in parts:
+    for j, m, g in parts:
         if j == 1:
             # the roots lie in the base field: find them there, then embed
-            orbits = [[embed(r)] for r, _ in roots_with_multiplicity(g)]
-        else:
-            # g_j is squarefree and splits over F_{q^K}, since j divides K,
-            # so no gcd with x^{q^K} - x is needed.  The roots of each
-            # irreducible factor are one orbit r, r^q, ..., r^{q^(j-1)}:
-            # split down the smaller factor to one root r, and divide its
-            # orbit's product out
-            orbits, g = [], g.over(ext)
-            while g.degree > 0:
-                h, start = g, 1
-                while h.degree > 1:
-                    f, start = _split_step(h, start)
-                    h = f if 2 * f.degree <= h.degree else h // f
-                orbit = [ext.neg_i(h.coeffs[0])]
-                while len(orbit) < j:
-                    orbit.append(ext.pow_i(orbit[-1], field.q))
-                g, rem = g.divrem(reduce(Poly.__mul__, (Poly(ext, (ext.neg_i(r), 1)) for r in orbit)))
-                if rem:
-                    raise ArithmeticError(f"a Frobenius orbit failed to divide a polynomial over {ext}")
-                orbits.append(orbit)
-        for orbit in orbits:
-            # fpoly is over F_q, so its order is the same at every root of
-            # an orbit: one valuation serves the whole orbit
-            mult = poly_valuation(lifted, orbit[0])
-            roots += [(r, mult) for r in orbit]
+            roots += [(embed(r), m) for r, _ in roots_with_multiplicity(g)]
+            continue
+        # g is squarefree and splits over F_{q^K}, since j divides K, so no
+        # gcd with x^{q^K} - x is needed.  The roots of each irreducible
+        # factor are one orbit r, r^q, ..., r^{q^(j-1)}: split down the
+        # smaller factor to one root r, and divide its orbit's product out
+        g = g.over(ext)
+        while g.degree > 0:
+            h, start = g, 1
+            while h.degree > 1:
+                f, start = _split_step(h, start)
+                h = f if 2 * f.degree <= h.degree else h // f
+            orbit = [ext.neg_i(h.coeffs[0])]
+            while len(orbit) < j:
+                orbit.append(ext.pow_i(orbit[-1], field.q))
+            g, rem = g.divrem(reduce(Poly.__mul__, (Poly(ext, (ext.neg_i(r), 1)) for r in orbit)))
+            if rem:
+                raise ArithmeticError(f"a Frobenius orbit failed to divide a polynomial over {ext}")
+            roots += [(r, m) for r in orbit]
     roots.sort()
     total = sum(m for _, m in roots)
     if total != fpoly.degree:

@@ -15,7 +15,6 @@ from ramcount.algebra import (
     FiniteField,
     Poly,
     bezout_inseparable,
-    distinct_degree_profile,
     finite_field,
     frobenius_power,
     poly_gcd,
@@ -294,7 +293,7 @@ class TestModulusSearch:
             fp = finite_field(p)
             candidates = (Poly(fp, [m // p ** i % p for i in range(k)] + [1])
                           for m in range(p ** k))
-            least = next(m for m, f in enumerate(candidates) if parts(f) == [(k, f)])
+            least = next(m for m, f in enumerate(candidates) if parts(f) == [(k, 1, f)])
             tried.clear()
             modulus = algebra._lexleast_modulus(p, k)
             assert modulus == tuple(least // p ** i % p for i in range(k)) + (1,), (p, k)
@@ -600,7 +599,7 @@ class TestSplitting:
 
     def test_extension_split(self):
         f = P(F3, 1, 0, 0, 0, 2)  # 2x^4 + 1 = 2(x^4 - 1): splits over F9
-        assert distinct_degree_profile(f) == [1, 2]
+        assert [(j, m) for j, m, _ in algebra._distinct_degree_parts(f)] == [(1, 1), (2, 1)]
         ext, roots = splitting_field_roots(f)
         assert ext == F9
         assert len(roots) == 4
@@ -610,7 +609,7 @@ class TestSplitting:
         # (x^2+1)^3 (x-1) in char 3: the cubed factor must not be lost
         q = P(F3, 1, 0, 1)
         f = q * q * q * P(F3, -1, 1)
-        assert distinct_degree_profile(f) == [1, 2]
+        assert algebra._distinct_degree_parts(f) == [(1, 1, P(F3, -1, 1)), (2, 3, q)]
         ext, roots = splitting_field_roots(f)
         assert ext == F9
         assert sorted(m for _, m in roots) == [1, 3, 3]
@@ -696,7 +695,7 @@ def _irreducibles(p, j, rng, count):
     out = [Poly(fp, finite_field(p, j).modulus)]
     while len(out) < count:
         f = Poly(fp, [rng.randrange(p) for _ in range(j)] + [1])
-        if distinct_degree_profile(f) == [j] and f not in out:
+        if algebra._distinct_degree_parts(f) == [(j, 1, f)] and f not in out:
             out.append(f)
     return out
 
@@ -804,8 +803,7 @@ class TestRootsAgainstScan:
         for _ in range(4):
             factors = rng.sample(_sieved_irreducibles(p, j, k), rng.randint(2, 3))
             f = functools.reduce(Poly.__mul__, factors)
-            parts = dict(algebra._distinct_degree_parts(f))
-            assert parts == {j: f}
+            assert algebra._distinct_degree_parts(f) == [(j, 1, f)]
             _assert_splitting_matches(f, max_q=3 ** 7)
             # with a repeated linear factor and a repeated factor of degree j
             _assert_splitting_matches(f * (x - Poly.one(field)) ** 2 * factors[0],
@@ -1000,9 +998,10 @@ def _sieved_irreducibles(p, j, k=1):
 
 
 def _sieved_product(p, rng, max_small):
-    """(f, {j: product of the distinct factors of degree j}): up to three
-    small factors of degree <= 3, some repeated, and usually one factor of
-    degree above half of deg f, which ends the pass early."""
+    """(f, {(j, m): product of the distinct factors of degree j and
+    multiplicity m}): up to three small factors of degree <= 3, some
+    repeated, and usually one factor of degree above half of deg f, which
+    ends the pass early."""
     fp = finite_field(p)
     factors = {}
     for _ in range(rng.randint(0, 3)):
@@ -1016,7 +1015,7 @@ def _sieved_product(p, rng, max_small):
     parts = {}
     for g, m in factors.items():
         f = f * g ** m
-        parts[g.degree] = parts.get(g.degree, Poly.one(fp)) * g
+        parts[g.degree, m] = parts.get((g.degree, m), Poly.one(fp)) * g
     return f, parts
 
 
@@ -1026,8 +1025,11 @@ class TestDistinctDegreeStop:
         rng = random.Random(p + 41)
         for _ in range(count):
             f, parts = _sieved_product(p, rng, 3 if p == 3 else 2)
-            assert algebra._distinct_degree_parts(f) == sorted(parts.items()), f
-            assert distinct_degree_profile(f) == (sorted(parts) or [1])
+            classes = algebra._distinct_degree_parts(f)
+            assert classes == [(j, m, g) for (j, m), g in sorted(parts.items())], f
+            # the classes account for every factor at its multiplicity
+            assert functools.reduce(Poly.__mul__, (g ** m for _, m, g in classes),
+                                    Poly.one(f.field)) == f.monic()[0], f
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_refusal_is_exactly_over_budget(self, p):
@@ -1036,7 +1038,7 @@ class TestDistinctDegreeStop:
             f, parts = _sieved_product(p, rng, 2)
             if f.degree < 1:
                 continue
-            K = math.lcm(*parts)
+            K = math.lcm(*(j for j, _ in parts))
             for budget in {p ** K - 1, p ** K, p ** K + 1, p ** (K - 1), rng.randrange(2, 3 ** 8)}:
                 if p ** K > budget:
                     with pytest.raises(BudgetExceeded, match=f"exceeds budget {budget}$"):

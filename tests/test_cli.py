@@ -486,6 +486,12 @@ class TestFamilyTransform:
         code, _ = run(["transform", "--family", "/nonexistent.json"])
         assert code == 1
 
+    def test_empty_family_path(self, capsys):
+        # argparse checks only that --family is given: an empty path is
+        # refused by transform itself, before any file is opened
+        assert main(["transform", "--family", ""]) == 1
+        assert capsys.readouterr() == ("", "error: transform needs --family <path>\n")
+
     def test_family_json_not_an_object(self, tmp_path):
         path = tmp_path / "fam.json"
         path.write_text("[1, 2]")

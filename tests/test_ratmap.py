@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ramcount.ratmap as ratmap
+from ramcount import algebra
 from ramcount.algebra import BudgetExceeded, Poly, finite_field, poly_gcd, poly_is_inseparable
 from ramcount.pencil import Pencil
 from ramcount.ratmap import (
@@ -173,6 +174,18 @@ class TestDifferent:
         finite = [(pt, mult) for pt, mult in div.items() if not pt.is_infinity]
         assert len(finite) == 4 and all(mult == 1 for _, mult in finite)
         assert all(pt.field == F9 for pt, _ in finite)
+
+    def test_cubed_quadratic_class(self):
+        # W = c (x^2 + 3x + 3)^3 over F_5: one distinct-degree class of
+        # degree 2 and multiplicity 3, so both conjugate points of F_25
+        # carry ord W = 3 and index 4
+        m = RatMap(P(F5, 3, 0, 4, 1, 1), P(F5, 1, 1, 2, 1))
+        w = wronskian(m)
+        assert algebra._distinct_degree_parts(w) == [(2, 3, P(F5, 3, 3, 1))]
+        div = different_divisor(m)
+        assert div.to_json() == {"11": 3, "41": 3}
+        assert all(pt.field == finite_field(5, 2) for pt in div.points())
+        assert ramification_profile(m).to_json() == {"11": 4, "41": 4}
 
     def test_wild_point_refused(self):
         # x^3 + x over F3 has a wild pole of order 3 at infinity
