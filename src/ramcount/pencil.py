@@ -6,13 +6,14 @@ coefficient matrix, the unique canonical representative of the subspace;
 ``Pencil`` always reduces its rows.  The census does not screen pencils one
 by one: in each echelon stratum it reduces the choices of each row to jet
 classes and joins the two sides (see the census engine below), O(q^(d-1))
-rows per stratum instead of O(q^(2d-2)) pencils.  It runs in numpy (imported
-only there) on the field's own coordinates: a jet is F_p-linear in the
-base-p digits of a row, so the jets of all conditions are one matrix
-product mod p, and a jet is scaled to its class with the field's length-q
-log and exp tables.  The tests check it against a small oracle,
-``tests/test_pencil.py::_scan_census``, which scans every pencil and tests
-each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
+rows per stratum instead of O(q^(2d-2)) pencils; the small strata are
+joined in one batch.  It runs in numpy (imported only there) on the
+field's own coordinates: a jet is F_p-linear in the base-p digits of a
+row, so the jets of all conditions are one matrix product mod p, a jet is
+scaled to its class with the field's length-q log and exp tables, and a
+class is packed in base q to one integer id.  The tests check it against a
+small oracle, ``tests/test_pencil.py::_scan_census``, which scans every
+pencil and tests each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
 survivor; it counts the base points by degree and never locates them.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
@@ -34,7 +35,8 @@ from .schubert import check_orders
 
 _INT64_MAX = (1 << 63) - 1
 
-# Rows the census classifies at a time, which bounds its float temporaries.
+# Rows the census classifies at a time, which bounds its float temporaries,
+# and the most A rows of a stratum that joins in the census's one batch.
 _BLOCK = 1 << 12
 
 
@@ -282,27 +284,52 @@ def _audit_witness(rmap, assignments, d):
         raise ArithmeticError("witness orders do not exhaust the different")
 
 
-# -- census engine: a per-stratum join of jet classes -------------------------
+# -- census engine: a join of jet classes, small strata in one batch ----------
 #
 # In the echelon stratum (j1, j2) the rows A (pivot j1) and B (pivot j2)
 # range independently, and the condition at (P, e) -- rank [jet_P(A);
 # jet_P(B)] <= 1 -- holds iff one jet is zero or the two are proportional.
 # So each side's q^|free| rows are reduced once to jet classes (the jet
-# scaled so that its first nonzero entry is 1), and the pencils are the
-# pairs whose classes agree at every condition where neither jet is zero.
-# Order-1 conditions are vacuous and skipped.
+# scaled so that its first nonzero entry is 1), each packed in base q to one
+# integer id, and the pencils are the pairs whose ids agree at every
+# condition where neither jet is zero.  Order-1 conditions are vacuous and
+# skipped.  The strata with at most _BLOCK A rows join in one batch: their
+# A rows are classified together, each B(j2) is built and classified once,
+# and B's pivot j2 is one more key, on both sides, so that stratum
+# (j1, j2)'s A rows meet only B(j2).  A larger stratum joins alone,
+# untagged, so a large census holds one large stratum at a time.
 
 def _census_survivors(d, assignments, field):
     """Every pencil meeting the assigned conditions, as canonical echelon
     forms."""
+    import numpy as np
+
+    q = field.q
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
     jet_classes = _jet_classifier(field, mats)
+    bases = [q ** len(M) for M in mats]
+
+    def side(pivot, skip=None):
+        return _echelon_rows(d, q, pivot, [j for j in range(pivot + 1, d + 1) if j != skip])
+
+    def tagged(parts, tags):
+        rows = np.concatenate(parts, axis=1)
+        zero, ids = jet_classes(rows)
+        return rows, (zero, np.vstack([ids, np.repeat(tags, [part.shape[1] for part in parts])]))
+
+    def joins():  # lazily: a stratum joined alone is dropped before the next
+        strata = list(itertools.combinations(range(d + 1), 2))
+        batch = [(j1, j2) for j1, j2 in strata if q ** (d - j1 - 1) <= _BLOCK]
+        pivots = sorted({j2 for _, j2 in batch})
+        rows_a, side_a = tagged([side(j1, j2) for j1, j2 in batch], [j2 for _, j2 in batch])
+        rows_b, side_b = tagged([side(j2) for j2 in pivots], pivots)
+        yield rows_a, rows_b, _join(side_a, side_b, bases + [d + 1])
+        for j1, j2 in [s for s in strata if s not in batch]:
+            rows_a, rows_b = side(j1, j2), side(j2)
+            yield rows_a, rows_b, _join(jet_classes(rows_a), jet_classes(rows_b), bases)
+
     survivors = []
-    for j1, j2 in itertools.combinations(range(d + 1), 2):
-        free_a = [j for j in range(j1 + 1, d + 1) if j != j2]
-        rows_a = _echelon_rows(d, field.q, j1, free_a)
-        rows_b = _echelon_rows(d, field.q, j2, list(range(j2 + 1, d + 1)))
-        ia, ib = _join(field.q, jet_classes(rows_a), jet_classes(rows_b))
+    for rows_a, rows_b, (ia, ib) in joins():
         for row_a, row_b in zip(rows_a[:, ia].T.tolist(), rows_b[:, ib].T.tolist()):
             survivors.append(Pencil(field, d, (row_a, row_b)))
     return survivors
@@ -321,21 +348,25 @@ def _echelon_rows(d, q, pivot, free):
 
 
 def _jet_classifier(field, mats):
-    """The map rows -> (zero, classes) for the jet matrices: bit c of
-    zero[t] is set iff row t's jet at condition c vanishes, and classes[c]
-    (e x n) holds the jets scaled by the inverse of their first nonzero
-    entry (0 for a zero jet).  lin[(r, i), (l, j)] = digit i of M[r][j] y^l
-    maps the digits (l, j) of a row to the digits (r, i) of its jets, and
-    a jet is scaled as exp[log[jet] - log[lead] + q - 1].  All tables are
-    built once per census and are O(q); rows go in blocks of _BLOCK."""
+    """The map rows -> (zero, ids) for the jet matrices: bit c of zero[t]
+    is set iff row t's jet at condition c vanishes, and ids[c, t] is the
+    class of that jet, the jet scaled by the inverse of its first nonzero
+    entry (0 for a zero jet), packed as the sum of entry i times q^i.  The
+    packing is canonical, so ids of any two calls compare directly.
+    lin[(r, i), (l, j)] = digit i of M[r][j] y^l maps the digits (l, j) of a
+    row to the digits (r, i) of its jets, and a jet is scaled as
+    exp[log[jet] - log[lead] + q - 1].  All tables are built once per census
+    and are O(q); rows go in blocks of _BLOCK."""
     import numpy as np
 
     if not mats:
-        return lambda rows: (np.zeros(rows.shape[1], dtype=np.int64), [])
+        return lambda rows: (np.zeros(rows.shape[1], dtype=np.int64),
+                             np.zeros((0, rows.shape[1]), dtype=np.int64))
     p, k, q = field.p, field.k, field.q
     width, sizes = len(mats[0][0]), [len(M) for M in mats]
-    # float64 is exact while a sum of k (d + 1) products below p^2 is < 2^50
-    if k * width * (p - 1) ** 2 >= 1 << 50:
+    # float64 is exact while a sum of k (d + 1) products below p^2 is < 2^50,
+    # and an id is below 2^63 while q^e <= 2^63
+    if k * width * (p - 1) ** 2 >= 1 << 50 or q ** max(sizes) > 1 << 63:
         raise BudgetExceeded(f"{field} is too large for an exact census")
     digit = (np.arange(q) // p ** np.arange(k)[:, None] % p).astype(np.float64)
     scaled = [[field.mul_i(m, p ** l) for l in range(k) for m in mrow] for M in mats for mrow in M]
@@ -343,12 +374,16 @@ def _jet_classifier(field, mats):
     # pack[r, (r, i)] = p^i turns the k digits of a jet entry into its encoding
     pack = np.kron(np.eye(len(scaled)), p ** np.arange(k, dtype=np.float64))
     log, exp = np.array(field.log), np.array(field.exp, dtype=np.min_scalar_type(q - 1))
+    weights = q ** np.arange(max(sizes), dtype=np.int64)
+    # ids are kept in the smallest signed type that holds q^e - 1: a large
+    # stratum's ids then take no more memory than its scaled entries
+    id_type = np.min_scalar_type(1 - q ** max(sizes))
 
     def jet_classes(rows):
         live = [j for j in range(width) if rows[j].any()]
         sub = lin[:, [l * width + j for l in range(k) for j in live]]
         zero = np.zeros(rows.shape[1], dtype=np.int64)
-        classes = np.empty((len(scaled), rows.shape[1]), dtype=exp.dtype)
+        ids = np.empty((len(sizes), rows.shape[1]), dtype=id_type)
         for s in range(0, rows.shape[1], _BLOCK):
             block = slice(s, s + _BLOCK)
             jets = sub @ digit[:, rows[live, block]].reshape(k * len(live), -1)
@@ -363,59 +398,68 @@ def _jet_classifier(field, mats):
                 for i in range(e - 2, -1, -1):  # down to the first nonzero entry
                     lead = np.where(jet[i], jet_log[i], lead)
                 zero[block] |= (~jet.any(axis=0)).astype(np.int64) << c
-                classes[end - e:end, block] = np.where(jet, exp[jet_log - lead + (q - 1)], 0)
-        return zero, [classes[end - e:end] for e, end in zip(sizes, itertools.accumulate(sizes))]
+                ids[c, block] = weights[:e] @ np.where(jet, exp[jet_log - lead + (q - 1)], 0)
+        return zero, ids
 
     return jet_classes
 
 
-def _join(q, side_a, side_b):
-    """Index pairs (ia, ib) of A and B rows whose classes agree at every
-    condition where neither jet is zero.  Rows are grouped by their zero
-    pattern; each pair of patterns is joined on the conditions live on both
-    sides (with none live, every pair matches)."""
+def _join(side_a, side_b, bases):
+    """Index pairs (ia, ib) of A and B rows whose ids agree at every key
+    where neither side's zero bit is set.  A side is (zero, ids), with ids
+    one row per key: the conditions' class ids, whose zero bits say where
+    the jet vanishes, then any keys without a zero bit, which are always
+    compared; bases[c] bounds key c.  Rows are grouped by their zero
+    pattern; each pair of patterns is joined on the keys live on both sides
+    (with none live, every pair matches)."""
     import numpy as np
 
-    zero_a, classes_a = side_a
-    zero_b, classes_b = side_b
-    groups_b = _zero_groups(zero_b)
+    zero_a, ids_a = side_a
+    zero_b, ids_b = side_b
+    order_a, groups_a = _zero_groups(zero_a)
+    order_b, groups_b = _zero_groups(zero_b)
+    ids_a, ids_b = ids_a[:, order_a], ids_b[:, order_b]
     pairs_a, pairs_b = [], []
-    for pa, sel_a in _zero_groups(zero_a):
-        for pb, sel_b in groups_b:
-            live = [np.concatenate([classes_a[c][:, sel_a], classes_b[c][:, sel_b]], axis=1)
-                    for c in range(len(classes_a)) if not (pa | pb) >> c & 1]
-            keys = _class_keys(live, sel_a.size + sel_b.size, q)
-            ia, ib = _equal_pairs(keys[:sel_a.size], keys[sel_a.size:])
-            pairs_a.append(sel_a[ia])
-            pairs_b.append(sel_b[ib])
-    return np.concatenate(pairs_a), np.concatenate(pairs_b)
+    for pa, a0, a1 in groups_a:
+        for pb, b0, b1 in groups_b:
+            live = [c for c in range(len(bases)) if not (pa | pb) >> c & 1]
+            both = np.concatenate([ids_a[live, a0:a1], ids_b[live, b0:b1]], axis=1)
+            keys = _class_keys(both, [bases[c] for c in live])
+            ia, ib = _equal_pairs(keys[:a1 - a0], keys[a1 - a0:])
+            pairs_a.append(ia + a0)
+            pairs_b.append(ib + b0)
+    return order_a[np.concatenate(pairs_a)], order_b[np.concatenate(pairs_b)]
 
 
 def _zero_groups(zero):
-    """(pattern, indices of the rows with that zero pattern), for each
-    distinct pattern."""
+    """(order, groups): order sorts the rows by zero pattern, and groups
+    holds (pattern, start, stop) for each distinct pattern, whose rows are
+    order[start:stop]."""
     import numpy as np
 
     order = np.argsort(zero, kind="stable")
     patterns, starts = np.unique(zero[order], return_index=True)
-    return list(zip(patterns.tolist(), np.split(order, starts[1:])))
+    bounds = starts.tolist() + [zero.size]
+    return order, list(zip(patterns.tolist(), bounds, bounds[1:]))
 
 
-def _class_keys(classes, n, base):
-    """One int64 key for each of the n columns of the stacked class arrays
-    (entries in [0, base)), equal iff the columns are equal.  Entries are
-    packed in base `base`; before the next entry could overflow int64, the
-    key is replaced by its dense rank, which is below n."""
+def _class_keys(values, bases):
+    """One int64 key for each of the n columns of the 2-D array values (row
+    c's entries in [0, bases[c])), equal iff the columns are equal.  Rows
+    are packed in their bases; before the next row could overflow int64,
+    the key and that row are replaced by the dense rank of their pairs,
+    which is below n."""
     import numpy as np
 
+    n = values.shape[1]
     key = np.zeros(n, dtype=np.int64)
     bound = 1
-    for block in classes:
-        for entry in block:
-            if bound * base > _INT64_MAX:
-                key = np.unique(key, return_inverse=True)[1].reshape(-1).astype(np.int64)
-                bound = n
-            key = key * base + entry
+    for row, base in zip(values, bases):
+        if bound * base > _INT64_MAX:
+            key = np.unique(np.stack([key, row]), axis=1, return_inverse=True)[1].reshape(-1)
+            bound = n
+        else:
+            key = key * base + row
             bound *= base
     return key
 
@@ -427,6 +471,8 @@ def _equal_pairs(keys_a, keys_b):
     order = np.argsort(keys_b, kind="stable")
     sorted_b = keys_b[order]
     lo = np.searchsorted(sorted_b, keys_a, "left")
+    if not (sorted_b.take(lo, mode="clip") == keys_a).any():  # as for most pairs of patterns
+        return lo[:0], lo[:0]
     counts = np.searchsorted(sorted_b, keys_a, "right") - lo
     ia = np.repeat(np.arange(keys_a.size), counts)
     starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)

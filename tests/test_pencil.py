@@ -273,7 +273,7 @@ def _assigns(field, points, orders):
 class TestJetClassifier:
     """The census's jet classes against a scalar oracle: each condition's
     jet is its jet matrix times the row in add_i/mul_i, scaled by inv_i of
-    its first nonzero entry."""
+    its first nonzero entry, and its id is entry i times q^i, summed."""
 
     @staticmethod
     def _oracle(field, mats, row):
@@ -316,12 +316,13 @@ class TestJetClassifier:
         stratum = _echelon_rows(d, field.q, 1, [3])[:, :50]
         classify = _jet_classifier(field, mats)
         for array in (np.array(rows, dtype=np.intp).T, stratum):
-            zero, classes = classify(array)
+            zero, ids = classify(array)
             assert zero.any() or array is stratum
             for t, row in enumerate(array.T.tolist()):
                 expect_zero, expect = self._oracle(field, mats, row)
                 assert zero[t] == expect_zero, (t, row)
-                assert [cls[:, t].tolist() for cls in classes] == expect, (t, row)
+                packed = [sum(v * field.q ** i for i, v in enumerate(cls)) for cls in expect]
+                assert ids[:, t].tolist() == packed, (t, row)
 
     def test_refuses_a_field_too_large_for_exact_products(self):
         # 3 (p - 1)^2 is above 2^50 here, so a float64 sum could round
@@ -330,9 +331,33 @@ class TestJetClassifier:
         with pytest.raises(BudgetExceeded, match="too large for an exact census"):
             _jet_classifier(field, mats)
 
+    def test_ids_fit_int64_or_are_refused(self):
+        # 2^62 < 125^9 = 5^27 < 2^63 < 81^10 = 3^40 < 2^64: an order-9 id
+        # over F_125 fits int64, an order-10 id over F_81 might not (the
+        # largest order decides), and a census with one is refused whatever
+        # its budget
+        import numpy as np
+
+        field = finite_field(5, 3)
+        mats = [vanishing_jet_matrix(field, 9, ProjPoint(field, 7), 9)]
+        rows = _echelon_rows(9, field.q, 0, [8, 9])[:, ::97]
+        zero, ids = _jet_classifier(field, mats)(rows)
+        assert ids.dtype == np.int64 and ids.max() > 1 << 62
+        for t, row in enumerate(rows.T.tolist()):
+            expect_zero, expect = self._oracle(field, mats, row)
+            packed = [sum(v * field.q ** i for i, v in enumerate(cls)) for cls in expect]
+            assert (zero[t], ids[:, t].tolist()) == (expect_zero, packed), (t, row)
+        field = finite_field(3, 4)
+        mats = [vanishing_jet_matrix(field, 10, ProjPoint(field, x), e) for x, e in ((7, 2), (8, 10))]
+        with pytest.raises(BudgetExceeded, match="too large for an exact census"):
+            _jet_classifier(field, mats)
+        assigns = [(ProjPoint(field, 0), 10), (ProjPoint.infinity(field), 10)]
+        with pytest.raises(BudgetExceeded, match="too large for an exact census"):
+            count_maps_bruteforce(10, assigns, field, budget=10 ** 40)
+
     def test_no_conditions(self):
-        zero, classes = _jet_classifier(F5, [])(_echelon_rows(2, 5, 0, [2]))
-        assert zero.tolist() == [0] * 5 and classes == []
+        zero, ids = _jet_classifier(F5, [])(_echelon_rows(2, 5, 0, [2]))
+        assert zero.tolist() == [0] * 5 and ids.shape == (0, 5)
 
 
 class TestCensus:
@@ -394,21 +419,44 @@ class TestCensus:
         report = _assert_engines_agree(d, _assigns(field, points, orders), field)
         assert report.total >= least[0] and report.with_base_points >= least[1]
 
+    # the strata with at most `block` A rows join in one batch and each of
+    # the others alone: `alone` counts the strata with more
+    @pytest.mark.parametrize("d, p, k, points, orders, block, alone", [
+        (3, 3, 2, (0, None, 1, 4), (2, 2, 2, 2), 16, 3),
+        # q < d + 1, with survivors whose row jets vanish at marked points
+        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 16, 4),
+        (4, 5, 1, (0, None, 4, 3, 2, 1), (2,) * 6, 16, 7),
+        (3, 5, 2, (0, None, 1, 7), (2, 2, 2, 2), 16, 5),
+        # a stratum with exactly _BLOCK A rows joins in the batch
+        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 9, 4),
+    ])
+    def test_batch_and_alone_strata_agree_with_scan(self, monkeypatch, d, p, k, points,
+                                                     orders, block, alone):
+        monkeypatch.setattr(pencil_module, "_BLOCK", block)
+        calls = []
+        join = pencil_module._join
+        monkeypatch.setattr(pencil_module, "_join", lambda *args: calls.append(1) or join(*args))
+        field = finite_field(p, k)
+        _assert_engines_agree(d, _assigns(field, points, orders), field)
+        assert len(calls) == 1 + alone
+
     def test_class_keys_past_int64(self):
-        # 70 binary entries would need 2^70 > 2^63 as packed keys, and keys
-        # wrapped modulo 2^64 would lose the first entry: the columns below
-        # differ only there
+        # 140 binary entries would need 2^140 > 2^63 as packed keys, and
+        # keys wrapped modulo 2^64 would lose the first entry: columns 8-15
+        # differ from columns 0-7 only there.  The first dense rank is taken
+        # with entry 62, where column 19 differs from column 0; the ranks of
+        # columns i and i + 8 differ by 8, which the next 62 entries would
+        # shift out of int64 if they were packed onto the rank
         import numpy as np
 
         from ramcount.pencil import _class_keys
 
-        rng = np.random.default_rng(3)
-        distinct = rng.integers(0, 2, size=(70, 6))
-        distinct[0] = [0, 1, 0, 1, 0, 1]
-        distinct[1:, 1] = distinct[1:, 0]
-        cols = distinct[:, [0, 1, 2, 3, 4, 5, 0, 3, 3]]
-        blocks = [cols[:30], cols[30:45], cols[45:]]
-        keys = _class_keys(blocks, cols.shape[1], 2)
+        half = np.random.default_rng(3).integers(0, 2, size=(140, 8))
+        half[0] = 0
+        cols = np.hstack([half, half, half[:, :3], half[:, :1]])
+        cols[0, 8:16] = 1
+        cols[62, 19] ^= 1
+        keys = _class_keys(cols, [2] * 140)
         for i in range(cols.shape[1]):
             for j in range(cols.shape[1]):
                 assert (keys[i] == keys[j]) == (cols[:, i] == cols[:, j]).all()
