@@ -6,14 +6,15 @@ coefficient matrix, the unique canonical representative of the subspace;
 ``Pencil`` always reduces its rows.  The census does not screen pencils one
 by one: in each echelon stratum it reduces the choices of each row to jet
 classes and joins the two sides (see the census engine below), O(q^(d-1))
-rows per stratum instead of O(q^(2d-2)) pencils; the small strata are
-joined in one batch.  It runs in numpy (imported only there) on the
-field's own coordinates: a jet is F_p-linear in the base-p digits of a
-row, so the jets of all conditions are one matrix product mod p, a jet is
-scaled to its class with the field's length-q log and exp tables, and a
-class is packed in base q to one integer id.  The tests check it against a
-small oracle, ``tests/test_pencil.py::_scan_census``, which scans every
-pencil and tests each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
+rows per stratum instead of O(q^(2d-2)) pencils; the strata that share
+the second row's pivot are joined in one step.  It runs in numpy
+(imported only there) on the field's own coordinates: a jet is F_p-linear
+in the base-p digits of a row, so the jets of all conditions are one
+matrix product mod p, a jet is scaled to its class with the field's
+length-q log and exp tables, and a class is packed in base q to one
+integer id.  The tests check it against a small oracle,
+``tests/test_pencil.py::_scan_census``, which scans every pencil and tests
+each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
 survivor; it counts the base points by degree and never locates them.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
@@ -23,7 +24,6 @@ must form a matrix of rank <= 1, i.e. all 2x2 minors vanish.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -35,8 +35,7 @@ from .schubert import check_orders
 
 _INT64_MAX = (1 << 63) - 1
 
-# Rows the census classifies at a time, which bounds its float temporaries,
-# and the most A rows of a stratum that joins in the census's one batch.
+# Rows the census classifies at a time, which bounds its float temporaries.
 _BLOCK = 1 << 12
 
 
@@ -284,7 +283,7 @@ def _audit_witness(rmap, assignments, d):
         raise ArithmeticError("witness orders do not exhaust the different")
 
 
-# -- census engine: a join of jet classes, small strata in one batch ----------
+# -- census engine: a join of jet classes, once per pivot of B ---------------
 #
 # In the echelon stratum (j1, j2) the rows A (pivot j1) and B (pivot j2)
 # range independently, and the condition at (P, e) -- rank [jet_P(A);
@@ -293,58 +292,48 @@ def _audit_witness(rmap, assignments, d):
 # scaled so that its first nonzero entry is 1), each packed in base q to one
 # integer id, and the pencils are the pairs whose ids agree at every
 # condition where neither jet is zero.  Order-1 conditions are vacuous and
-# skipped.  The strata with at most _BLOCK A rows join in one batch: their
-# A rows are classified together, each B(j2) is built and classified once,
-# and B's pivot j2 is one more key, on both sides, so that stratum
-# (j1, j2)'s A rows meet only B(j2).  A larger stratum joins alone,
-# untagged, so a large census holds one large stratum at a time.
+# skipped.  Every A row of a stratum (j1, j2) pairs with every row of B(j2),
+# so the census takes one step per pivot j2 of B: one array holds the A rows
+# of all the strata (j1, j2) and then B(j2), one call classifies it, and one
+# join pairs its two slices.  A step holds at most 2 q^(d-1) rows.
 
 def _census_survivors(d, assignments, field):
     """Every pencil meeting the assigned conditions, as canonical echelon
     forms."""
-    import numpy as np
-
     q = field.q
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
     jet_classes = _jet_classifier(field, mats)
     bases = [q ** len(M) for M in mats]
-
-    def side(pivot, skip=None):
-        return _echelon_rows(d, q, pivot, [j for j in range(pivot + 1, d + 1) if j != skip])
-
-    def tagged(parts, tags):
-        rows = np.concatenate(parts, axis=1)
-        zero, ids = jet_classes(rows)
-        return rows, (zero, np.vstack([ids, np.repeat(tags, [part.shape[1] for part in parts])]))
-
-    def joins():  # lazily: a stratum joined alone is dropped before the next
-        strata = list(itertools.combinations(range(d + 1), 2))
-        batch = [(j1, j2) for j1, j2 in strata if q ** (d - j1 - 1) <= _BLOCK]
-        pivots = sorted({j2 for _, j2 in batch})
-        rows_a, side_a = tagged([side(j1, j2) for j1, j2 in batch], [j2 for _, j2 in batch])
-        rows_b, side_b = tagged([side(j2) for j2 in pivots], pivots)
-        yield rows_a, rows_b, _join(side_a, side_b, bases + [d + 1])
-        for j1, j2 in [s for s in strata if s not in batch]:
-            rows_a, rows_b = side(j1, j2), side(j2)
-            yield rows_a, rows_b, _join(jet_classes(rows_a), jet_classes(rows_b), bases)
-
     survivors = []
-    for rows_a, rows_b, (ia, ib) in joins():
-        for row_a, row_b in zip(rows_a[:, ia].T.tolist(), rows_b[:, ib].T.tolist()):
+    for j2 in range(1, d + 1):
+        rows, split = _pivot_rows(d, q, j2)
+        zero, ids = jet_classes(rows)
+        ia, ib = _join((zero[:split], ids[:, :split]), (zero[split:], ids[:, split:]), bases)
+        for row_a, row_b in zip(rows[:, ia].T.tolist(), rows[:, split + ib].T.tolist()):
             survivors.append(Pencil(field, d, (row_a, row_b)))
     return survivors
 
 
-def _echelon_rows(d, q, pivot, free):
-    """The q^len(free) rows with 1 at the pivot, every value at the free
-    positions and 0 elsewhere, as a (d+1) x q^len(free) array of columns."""
+def _pivot_rows(d, q, j2):
+    """(rows, split): the rows of the strata (j1, j2), j1 < j2, as one
+    (d+1) x n array of columns.  Columns before split are the A rows, each
+    stratum's q^(d-j1-1) in turn: 1 at j1, 0 at j2 and left of j1, every
+    value at the other positions.  From split on come the q^(d-j2) rows of
+    B(j2): 1 at j2, 0 left of it, every value right of it."""
     import numpy as np
 
-    rows = np.zeros((d + 1, q ** len(free)), dtype=np.intp)
-    rows[pivot] = 1
-    if free:
-        rows[free] = np.indices((q,) * len(free)).reshape(len(free), -1)
-    return rows
+    parts = [(j1, [j for j in range(j1 + 1, d + 1) if j != j2]) for j1 in range(j2)]
+    parts.append((j2, list(range(j2 + 1, d + 1))))
+    rows = np.zeros((d + 1, sum(q ** len(free) for _, free in parts)), dtype=np.intp)
+    start = 0
+    for pivot, free in parts:
+        part = rows[:, start:start + q ** len(free)]
+        part[pivot] = 1
+        for axis, j in enumerate(free):  # in place, through a q x ... x q view of row j
+            grid = part[j].reshape((q,) * len(free))
+            grid[...] = np.arange(q).reshape((q,) + (1,) * (len(free) - axis - 1))
+        start += part.shape[1]
+    return rows, start - q ** (d - j2)
 
 
 def _jet_classifier(field, mats):
@@ -405,13 +394,12 @@ def _jet_classifier(field, mats):
 
 
 def _join(side_a, side_b, bases):
-    """Index pairs (ia, ib) of A and B rows whose ids agree at every key
-    where neither side's zero bit is set.  A side is (zero, ids), with ids
-    one row per key: the conditions' class ids, whose zero bits say where
-    the jet vanishes, then any keys without a zero bit, which are always
-    compared; bases[c] bounds key c.  Rows are grouped by their zero
-    pattern; each pair of patterns is joined on the keys live on both sides
-    (with none live, every pair matches)."""
+    """Index pairs (ia, ib) of A and B rows whose class ids agree at every
+    condition where neither jet is zero.  A side is (zero, ids) as
+    jet_classes returns it, and bases[c] bounds the ids of condition c.
+    Rows are grouped by their zero pattern; each pair of patterns is joined
+    on the conditions live on both sides (with none live, every pair
+    matches)."""
     import numpy as np
 
     zero_a, ids_a = side_a

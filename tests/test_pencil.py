@@ -11,8 +11,8 @@ from ramcount.algebra import BudgetExceeded, Poly, finite_field
 from ramcount.pencil import (
     Pencil,
     _classify_survivors,
-    _echelon_rows,
     _jet_classifier,
+    _pivot_rows,
     count_maps_bruteforce,
     gaussian_binomial_pencils,
     sample_general_points,
@@ -61,27 +61,57 @@ def _scan_pencils(d, field):
                 yield tuple(rows[0]), tuple(rows[1])
 
 
-def _meets(field, jet_matrix, rows):
-    """The condition of the jet matrix: the two rows' jets form a matrix of
-    rank <= 1, that is every 2x2 minor vanishes."""
-    ja, jb = ([functools.reduce(field.add_i, map(field.mul_i, m, row), 0)
-               for m in jet_matrix] for row in rows)
+def _jet(field, jet_matrix, row):
+    """The row's jet: the jet matrix times the row, in add_i and mul_i."""
+    return [functools.reduce(field.add_i, map(field.mul_i, m, row), 0) for m in jet_matrix]
+
+
+def _rank_one(field, ja, jb):
+    """The two jets form a matrix of rank <= 1: every 2x2 minor vanishes."""
     return all(field.mul_i(ja[r], jb[s]) == field.mul_i(ja[s], jb[r])
                for r in range(len(ja)) for s in range(r + 1, len(ja)))
 
 
+def _meets(field, jet_matrix, rows):
+    """The condition of the jet matrix: the two rows' jets form a matrix of
+    rank <= 1."""
+    return _rank_one(field, *(_jet(field, jet_matrix, row) for row in rows))
+
+
 def _scan_census(d, assigns, field):
     """Oracle for the census engine: every scanned pencil that meets each
-    condition, classified alike."""
+    condition, classified alike.  A row's jets are computed the first time
+    a pencil holds it, and each pencil's minors are tested once."""
     mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assigns]
-    survivors = [Pencil(field, d, rows) for rows in _scan_pencils(d, field)
-                 if all(_meets(field, M, rows) for M in mats)]
+    jets = {}
+    survivors = []
+    for rows in _scan_pencils(d, field):
+        for row in rows:
+            if row not in jets:
+                jets[row] = [_jet(field, M, row) for M in mats]
+        if all(_rank_one(field, ja, jb) for ja, jb in zip(jets[rows[0]], jets[rows[1]])):
+            survivors.append(Pencil(field, d, rows))
     return _classify_survivors(d, tuple(assigns), field, survivors)
 
 
 def _meets_at(pencil, point, e):
     return _meets(pencil.field, vanishing_jet_matrix(pencil.field, pencil.d, point, e),
                   pencil.rows)
+
+
+def _echelon_rows(d, q, pivot, free):
+    """The q^len(free) rows with 1 at the pivot, every value at the free
+    positions and 0 elsewhere, as a (d+1) x q^len(free) array of columns."""
+    import numpy as np
+
+    rows = []
+    for values in itertools.product(range(q), repeat=len(free)):
+        row = [0] * (d + 1)
+        row[pivot] = 1
+        for j, v in zip(free, values):
+            row[j] = v
+        rows.append(row)
+    return np.array(rows, dtype=np.intp).T
 
 
 class TestEnumeration:
@@ -102,6 +132,17 @@ class TestEnumeration:
     def test_canonical_forms_are_rref(self):
         for rows in _scan_pencils(2, F3):
             assert Pencil(F3, 2, rows).rows == rows
+
+    @pytest.mark.parametrize("d, p, k", [(1, 3, 1), (2, 5, 1), (3, 3, 1), (4, 3, 1), (3, 3, 2)])
+    def test_pivot_rows_pair_into_every_pencil_once(self, d, p, k):
+        # the census's steps j2 = 1..d pair each A row before split with
+        # each B(j2) row after it: together, the scan's pencils, each once
+        pairs = []
+        for j2 in range(1, d + 1):
+            rows, split = _pivot_rows(d, p ** k, j2)
+            cols = [tuple(col) for col in rows.T.tolist()]
+            pairs += itertools.product(cols[:split], cols[split:])
+        assert sorted(pairs) == sorted(_scan_pencils(d, finite_field(p, k)))
 
 
 class TestSchubertCondition:
@@ -419,26 +460,28 @@ class TestCensus:
         report = _assert_engines_agree(d, _assigns(field, points, orders), field)
         assert report.total >= least[0] and report.with_base_points >= least[1]
 
-    # the strata with at most `block` A rows join in one batch and each of
-    # the others alone: `alone` counts the strata with more
-    @pytest.mark.parametrize("d, p, k, points, orders, block, alone", [
-        (3, 3, 2, (0, None, 1, 4), (2, 2, 2, 2), 16, 3),
+    # each pivot j2 = 1..d of B joins once: the A rows of every stratum
+    # (j1, j2) with B(j2), classified in blocks of `block` rows
+    @pytest.mark.parametrize("d, p, k, points, orders, block", [
+        (3, 3, 2, (0, None, 1, 4), (2, 2, 2, 2), 16),
         # q < d + 1, with survivors whose row jets vanish at marked points
-        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 16, 4),
-        (4, 5, 1, (0, None, 4, 3, 2, 1), (2,) * 6, 16, 7),
-        (3, 5, 2, (0, None, 1, 7), (2, 2, 2, 2), 16, 5),
-        # a stratum with exactly _BLOCK A rows joins in the batch
-        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 9, 4),
+        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 16),
+        (4, 5, 1, (0, None, 4, 3, 2, 1), (2,) * 6, 16),
+        (3, 5, 2, (0, None, 1, 7), (2, 2, 2, 2), 16),
+        # blocks of 3^2 rows: in the steps j2 = 1, 2 each part ends where a block ends
+        (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 9),
+        # G(1, 5)(F_3), 11,011 pencils: the step j2 holds j2 strata
+        (5, 3, 1, (0, None, 1, 2), (3, 3, 3, 3), 16),
     ])
-    def test_batch_and_alone_strata_agree_with_scan(self, monkeypatch, d, p, k, points,
-                                                     orders, block, alone):
+    def test_one_join_per_b_pivot_agrees_with_scan(self, monkeypatch, d, p, k, points,
+                                                   orders, block):
         monkeypatch.setattr(pencil_module, "_BLOCK", block)
         calls = []
         join = pencil_module._join
         monkeypatch.setattr(pencil_module, "_join", lambda *args: calls.append(1) or join(*args))
         field = finite_field(p, k)
         _assert_engines_agree(d, _assigns(field, points, orders), field)
-        assert len(calls) == 1 + alone
+        assert len(calls) == d
 
     def test_class_keys_past_int64(self):
         # 140 binary entries would need 2^140 > 2^63 as packed keys, and
