@@ -3,19 +3,22 @@ Euclid, and the brute-force census of Schubert problems over F_q.
 
 A pencil is stored as the reduced row echelon form of its 2 x (d+1)
 coefficient matrix, the unique canonical representative of the subspace;
-``Pencil`` always reduces its rows.  The census does not screen pencils one
-by one: in each echelon stratum it reduces the choices of each row to jet
-classes and joins the two sides (see the census engine below), O(q^(d-1))
-rows per stratum instead of O(q^(2d-2)) pencils; the strata that share
-the second row's pivot are joined in one step.  It runs in numpy
-(imported only there) on the field's own coordinates: a jet is F_p-linear
-in the base-p digits of a row, so the jets of all conditions are one
-matrix product mod p, a jet is scaled to its class with the field's
-length-q log and exp tables, and a class is packed in base q to one
-integer id.  The tests check it against a small oracle,
-``tests/test_pencil.py::_scan_census``, which scans every pencil and tests
-each condition by its 2x2 minors.  ``Pencil.to_map`` classifies a
-survivor; it counts the base points by degree and never locates them.
+``Pencil`` always reduces its rows.  The census does not screen pencils
+one by one: in each echelon stratum it reduces the choices of each row
+to jet classes and joins the two sides (see the census engine below),
+O(q^(d-1)) rows per stratum instead of O(q^(2d-2)) pencils; the strata
+that share the second row's pivot are joined in one step.  The point of
+largest order is first moved to 0, where its condition is a lower bound
+on that pivot, so the census skips the steps below it and never
+classifies that condition.  It runs in numpy (imported only there) on the
+field's own coordinates: a jet is F_p-linear in the base-p digits of a
+row, so the jets of all conditions are one matrix product mod p, a jet
+is scaled to its class with the field's length-q log and exp tables, and
+a class is packed in base q to one integer id.  The tests check it
+against a small oracle, ``tests/test_pencil.py::_scan_census``, which
+scans every pencil and tests each condition by its 2x2 minors.
+``Pencil.to_map`` classifies a survivor; it counts the base points by
+degree and never locates them.
 
 Schubert-condition membership at (P, e) is a rank condition: the two rows'
 order-e Taylor jets at P (Hasse derivatives; top coefficients for P = inf)
@@ -30,7 +33,7 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import BudgetExceeded, Poly, enumeration_budget, euclid_remainders, rref
-from .ratmap import ProjPoint, RatMap, is_separable, ram_index
+from .ratmap import ProjPoint, RatMap, is_separable, mobius_apply, mobius_domain_basis, ram_index
 from .schubert import check_orders
 
 _INT64_MAX = (1 << 63) - 1
@@ -296,21 +299,36 @@ def _audit_witness(rmap, assignments, d):
 # so the census takes one step per pivot j2 of B: one array holds the A rows
 # of all the strata (j1, j2) and then B(j2), one call classifies it, and one
 # join pairs its two slices.  A step holds at most 2 q^(d-1) rows.
+#
+# First the point P0 of largest order e0 (the first on a tie) is moved to 0,
+# by y = x - P0 or by y = 1/x for infinity, and the other points with it.
+# At 0 a member lambda A + mu B has valuation j1 if lambda != 0, and B has
+# valuation j2 > j1, so the condition (0, e0) holds iff j2 >= e0: it is
+# dropped, and the steps run over j2 = e0..d.  Each survivor is brought back
+# by substituting the move into its rows (ratmap.mobius_domain_basis), and
+# everything after the join sees the original points.
 
 def _census_survivors(d, assignments, field):
     """Every pencil meeting the assigned conditions, as canonical echelon
     forms."""
     q = field.q
-    mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in assignments if e >= 2]
+    P0, e0 = max(assignments, key=lambda pe: pe[1], default=(ProjPoint(field, 0), 1))
+    entries = (0, 1, 1, 0) if P0.is_infinity else (1, field.neg_i(P0.i), 0, 1)
+    moved = [(mobius_apply(field, (entries[:2], entries[2:]), pt), e)
+             for pt, e in assignments if pt != P0]
+    mats = [vanishing_jet_matrix(field, d, pt, e) for pt, e in moved if e >= 2]
     jet_classes = _jet_classifier(field, mats)
     bases = [q ** len(M) for M in mats]
+    basis = mobius_domain_basis(field, entries, d)
     survivors = []
-    for j2 in range(1, d + 1):
+    for j2 in range(e0, d + 1):
         rows, split = _pivot_rows(d, q, j2)
         zero, ids = jet_classes(rows)
         ia, ib = _join((zero[:split], ids[:, :split]), (zero[split:], ids[:, split:]), bases)
-        for row_a, row_b in zip(rows[:, ia].T.tolist(), rows[:, split + ib].T.tolist()):
-            survivors.append(Pencil(field, d, (row_a, row_b)))
+        for pair in zip(rows[:, ia].T.tolist(), rows[:, split + ib].T.tolist()):
+            f, g = (sum((term.scale(c) for c, term in zip(row, basis) if c), Poly.zero(field))
+                    for row in pair)
+            survivors.append(Pencil.from_polys(f, g, d))
     return survivors
 
 
@@ -364,6 +382,7 @@ def _jet_classifier(field, mats):
     pack = np.kron(np.eye(len(scaled)), p ** np.arange(k, dtype=np.float64))
     log, exp = np.array(field.log), np.array(field.exp, dtype=np.min_scalar_type(q - 1))
     weights = q ** np.arange(max(sizes), dtype=np.int64)
+    bits = 1 << np.arange(len(sizes), dtype=np.int64)
     # ids are kept in the smallest signed type that holds q^e - 1: a large
     # stratum's ids then take no more memory than its scaled entries
     id_type = np.min_scalar_type(1 - q ** max(sizes))
@@ -371,7 +390,7 @@ def _jet_classifier(field, mats):
     def jet_classes(rows):
         live = [j for j in range(width) if rows[j].any()]
         sub = lin[:, [l * width + j for l in range(k) for j in live]]
-        zero = np.zeros(rows.shape[1], dtype=np.int64)
+        zero = np.empty(rows.shape[1], dtype=np.int64)
         ids = np.empty((len(sizes), rows.shape[1]), dtype=id_type)
         for s in range(0, rows.shape[1], _BLOCK):
             block = slice(s, s + _BLOCK)
@@ -386,8 +405,9 @@ def _jet_classifier(field, mats):
                 lead = jet_log[-1]
                 for i in range(e - 2, -1, -1):  # down to the first nonzero entry
                     lead = np.where(jet[i], jet_log[i], lead)
-                zero[block] |= (~jet.any(axis=0)).astype(np.int64) << c
                 ids[c, block] = weights[:e] @ np.where(jet, exp[jet_log - lead + (q - 1)], 0)
+            # a nonzero jet's first nonzero entry is 1, so its id is >= 1
+            zero[block] = bits @ (ids[:, block] == 0)
         return zero, ids
 
     return jet_classes

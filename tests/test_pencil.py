@@ -7,7 +7,7 @@ import time
 import pytest
 
 import ramcount.pencil as pencil_module
-from ramcount.algebra import BudgetExceeded, Poly, finite_field
+from ramcount.algebra import BudgetExceeded, Poly, finite_field, poly_valuation
 from ramcount.pencil import (
     Pencil,
     _classify_survivors,
@@ -143,6 +143,20 @@ class TestEnumeration:
             cols = [tuple(col) for col in rows.T.tolist()]
             pairs += itertools.product(cols[:split], cols[split:])
         assert sorted(pairs) == sorted(_scan_pencils(d, finite_field(p, k)))
+
+    @pytest.mark.parametrize("d, p, k", [
+        (1, 3, 1), (2, 3, 1), (3, 3, 1), (4, 3, 1),
+        (1, 5, 1), (2, 5, 1), (3, 5, 1), (4, 5, 1), (3, 3, 2)])
+    def test_largest_order_at_zero_is_the_second_pivot(self, d, p, k):
+        # the census moves its largest-order point to 0 because of this:
+        # over the q + 1 members A + tB and B of a pencil, the largest
+        # order of vanishing at 0 is the pivot of the second echelon row
+        field = finite_field(p, k)
+        for a, b in _scan_pencils(d, field):
+            members = [b] + [[field.add_i(u, field.mul_i(t, v)) for u, v in zip(a, b)]
+                             for t in range(field.q)]
+            top = max(poly_valuation(Poly(field, m), 0) for m in members)
+            assert top == next(j for j, c in enumerate(b) if c), (a, b)
 
 
 class TestSchubertCondition:
@@ -460,8 +474,9 @@ class TestCensus:
         report = _assert_engines_agree(d, _assigns(field, points, orders), field)
         assert report.total >= least[0] and report.with_base_points >= least[1]
 
-    # each pivot j2 = 1..d of B joins once: the A rows of every stratum
-    # (j1, j2) with B(j2), classified in blocks of `block` rows
+    # each pivot j2 = e0..d of B joins once, e0 the largest order: the A
+    # rows of every stratum (j1, j2) with B(j2), classified in blocks of
+    # `block` rows
     @pytest.mark.parametrize("d, p, k, points, orders, block", [
         (3, 3, 2, (0, None, 1, 4), (2, 2, 2, 2), 16),
         # q < d + 1, with survivors whose row jets vanish at marked points
@@ -472,6 +487,16 @@ class TestCensus:
         (4, 3, 1, (0, None, 2, 1), (3, 3, 2, 2), 9),
         # G(1, 5)(F_3), 11,011 pencils: the step j2 holds j2 strata
         (5, 3, 1, (0, None, 1, 2), (3, 3, 3, 3), 16),
+        # the largest order strictly at infinity, moved to 0 by 1/x
+        (3, 7, 1, (1, None, 3), (2, 3, 2), 16),
+        (4, 7, 1, (None, 0, 1, 2, 3), (3, 2, 2, 2, 2), 16),
+        # a tie between infinity and a finite point: the first one moves
+        (3, 11, 1, (None, 4, 9), (3, 3, 1), 16),
+        (4, 5, 1, (2, None, 1), (4, 4, 1), 16),
+        (4, 3, 1, (2, None, 0, 1), (3, 3, 2, 2), 16),
+        # every order 1: one pencil, and no condition to join
+        (1, 5, 1, (0, None), (1, 1), 16),
+        (1, 3, 2, (4, None, 7), (1, 1, 1), 16),
     ])
     def test_one_join_per_b_pivot_agrees_with_scan(self, monkeypatch, d, p, k, points,
                                                    orders, block):
@@ -479,9 +504,16 @@ class TestCensus:
         calls = []
         join = pencil_module._join
         monkeypatch.setattr(pencil_module, "_join", lambda *args: calls.append(1) or join(*args))
+        sizes = []
+        classify = pencil_module._jet_classifier
+        monkeypatch.setattr(pencil_module, "_jet_classifier",
+                            lambda field, mats: sizes.append(len(mats)) or classify(field, mats))
         field = finite_field(p, k)
-        _assert_engines_agree(d, _assigns(field, points, orders), field)
-        assert len(calls) == d
+        report = _assert_engines_agree(d, _assigns(field, points, orders), field)
+        assert report.total >= 1
+        assert len(calls) == d + 1 - max(orders)
+        # the largest order's condition is a pivot bound, never classified
+        assert sizes == [sum(e >= 2 for e in orders) - (max(orders) >= 2)]
 
     def test_class_keys_past_int64(self):
         # 140 binary entries would need 2^140 > 2^63 as packed keys, and
