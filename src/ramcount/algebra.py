@@ -619,8 +619,6 @@ class Poly:
 
     def shift(self, n):
         """Multiply by x^n."""
-        if not self.coeffs:
-            return self
         return Poly(self.field, (0,) * n + self.coeffs)
 
     def __pow__(self, n):

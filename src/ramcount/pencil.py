@@ -363,7 +363,8 @@ def _jet_classifier(field, mats):
     lin[(r, i), (l, j)] = digit i of M[r][j] y^l maps the digits (l, j) of a
     row to the digits (r, i) of its jets, and a jet is scaled as
     exp[log[jet] - log[lead] + q - 1].  All tables are built once per census
-    and are O(q); rows go in blocks of _BLOCK."""
+    and are O(q); rows go in blocks of _BLOCK.  A step has j2 >= 1, so no
+    column of rows is zero: 0 is (0, j2)'s pivot, j2 is B's, the rest free."""
     import numpy as np
 
     if not mats:
@@ -388,13 +389,11 @@ def _jet_classifier(field, mats):
     id_type = np.min_scalar_type(1 - q ** max(sizes))
 
     def jet_classes(rows):
-        live = [j for j in range(width) if rows[j].any()]
-        sub = lin[:, [l * width + j for l in range(k) for j in live]]
         zero = np.empty(rows.shape[1], dtype=np.int64)
         ids = np.empty((len(sizes), rows.shape[1]), dtype=id_type)
         for s in range(0, rows.shape[1], _BLOCK):
             block = slice(s, s + _BLOCK)
-            jets = sub @ digit[:, rows[live, block]].reshape(k * len(live), -1)
+            jets = lin @ digit[:, rows[:, block]].reshape(k * width, -1)
             quot = jets * (1 / p)  # in place: jets mod p, safe at multiples of p
             np.floor(np.add(quot, 0.5 / p, out=quot), out=quot)
             jets -= np.multiply(quot, p, out=quot)

@@ -187,8 +187,6 @@ class RatMap:
         """Cancel common factors; returns (map, cancelled base divisor), the
         roots of the common factor over its splitting field."""
         f, g = cls.reduce(F, G)
-        if g.degree == 0:
-            return f, Divisor()
         ext, roots = splitting_field_roots(g)
         return f, Divisor({ProjPoint(ext, r): m for r, m in roots})
 

@@ -12,6 +12,7 @@ from ramcount.pencil import (
     Pencil,
     _classify_survivors,
     _jet_classifier,
+    _join,
     _pivot_rows,
     count_maps_bruteforce,
     gaussian_binomial_pencils,
@@ -645,6 +646,122 @@ class TestCensus:
         assert ram_index(hat, ProjPoint.infinity(F7)) == 2
         assert ram_index(hat, 3) == 2
         assert different_divisor(hat).total == 2 * 6 - 2
+
+
+class TestJoin:
+    """_join against a scan of every pair: rows a and b pair iff, at every
+    condition c, bit c of either side's zero is set or their ids agree."""
+
+    @staticmethod
+    def _side(rng, n, pool):
+        import numpy as np
+
+        ids = np.array([[rng.choice(pool) for _ in range(n)] for _ in range(3)], dtype=np.int64)
+        zero = (ids == 0).T @ (1 << np.arange(3, dtype=np.int64))
+        return zero, ids
+
+    @staticmethod
+    def _assert_matches_scan(side_a, side_b, bases):
+        (zero_a, ids_a), (zero_b, ids_b) = side_a, side_b
+        ia, ib = _join(side_a, side_b, bases)
+        got = list(zip(ia.tolist(), ib.tolist()))
+        want = {(a, b) for a in range(zero_a.size) for b in range(zero_b.size)
+                if all((zero_a[a] | zero_b[b]) >> c & 1 or ids_a[c, a] == ids_b[c, b]
+                       for c in range(3))}
+        assert len(got) == len(set(got)) and set(got) == want
+
+    def test_matches_pairwise_scan(self):
+        # ids from {0, 1, 2, 3}, 0 the zero jet, on sides of 1 to 200 rows:
+        # over the cases every zero pattern occurs, and each is on one side
+        # and missing from the other in some case
+        rng = random.Random(11)
+        one_sided = set()
+        for _ in range(40):
+            sides = [self._side(rng, rng.choice([1, 2, 5, rng.randint(1, 200)]), [0, 1, 2, 3])
+                     for _ in range(2)]
+            self._assert_matches_scan(*sides, [4] * 3)
+            patterns = [set(zero.tolist()) for zero, _ in sides]
+            one_sided |= patterns[0] ^ patterns[1]
+        assert one_sided == set(range(8))
+
+    def test_matches_pairwise_scan_past_int64(self):
+        # ids below 2^40: two packed conditions would pass 2^63, so the
+        # keys of each pattern pair are dense-ranked (_class_keys)
+        rng = random.Random(12)
+        pool = [0] + rng.sample(range(1, 1 << 40), 5)
+        for n_a, n_b in ((1, 200), (200, 1), (150, 120), (37, 3)):
+            self._assert_matches_scan(self._side(rng, n_a, pool), self._side(rng, n_b, pool),
+                                      [1 << 40] * 3)
+
+
+class TestFourPointBound:
+    """ROADMAP item 19, part 1: four distinct points with orders
+    2 <= e_i < p carry at most m + 1 = d + 1 - max e separable maps of
+    degree d, at every configuration and in every characteristic.
+
+    Proof.  With four points 2d - 2 = sum (e_i - 1), so the other three
+    orders give sum (e_i - 1) = d + m - 1, and 2m = that sum - (max e - 1)
+    <= 2 (max e - 1): m <= max e - 1 <= p - 2.  If every other order were
+    <= m, the sum would be <= 3 (m - 1), so max e <= m - 2, against
+    m <= max e - 1: some other order e1 exceeds m.  Put the largest order
+    at infinity, e1 at 0 and the other two at 1 and lambda != 0.  By item
+    15, a separable map with these orders has a unique monic member y of
+    degree m in its pencil, y fixes the map (its partner is unique modulo
+    y), and y is a kernel vector of T + vI for some v, T the (m + 1)
+    square tridiagonal matrix of the Heun operator on polynomials of degree
+    <= m.  The entry of T from x^j to x^(j-1) is lambda j (j - e1), nonzero
+    for j = 1..m as 0 < j <= p - 2 and 0 < e1 - j < p.  Deleting the last
+    row and the first column of T + vI leaves a triangular matrix with
+    these entries on its diagonal, so ker(T + vI) has dimension <= 1 for
+    every v, and det(T + vI) has degree m + 1 in v: at most m + 1 values of
+    v, and one map each."""
+
+    @staticmethod
+    def _profiles(p, d_max):
+        """(orders, d) for the sorted four-point orders 2 <= e_i < p with
+        sum (e_i - 1) = 2d - 2 and e_i <= d <= d_max."""
+        for orders in itertools.combinations_with_replacement(range(2, p), 4):
+            ramification = sum(e - 1 for e in orders)
+            d = ramification // 2 + 1
+            if ramification % 2 == 0 and orders[-1] <= d <= d_max:
+                yield orders, d
+
+    def test_the_two_inequalities(self):
+        # every profile with p <= 31
+        checked = 0
+        for p in (p for p in range(2, 32) if all(p % r for r in range(2, p))):
+            for orders, d in self._profiles(p, 2 * p):
+                m = d - orders[-1]
+                assert orders[2] > m and m <= p - 2, (orders, p)
+                checked += 1
+        assert checked == 36941
+
+    def test_rational_separable_counts_at_most_n_gen(self):
+        # a census at 0, inf, 1, lambda for every lambda of F_q - {0, 1}:
+        # every labelled configuration of four rational points is one of
+        # these up to a Mobius move.  No count exceeds n_gen, which the
+        # bound caps too (general points are a configuration); these eight
+        # stay below n_gen at every rational lambda, and the other 20 reach it
+        from ramcount.counting import n_gen
+
+        start = time.perf_counter()
+        reached = {}
+        for p, k, d_max in ((5, 1, 5), (7, 1, 5), (11, 1, 5), (13, 1, 5), (3, 2, 3)):
+            field = finite_field(p, k)
+            for orders, d in self._profiles(p, d_max):
+                bound = n_gen(orders, p).value
+                assert bound <= d + 1 - orders[-1], (orders, p)
+                separable = [count_maps_bruteforce(d, _assigns(field, (0, None, 1, lam), orders),
+                                                   field, budget=10 ** 9).separable
+                             for lam in range(2, field.q)]
+                assert max(separable) <= bound, (orders, field)
+                reached[orders, field.q] = max(separable) == bound
+        assert len(reached) == 28
+        assert {case for case, hit in reached.items() if not hit} == {
+            ((2, 2, 2, 2), 5), ((2, 2, 3, 3), 5), ((3, 3, 3, 3), 5),
+            ((2, 2, 2, 2), 7), ((2, 3, 3, 4), 7), ((3, 3, 3, 3), 7),
+            ((3, 3, 3, 3), 11), ((3, 3, 3, 3), 13)}
+        assert time.perf_counter() - start < 15
 
 
 class TestSamplePoints:
